@@ -41,7 +41,7 @@ from .syntax import (
     pretty,
 )
 from .reduction import RULESETS, RuleSet, enumerate_redexes, step_at
-from .ensemble import TermEnsemble, equivalent, min_ensemble, singleton
+from .ensemble import TermEnsemble, equivalent_canonical, min_ensemble, singleton
 from .wellformed import check
 
 
@@ -376,14 +376,14 @@ def _find_join(mu: TermEnsemble, nu: TermEnsemble, rules_b: RuleSet, rules_a: Ru
         if nxt is not None:
             advanced = True
             cand = min_ensemble(nxt[1])
-            if any(equivalent(cand, other) for other in seen2):
+            if any(equivalent_canonical(cand, other) for other in seen2):
                 return True
             seen1.append(cand)
         nxt = next(gen2, None)
         if nxt is not None:
             advanced = True
             cand = min_ensemble(nxt[1])
-            if any(equivalent(cand, other) for other in seen1):
+            if any(equivalent_canonical(cand, other) for other in seen1):
                 return True
             seen2.append(cand)
         if not advanced:

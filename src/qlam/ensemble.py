@@ -9,15 +9,23 @@ is preserved by every such step.
 ``min_ensemble`` canonicalizes by merging alpha-equivalent entries
 (summing their probabilities); two ensembles are equivalent when their
 canonical forms contain the same alpha-classes with matching probabilities.
+
+Both scans bucket entries by ``shape_key``.  Since alpha-equivalent terms
+have equal keys, ``alpha_eq`` only runs between entries of one bucket and
+against entries whose key is None (a register amplitude too close to the
+key threshold), which are compared with everything.  Candidates are still
+visited in entry order, so the results are exactly those of comparing every
+pair.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Iterable, Literal
 
-from .syntax import AMP_TOL, Term, alpha_eq, pretty
+from .syntax import AMP_TOL, Term, alpha_eq, pretty, shape_key
 from .reduction import (
     RULE_ID,
     RULESET_ST,
@@ -87,16 +95,48 @@ def singleton(t: Term) -> TermEnsemble:
     return TermEnsemble(((t, 1.0),))
 
 
+class _Buckets:
+    """Entry indices grouped by shape_key, each group in increasing order.
+    Indices whose key is None go in a group of their own that every lookup
+    also visits."""
+
+    def __init__(self) -> None:
+        self.by_key: dict[tuple, list[int]] = {}
+        self.unkeyed: list[int] = []
+
+    def add(self, key: tuple | None, index: int) -> None:
+        if key is None:
+            self.unkeyed.append(index)
+        else:
+            self.by_key.setdefault(key, []).append(index)
+
+    def candidates(self, key: tuple | None, size: int) -> Iterable[int]:
+        """The indices a term with this key may be alpha-equivalent to, in
+        increasing order: all of range(size) when the key is None."""
+        if key is None:
+            return range(size)
+        keyed = self.by_key.get(key, ())
+        if not self.unkeyed:
+            return keyed
+        return heapq.merge(keyed, self.unkeyed)
+
+
 def min_ensemble(e: TermEnsemble, tol: float = AMP_TOL) -> TermEnsemble:
     """Merge alpha-equivalent entries, summing probabilities.  Idempotent,
     mass-preserving, and deterministic (first-occurrence order)."""
+    if len(e.entries) == 1:
+        return e
     groups: list[list] = []
+    buckets = _Buckets()
     for term, p in e.entries:
-        for group in groups:
+        key = shape_key(term, tol)
+        for index in buckets.candidates(key, len(groups)):
+            group = groups[index]
             if alpha_eq(group[0], term, tol):
                 group[1] += p
                 break
         else:
+            buckets.add(key, len(groups))
             groups.append([term, p])
     return TermEnsemble(tuple((t, p) for t, p in groups))
 
@@ -104,14 +144,31 @@ def min_ensemble(e: TermEnsemble, tol: float = AMP_TOL) -> TermEnsemble:
 def equivalent(a: TermEnsemble, b: TermEnsemble,
                tol: float = PROB_TOL, amp_tol: float = AMP_TOL) -> bool:
     """Ensemble equivalence: equal canonical forms, probabilities within tol."""
-    ma, mb = min_ensemble(a, amp_tol), min_ensemble(b, amp_tol)
+    return equivalent_canonical(min_ensemble(a, amp_tol), min_ensemble(b, amp_tol),
+                                tol, amp_tol)
+
+
+def equivalent_canonical(ma: TermEnsemble, mb: TermEnsemble,
+                         tol: float = PROB_TOL, amp_tol: float = AMP_TOL) -> bool:
+    """``equivalent`` for two ensembles that are already min_ensemble output:
+    match every entry of ma with the first unmatched alpha-equivalent entry of
+    mb whose probability is within tol."""
     if len(ma) != len(mb):
         return False
-    remaining = list(mb.entries)
+    if len(ma) == 1:
+        # the common case in diamond checks: one alpha_eq costs less than
+        # two shape_key walks
+        (term, p), (other, q) = ma.entries[0], mb.entries[0]
+        return abs(p - q) <= tol and alpha_eq(term, other, amp_tol)
+    buckets = _Buckets()
+    for index, (other, _) in enumerate(mb.entries):
+        buckets.add(shape_key(other, amp_tol), index)
+    matched = [False] * len(mb)
     for term, p in ma.entries:
-        for i, (other, q) in enumerate(remaining):
-            if abs(p - q) <= tol and alpha_eq(term, other, amp_tol):
-                del remaining[i]
+        for index in buckets.candidates(shape_key(term, amp_tol), len(mb)):
+            other, q = mb.entries[index]
+            if not matched[index] and abs(p - q) <= tol and alpha_eq(term, other, amp_tol):
+                matched[index] = True
                 break
         else:
             return False
@@ -199,7 +256,7 @@ def evaluate(t: Term, max_steps: int = 10_000, rules: RuleSet = RULESET_ST,
     for step_index in range(max_steps):
         choices = [chooser(term) for term, _ in ens.entries]
         if all(c is None for c in choices):
-            return EvalResult(min_ensemble(ens), "Converged", step_index)
+            return EvalResult(ens, "Converged", step_index)
         out: list[tuple[Term, float]] = []
         for entry_index, ((term, p), choice) in enumerate(zip(ens.entries, choices)):
             if choice is None:
@@ -214,7 +271,7 @@ def evaluate(t: Term, max_steps: int = 10_000, rules: RuleSet = RULESET_ST,
         ens = min_ensemble(TermEnsemble(tuple(out)))
     status: Status = "Converged" if all(
         chooser(term) is None for term, _ in ens.entries) else "StepLimit"
-    return EvalResult(min_ensemble(ens), status, max_steps)
+    return EvalResult(ens, status, max_steps)
 
 
 def sample(t: Term, seed: int, max_steps: int = 10_000,

@@ -209,13 +209,29 @@ def uniform_state(width: int) -> QubitValue:
 
 
 def amps_close(a: QubitValue, b: QubitValue, tol: float) -> bool:
-    """Amplitude-wise comparison with absolute tolerance per basis index."""
+    """Amplitude-wise comparison with absolute tolerance per basis index; an
+    index missing from one register counts as amplitude 0 there.  One merge
+    pass over the two sorted amplitude tuples."""
     if a.width != b.width:
         return False
-    for u in a.support() | b.support():
-        if abs(a.amp(u) - b.amp(u)) > tol:
+    xs, ys = a.amps, b.amps
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        u, za = xs[i]
+        v, zb = ys[j]
+        if u == v:
+            diff = za - zb
+            i += 1
+            j += 1
+        elif u < v:
+            diff = za
+            i += 1
+        else:
+            diff = zb
+            j += 1
+        if abs(diff) > tol:
             return False
-    return True
+    return all(not abs(z) > tol for _, z in xs[i:] + ys[j:])
 
 
 def tensor(a: QubitValue, b: QubitValue) -> QubitValue:

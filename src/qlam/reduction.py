@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quantum import EPS_NORM, QubitValue, factor_split, measure
+from .quantum import EPS_NORM, QubitValue, apply_gate, factor_split, measure
 from .syntax import (
     App,
     Bang,
@@ -143,8 +143,6 @@ def _contract(t: Term, rule: str) -> list[tuple[Term, float]]:
         case App(BangLam(x, body), QubitConst(_) as q), "!beta2":
             return [(substitute(body, x, q), 1.0)]
         case App(GateConst(g), QubitConst(q)), "U":
-            from .quantum import apply_gate
-
             return [(QubitConst(apply_gate(g, q)), 1.0)]
         case App(MeasConst(idx), QubitConst(q)), "M":
             return [(QubitConst(o.post), o.probability) for o in measure(q, idx)]

@@ -9,17 +9,31 @@ Qubit registers appear in terms only as whole constants (QubitConst); there
 is no term-level tensor, which is what makes cloning of unknown quantum data
 unwritable.  The destructuring binder LetTensor is the one primitive that
 takes a register apart, and only product states split.
+
+``shape_key`` is a hash key for alpha-equivalence under an amplitude
+tolerance: ``alpha_eq(a, b, tol)`` implies ``shape_key(a, tol) ==
+shape_key(b, tol)``, so terms with different keys never need comparing.  It
+returns None when a register amplitude lies too close to the key's support
+threshold to place on one side; such a term must be compared against every
+other.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .quantum import GateExpr, QubitValue
+from .quantum import GateExpr, QubitValue, amps_close
 
 # Default absolute tolerance for amplitude comparison inside alpha_eq.
 AMP_TOL = 1e-9
+
+# shape_key records the basis indices whose amplitude modulus exceeds this
+# threshold.  It sits far above AMP_TOL, so a tolerance-close perturbation can
+# only move an amplitude across it when the amplitude already lies within the
+# tolerance band around it, which is the case shape_key refuses to key.
+KEY_AMP_THRESHOLD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -278,8 +292,6 @@ def alpha_eq(a: Term, b: Term, tol: float = AMP_TOL) -> bool:
             case GateConst(g1), GateConst(g2):
                 return g1 == g2
             case QubitConst(q1), QubitConst(q2):
-                from .quantum import amps_close
-
                 return amps_close(q1, q2, tol)
             case MeasConst(i1), MeasConst(i2):
                 return i1 == i2
@@ -297,6 +309,66 @@ def alpha_eq(a: Term, b: Term, tol: float = AMP_TOL) -> bool:
                 return False
 
     return go(a, b, {}, {}, 0)
+
+
+def shape_key(t: Term, tol: float = AMP_TOL) -> tuple | None:
+    """A hashable key such that ``alpha_eq(a, b, tol)`` implies
+    ``shape_key(a, tol) == shape_key(b, tol)``, or None.
+
+    The key is the preorder sequence of node types with their payloads:
+    bound variables as binder levels (numbered as alpha_eq numbers them),
+    free variables by name, gate names, measured wire sets, and for each
+    register its width and the indices whose amplitude modulus exceeds
+    KEY_AMP_THRESHOLD.  An amplitude within the tolerance band around the
+    threshold could sit on either side of it in a tolerance-close register,
+    so the key is None then (the band is twice ``tol`` wide on each side, a
+    margin for float rounding in amps_close).
+    """
+    band = 2 * tol
+    if not band < KEY_AMP_THRESHOLD:
+        band = math.inf  # an absent index (modulus 0) is inside the band too
+    out: list = []
+    stack: list[tuple[Term, dict[str, int], int]] = [(t, {}, 0)]
+    while stack:
+        term, env, depth = stack.pop()
+        cls = type(term)
+        out.append(cls)
+        if cls is Var:
+            level = env.get(term.name)
+            out.append(term.name if level is None else level)
+        elif cls is Lam or cls is BangLam:
+            stack.append((term.body, {**env, term.var: depth}, depth + 1))
+        elif cls is App:
+            stack.append((term.arg, env, depth))
+            stack.append((term.fun, env, depth))
+        elif cls is Bang:
+            stack.append((term.body, env, depth))
+        elif cls is If:
+            stack.append((term.orelse, env, depth))
+            stack.append((term.then, env, depth))
+            stack.append((term.cond, env, depth))
+        elif cls is LetTensor:
+            inner = {**env, term.left: depth, term.right: depth + 1}
+            stack.append((term.body, inner, depth + 2))
+            stack.append((term.value, env, depth))
+        elif cls is QubitConst:
+            q = term.value
+            support = []
+            for u, a in q.amps:
+                modulus = abs(a)
+                if not abs(modulus - KEY_AMP_THRESHOLD) > band:
+                    return None
+                if modulus > KEY_AMP_THRESHOLD:
+                    support.append(u)
+            out.append(q.width)
+            out.append(tuple(support))
+        elif cls is GateConst:
+            out.append(term.gate.names)
+        elif cls is MeasConst:
+            out.append(term.indices)
+        else:
+            raise TypeError(f"not a term: {term!r}")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

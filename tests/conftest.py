@@ -6,6 +6,17 @@ from hypothesis import settings
 
 from qlam.confluence import GenConfig, generate, regression_seeds
 from qlam.quantum import QubitValue, ket, tensor
+from qlam.syntax import (
+    KEY_AMP_THRESHOLD,
+    BangLam,
+    Lam,
+    LetTensor,
+    QubitConst,
+    Var,
+    children,
+    substitute,
+    with_children,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")
@@ -46,6 +57,46 @@ def random_register(draw, max_width: int = 4):
 
 def _fmt_c(z: complex) -> str:
     return f"({z.real:.17g},{z.imag:.17g})"
+
+
+def rename_binders(t, prefix, counter=None):
+    """t with every binder renamed to a fresh ``prefix<n>``: an
+    alpha-equivalent copy with different bound names."""
+    if counter is None:
+        counter = [0]
+    match t:
+        case Lam(x, body) | BangLam(x, body):
+            counter[0] += 1
+            fresh = f"{prefix}{counter[0]}"
+            body = substitute(body, x, Var(fresh))
+            return type(t)(fresh, rename_binders(body, prefix, counter))
+        case LetTensor(x, y, value, body):
+            counter[0] += 2
+            fx, fy = f"{prefix}{counter[0] - 1}", f"{prefix}{counter[0]}"
+            body = substitute(substitute(body, x, Var(fx)), y, Var(fy))
+            return LetTensor(fx, fy, rename_binders(value, prefix, counter),
+                             rename_binders(body, prefix, counter))
+        case _:
+            kids = tuple(rename_binders(c, prefix, counter) for c in children(t))
+            return with_children(t, kids)
+
+
+def perturb_registers(t, rng, scale):
+    """t with each register amplitude moved by a random complex offset whose
+    real and imaginary parts are at most ``scale`` in magnitude."""
+    if isinstance(t, QubitConst):
+        q = t.value
+        return QubitConst(QubitValue(q.width, tuple(
+            (u, a + complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale)))
+            for u, a in q.amps)))
+    return with_children(t, tuple(perturb_registers(c, rng, scale) for c in children(t)))
+
+
+def near_threshold_register(offset: float) -> QubitValue:
+    """A two-wire register with one amplitude of modulus
+    KEY_AMP_THRESHOLD + offset and the rest of the mass on |00>."""
+    small = KEY_AMP_THRESHOLD + offset
+    return QubitValue(2, ((0, complex(math.sqrt(1 - small * small))), (3, complex(small))))
 
 
 TELEPORT_TEMPLATE = """

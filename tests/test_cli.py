@@ -149,6 +149,17 @@ def test_confluence_json_and_pairs(capsys):
     assert doc["results"][0]["failures"] == []
 
 
+def test_confluence_json_golden(capsys):
+    """`qlam confluence --count 200 --seed 0 --json` is pinned, timings aside."""
+    code, out, _ = run_cli(capsys, "confluence", "--count", "200", "--seed", "0", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    for result in doc["results"]:
+        del result["elapsed"]
+    golden = (GOLDEN / "confluence_seed0_count200.json").read_text()
+    assert json.dumps(doc, indent=2) + "\n" == golden
+
+
 def test_run_step_limit_exit_one(tmp_path, capsys):
     f = tmp_path / "omega.qlam"
     f.write_text(r"main = (\!x. x !x) !(\!x. x !x);" + "\n")

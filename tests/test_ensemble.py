@@ -6,11 +6,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from qlam.ensemble import (
+    PROB_TOL,
     EnsembleCapError,
     StepLimitError,
     TermEnsemble,
     det_step,
     equivalent,
+    equivalent_canonical,
     evaluate,
     leftmost_chooser,
     min_ensemble,
@@ -21,9 +23,16 @@ from qlam.ensemble import (
 )
 from qlam.parser import parse_term
 from qlam.reduction import RULESET_ST, RULESET_T, enumerate_redexes
-from qlam.syntax import Var, pretty
+from qlam.quantum import QubitValue, gate
+from qlam.syntax import AMP_TOL, App, GateConst, Lam, QubitConst, Var, alpha_eq, pretty
 
-from conftest import generated_term
+from conftest import (
+    generated_term,
+    near_threshold_register,
+    perturb_registers,
+    random_terms,
+    rename_binders,
+)
 
 S2 = f"{1 / math.sqrt(2):.17g}"
 BIASED = "((0.6,0)!|0> + (0.8,0)!|1>)"
@@ -84,6 +93,141 @@ def test_equivalence_examples():
 def test_equivalence_symmetric(a, b):
     ea, eb = singleton(a), singleton(b)
     assert equivalent(ea, eb) == equivalent(eb, ea)
+
+
+# ---------------------------------------------------------------------------
+# bucketed canonicalization against the pairwise scan
+
+
+def pairwise_min_ensemble(e, tol=AMP_TOL):
+    """Oracle: every entry against every earlier group, in creation order."""
+    groups = []
+    for term, p in e.entries:
+        for group in groups:
+            if alpha_eq(group[0], term, tol):
+                group[1] += p
+                break
+        else:
+            groups.append([term, p])
+    return TermEnsemble(tuple((t, p) for t, p in groups))
+
+
+def pairwise_equivalent(a, b, tol=PROB_TOL, amp_tol=AMP_TOL):
+    """Oracle: canonicalize both sides pairwise, then match every entry of
+    one against every remaining entry of the other."""
+    ma, mb = pairwise_min_ensemble(a, amp_tol), pairwise_min_ensemble(b, amp_tol)
+    if len(ma) != len(mb):
+        return False
+    remaining = list(mb.entries)
+    for term, p in ma.entries:
+        for i, (other, q) in enumerate(remaining):
+            if abs(p - q) <= tol and alpha_eq(term, other, amp_tol):
+                del remaining[i]
+                break
+        else:
+            return False
+    return True
+
+
+def _threshold_classes():
+    """Registers whose amplitude sits on the key threshold (no key), on the
+    edge of the keyless band (copies fall on either side of it), or five
+    tolerances above or below it (keyed, with or without that index)."""
+    out = []
+    for offset in (0.0, 2 * AMP_TOL, -2 * AMP_TOL, 5 * AMP_TOL, -5 * AMP_TOL):
+        reg = QubitConst(near_threshold_register(offset))
+        out += [reg, App(GateConst(gate("I", "I")), reg), Lam("x", App(Var("x"), reg))]
+    return out
+
+
+# Base terms of the drawn ensembles: generated terms plus threshold registers.
+# Renamed and perturbed copies of one base form an alpha-class.
+CLASSES = random_terms(seed=5, n=24) + _threshold_classes()
+
+
+def _variant(base, variant, seed, scale):
+    term = rename_binders(base, "r") if variant & 1 else base
+    if variant & 2:
+        term = perturb_registers(term, random.Random(seed), scale * AMP_TOL)
+    return term
+
+
+@st.composite
+def ensemble_specs(draw, max_entries=12):
+    """(class, variant, seed, weight) rows; variant bit 1 renames binders,
+    bit 2 perturbs registers."""
+    n = draw(st.integers(1, max_entries))
+    return [(draw(st.integers(0, len(CLASSES) - 1)), draw(st.integers(0, 3)),
+             draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 8)))
+            for _ in range(n)]
+
+
+def build_ensemble(spec, scale):
+    total = sum(w for *_, w in spec)
+    return TermEnsemble(tuple((_variant(CLASSES[c], v, seed, scale), w / total)
+                              for c, v, seed, w in spec))
+
+
+@given(ensemble_specs(), st.sampled_from([0.2, 0.6, 0.8]))
+@settings(max_examples=80)
+def test_min_ensemble_matches_pairwise_scan(spec, scale):
+    """Same groups, same representatives, same order, same float sums, also
+    when perturbations make closeness non-transitive (scale 0.6 and 0.8)."""
+    e = build_ensemble(spec, scale)
+    assert min_ensemble(e).entries == pairwise_min_ensemble(e).entries
+
+
+@given(ensemble_specs(), st.data(), st.sampled_from([0.2, 0.6, 0.8]))
+@settings(max_examples=100)
+def test_equivalent_matches_pairwise_scan(spec, data, scale):
+    """The bucketed equivalence agrees with the oracle.  With well-separated
+    classes (copies within 0.2 tolerances of their base) it is also
+    symmetric, and a reshuffled, re-split copy of an ensemble is equivalent
+    to it."""
+    a = build_ensemble(spec, scale)
+    same = data.draw(st.booleans())
+    if same:
+        # shuffle, redraw the copies, and split the first row in two halves
+        # (weights doubled, so they stay integers): the same distribution
+        rows = [(c, data.draw(st.integers(0, 3)), seed + 1, 2 * w)
+                for c, _, seed, w in data.draw(st.permutations(spec))]
+        c, v, seed, w = rows[0]
+        rows[:1] = [(c, v, seed, w // 2), (c, 3 - v, seed + 1, w // 2)]
+        b = build_ensemble(rows, scale)
+    else:
+        b = build_ensemble(data.draw(ensemble_specs()), scale)
+    got = equivalent(a, b)
+    assert got == pairwise_equivalent(a, b)
+    assert equivalent_canonical(min_ensemble(a), min_ensemble(b)) == got
+    if scale == 0.2:
+        assert got == equivalent(b, a)
+        assert got or not same
+
+
+def test_equivalent_matches_each_entry_once():
+    """Two canonical entries close to one entry of the other side (closeness
+    is not transitive) cannot both match it."""
+    def reg(shift):
+        x = 0.6 + shift * AMP_TOL
+        return QubitConst(QubitValue(1, {0: math.sqrt(1 - x * x), 1: x}))
+
+    ma = TermEnsemble(((reg(0.0), 0.5), (reg(1.6), 0.5)))
+    mb = TermEnsemble(((reg(0.8), 0.5), (Var("z"), 0.5)))
+    assert min_ensemble(ma) == ma
+    assert not equivalent_canonical(ma, mb)
+    assert not equivalent(ma, mb)
+    assert not pairwise_equivalent(ma, mb)
+
+
+@given(ensemble_specs(), st.randoms(use_true_random=False))
+@settings(max_examples=60)
+def test_min_ensemble_independent_of_entry_order(spec, rng):
+    e = build_ensemble(spec, 0.2)
+    entries = list(e.entries)
+    rng.shuffle(entries)
+    shuffled = TermEnsemble(tuple(entries))
+    assert len(min_ensemble(shuffled)) == len(min_ensemble(e))
+    assert equivalent(min_ensemble(shuffled), min_ensemble(e))
 
 
 # ---------------------------------------------------------------------------

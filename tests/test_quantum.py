@@ -57,6 +57,29 @@ def test_json_round_trip():
     assert QubitValue.from_json(doc) == q
 
 
+def test_amps_close_missing_index_is_zero():
+    a = QubitValue(2, {0: 1.0, 3: 1e-10})
+    assert amps_close(a, QubitValue(2, {0: 1.0}), 1e-9)
+    assert amps_close(QubitValue(2, {0: 1.0}), a, 1e-9)
+    assert not amps_close(a, QubitValue(2, {0: 1.0}), 1e-11)
+    assert not amps_close(a, QubitValue(1, {0: 1.0}), 1.0)
+
+
+@given(random_register(max_width=3), st.data())
+def test_amps_close_matches_per_index_scan(q, data):
+    """The merge pass agrees with comparing amp(u) over the union of the
+    two supports."""
+    width = q.width
+    extra = data.draw(st.sets(st.integers(0, (1 << width) - 1), max_size=3))
+    scale = data.draw(st.sampled_from([1e-12, 1e-10, 1e-9, 1e-8, 0.1]))
+    other = QubitValue(width, [(u, a + data.draw(st.floats(-scale, scale))) for u, a in q.amps]
+                       + [(u, data.draw(st.floats(-scale, scale))) for u in extra])
+    tol = data.draw(st.sampled_from([1e-12, 1e-9, 1e-7]))
+    expected = all(abs(q.amp(u) - other.amp(u)) <= tol for u in q.support() | other.support())
+    assert amps_close(q, other, tol) == expected
+    assert amps_close(other, q, tol) == expected
+
+
 # ---------------------------------------------------------------------------
 # tensor
 

@@ -1,11 +1,17 @@
+import random
+
 from hypothesis import given
+import hypothesis.strategies as st
 
 from qlam.parser import parse_term
 from qlam.quantum import QubitValue
 from qlam.syntax import (
+    AMP_TOL,
+    KEY_AMP_THRESHOLD,
     App,
     Bang,
     Lam,
+    LetTensor,
     QubitConst,
     Var,
     alpha_eq,
@@ -13,12 +19,13 @@ from qlam.syntax import (
     positions,
     pretty,
     replace_at,
+    shape_key,
     substitute,
     subterm_at,
     term_size,
 )
 
-from conftest import generated_term
+from conftest import generated_term, near_threshold_register, perturb_registers, rename_binders
 
 
 # ---------------------------------------------------------------------------
@@ -65,30 +72,73 @@ def test_alpha_symmetric(a, b):
 
 @given(generated_term())
 def test_alpha_invariant_under_renaming(t):
-    renamed = _rename_binders(t, "w")
+    renamed = rename_binders(t, "w")
     assert alpha_eq(t, renamed)
 
 
-def _rename_binders(t, prefix, counter=None):
-    from qlam.syntax import BangLam, LetTensor, children, with_children
+# ---------------------------------------------------------------------------
+# shape keys
 
-    if counter is None:
-        counter = [0]
-    match t:
-        case Lam(x, body) | BangLam(x, body):
-            counter[0] += 1
-            fresh = f"{prefix}{counter[0]}"
-            body = substitute(body, x, Var(fresh))
-            return type(t)(fresh, _rename_binders(body, prefix, counter))
-        case LetTensor(x, y, value, body):
-            counter[0] += 2
-            fx, fy = f"{prefix}{counter[0] - 1}", f"{prefix}{counter[0]}"
-            body = substitute(substitute(body, x, Var(fx)), y, Var(fy))
-            return LetTensor(fx, fy, _rename_binders(value, prefix, counter),
-                             _rename_binders(body, prefix, counter))
-        case _:
-            kids = tuple(_rename_binders(c, prefix, counter) for c in children(t))
-            return with_children(t, kids)
+
+def test_shape_key_binder_levels():
+    assert shape_key(parse_term(r"\x. x")) == shape_key(parse_term(r"\y. y"))
+    assert shape_key(parse_term(r"\x. \y. x")) != shape_key(parse_term(r"\x. \y. y"))
+    assert shape_key(Var("a")) != shape_key(Var("b"))
+    assert shape_key(parse_term(r"\x. x")) != shape_key(parse_term(r"\!x. x"))
+
+
+def test_shape_key_let_tensor_binds_two_levels():
+    q = "(0.6,0)!|00> + (0.8,0)!|01>"
+    left = shape_key(parse_term(f"let a * b = {q} in a"))
+    assert left == shape_key(parse_term(f"let c * d = {q} in c"))
+    assert left != shape_key(parse_term(f"let a * b = {q} in b"))
+    # a repeated name (which the parser rejects) binds the right level, as
+    # in alpha_eq
+    value = parse_term(q)
+    assert shape_key(LetTensor("a", "a", value, Var("a"))) == \
+        shape_key(parse_term(f"let a * b = {q} in b"))
+
+
+def test_shape_key_register_support():
+    big = QubitConst(QubitValue(1, {0: 0.6, 1: 0.8}))
+    assert shape_key(big) == shape_key(QubitConst(QubitValue(1, {0: 0.8, 1: -0.6})))
+    assert shape_key(big) != shape_key(QubitConst(QubitValue(2, {0: 0.6, 1: 0.8})))
+    assert shape_key(big) != shape_key(QubitConst(QubitValue(1, {0: 1.0})))
+
+
+def test_shape_key_none_near_threshold():
+    for offset in (0.0, 0.9 * AMP_TOL, -0.9 * AMP_TOL):
+        assert shape_key(QubitConst(near_threshold_register(offset))) is None
+        assert shape_key(App(Var("f"), QubitConst(near_threshold_register(offset)))) is None
+    above = QubitConst(near_threshold_register(5 * AMP_TOL))
+    below = QubitConst(near_threshold_register(-5 * AMP_TOL))
+    assert None not in (shape_key(above), shape_key(below))
+    assert shape_key(above) != shape_key(below)
+    # a tolerance as wide as the threshold keys no register, but still keys
+    # terms without one
+    assert shape_key(above, tol=KEY_AMP_THRESHOLD) is None
+    assert shape_key(parse_term(r"\x. x"), tol=KEY_AMP_THRESHOLD) is not None
+
+
+@given(generated_term(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.5))
+def test_shape_key_agrees_with_alpha_eq(t, seed, scale):
+    """Alpha-equivalent copies (renamed binders, registers moved by up to
+    1.5 tolerances per component) share a key unless one of them has none;
+    terms with different keys are never alpha-equivalent."""
+    copy = perturb_registers(rename_binders(t, "k"), random.Random(seed), scale * AMP_TOL)
+    keys = shape_key(t), shape_key(copy)
+    if alpha_eq(t, copy) and None not in keys:
+        assert keys[0] == keys[1]
+    if scale == 0.0:
+        assert keys[0] == keys[1]
+
+
+@given(generated_term(), generated_term())
+def test_shape_key_separates_only_inequivalent_terms(a, b):
+    ka, kb = shape_key(a), shape_key(b)
+    if None not in (ka, kb) and ka != kb:
+        assert not alpha_eq(a, b)
+    assert hash(ka) == hash(shape_key(a))
 
 
 # ---------------------------------------------------------------------------

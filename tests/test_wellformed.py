@@ -7,7 +7,7 @@ from qlam.reduction import RULESET_ST, enumerate_redexes, step_at
 from qlam.syntax import alpha_eq
 from qlam.wellformed import Context, check, is_normalized
 
-from conftest import generated_term
+from conftest import generated_term, rename_binders
 
 S2 = f"{1 / math.sqrt(2):.17g}"
 HALF_SUP = f"(({S2},0)!|0> + ({S2},0)!|1>)"
@@ -168,9 +168,7 @@ def test_generated_terms_are_well_formed(t):
 
 @given(generated_term())
 def test_check_stable_under_renaming(t):
-    from test_syntax import _rename_binders
-
-    renamed = _rename_binders(t, "u")
+    renamed = rename_binders(t, "u")
     assert alpha_eq(t, renamed)
     assert check(renamed).verdict == check(t).verdict
 
