@@ -14,13 +14,14 @@ from dataclasses import dataclass
 
 from .confluence import GenConfig, run_suite
 from .ensemble import (
+    NAMED_CHOOSERS,
     EnsembleCapError,
     StepLimitError,
     evaluate,
     sample,
 )
 from .parser import ParseError, Program, parse_program
-from .reduction import ProbStep, stuck_sites
+from .reduction import RULESET_ST, ProbStep, stuck_sites
 from .syntax import Term, pretty
 from .wellformed import WfReport, check
 
@@ -45,13 +46,17 @@ class RunConfig:
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.mode == "sample" and self.seed is None:
-            raise ValueError("sample mode requires a seed")
+            raise ValueError("sample mode requires a seed (pass --seed or set QLAM_SEED)")
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     seed = args.seed
-    if seed is None and os.environ.get("QLAM_SEED") is not None:
-        seed = int(os.environ["QLAM_SEED"])
+    env_seed = os.environ.get("QLAM_SEED")
+    if seed is None and args.sample and env_seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            raise ValueError(f"QLAM_SEED must be an integer, not {env_seed!r}") from None
     return RunConfig(mode="sample" if args.sample else "ensemble",
                      max_steps=args.max_steps, seed=seed, strategy=args.strategy,
                      json_output=args.json, trace=args.trace, strict_wf=args.strict_wf)
@@ -127,7 +132,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     try:
         config = _run_config(args)
     except ValueError as exc:
-        print(f"error: {exc} (pass --seed or set QLAM_SEED)", file=sys.stderr)
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     program = _load_program(args.file)
     report, target = _checked_report(program, config.strict_wf)
@@ -152,9 +157,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(pretty(result))
         return EXIT_OK
 
-    from .ensemble import NAMED_CHOOSERS
-    from .reduction import RULESET_ST
-
     chooser = NAMED_CHOOSERS[config.strategy](RULESET_ST)
     try:
         res = evaluate(target, max_steps=config.max_steps, chooser=chooser, trace=trace)
@@ -174,8 +176,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_confluence(args: argparse.Namespace) -> int:
-    config = GenConfig(max_size=args.max_size, max_width=args.max_width,
-                       seed=args.seed, count=args.count)
+    try:
+        config = GenConfig(max_size=args.max_size, max_width=args.max_width,
+                           seed=args.seed, count=args.count)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.pairs:
         pairs = []
         for chunk in args.pairs.split(","):
@@ -286,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -13,6 +13,11 @@ over the whole ensemble (check_diamond_ensemble exists to spot-check that
 lifting).  The search is exhaustive over one-step successors with explicit
 budgets; terms whose successor space outgrows the budget are skipped and
 counted, never silently passed.
+
+A move is one ``det_step``: every entry fires one of its redexes or idles.
+One ``enumerate_redexes`` walk per (ensemble, rule set) serves both the
+budget check, made before any step is contracted, and the moves; each
+move's successors are built once and shared by every pair it is in.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .syntax import (
     bang,
     pretty,
 )
-from .reduction import RULESETS, RuleSet, enumerate_redexes, step_at
+from .reduction import RULESETS, Position, RuleSet, enumerate_redexes, step_at
 from .ensemble import TermEnsemble, equivalent_canonical, min_ensemble, singleton
 from .wellformed import check
 
@@ -63,7 +68,7 @@ class GenConfig:
         if not 1 <= self.max_width <= 12:
             raise ValueError("max_width must lie in [1, 12]")
         if self.max_size < 1 or self.count < 0:
-            raise ValueError("max_size and count must be positive")
+            raise ValueError("max_size must be positive and count non-negative")
 
 
 # Fixed regression shapes, kept at the front of every generated corpus:
@@ -332,14 +337,24 @@ class DiamondReport:
         return not self.failures
 
 
-def _moves(ens: TermEnsemble, rules: RuleSet) -> list[tuple[str, TermEnsemble]]:
-    """All one-ensemble-step successors of ens under rules, labelled, with
-    the idle step last.  For a single-term ensemble this is one move per
-    redex plus idling."""
+Redexes = list[list[tuple[Position, str]]]
+
+
+def _redexes(ens: TermEnsemble, rules: RuleSet) -> tuple[Redexes, int]:
+    """The redexes of every entry, and how many moves they give, idling
+    included."""
+    redexes = [enumerate_redexes(term, rules) for term, _ in ens.entries]
+    return redexes, math.prod(len(r) + 1 for r in redexes)
+
+
+def _moves(ens: TermEnsemble, redexes: Redexes) -> list[tuple[str, TermEnsemble]]:
+    """All one-ensemble-step successors of ens that fire its entries'
+    ``redexes``, labelled, with the idle step last.  For a single-term
+    ensemble this is one move per redex plus idling."""
     per_entry: list[list[tuple[str, tuple[tuple[Term, float], ...]]]] = []
-    for term, p in ens.entries:
+    for (term, p), entry_redexes in zip(ens.entries, redexes):
         opts: list[tuple[str, tuple[tuple[Term, float], ...]]] = []
-        for pos, rule in enumerate_redexes(term, rules):
+        for pos, rule in entry_redexes:
             label = f"{rule}@{'.'.join(map(str, pos)) or 'root'}"
             steps = step_at(term, pos, rule)
             opts.append((label, tuple((s.target, p * s.probability) for s in steps)))
@@ -353,66 +368,56 @@ def _moves(ens: TermEnsemble, rules: RuleSet) -> list[tuple[str, TermEnsemble]]:
     return moves
 
 
-def _successor_count(ens: TermEnsemble, rules: RuleSet) -> int:
-    n = 1
-    for term, _ in ens.entries:
-        n *= len(enumerate_redexes(term, rules)) + 1
-    return n
-
-
-def _find_join(mu: TermEnsemble, nu: TermEnsemble, rules_b: RuleSet, rules_a: RuleSet,
-               join_cap: int) -> bool:
-    """Search for equivalent one-step successors omega1 of mu under rules_b
-    and omega2 of nu under rules_a."""
-    if _successor_count(mu, rules_b) > join_cap or _successor_count(nu, rules_a) > join_cap:
+def _successors(ens: TermEnsemble, rules: RuleSet, join_cap: int) -> list[TermEnsemble]:
+    """The one-step successors of ens under rules, checked against the join
+    budget before any step is contracted."""
+    redexes, count = _redexes(ens, rules)
+    if count > join_cap:
         raise BudgetExceededError("one-step successor space exceeds the join budget")
-    gen1 = iter(_moves(mu, rules_b))
-    gen2 = iter(_moves(nu, rules_a))
+    return [succ for _, succ in _moves(ens, redexes)]
+
+
+def _find_join(omegas1: list[TermEnsemble], omegas2: list[TermEnsemble]) -> bool:
+    """Search for equivalent omega1 in omegas1 and omega2 in omegas2,
+    canonicalizing the candidates of both sides in turn and stopping at the
+    first match."""
     seen1: list[TermEnsemble] = []
     seen2: list[TermEnsemble] = []
-    while True:
-        advanced = False
-        nxt = next(gen1, None)
-        if nxt is not None:
-            advanced = True
-            cand = min_ensemble(nxt[1])
-            if any(equivalent_canonical(cand, other) for other in seen2):
+    for pair in itertools.zip_longest(omegas1, omegas2):
+        for omega, seen, others in zip(pair, (seen1, seen2), (seen2, seen1)):
+            if omega is None:
+                continue
+            cand = min_ensemble(omega)
+            if any(equivalent_canonical(cand, other) for other in others):
                 return True
-            seen1.append(cand)
-        nxt = next(gen2, None)
-        if nxt is not None:
-            advanced = True
-            cand = min_ensemble(nxt[1])
-            if any(equivalent_canonical(cand, other) for other in seen1):
-                return True
-            seen2.append(cand)
-        if not advanced:
-            return False
+            seen.append(cand)
+    return False
 
 
 def check_diamond_ensemble(tau: TermEnsemble, rules_a: RuleSet, rules_b: RuleSet,
                            pair_cap: int = 10_000, join_cap: int = 4096) -> DiamondReport:
     """Exhaustive strong-diamond check from an arbitrary start ensemble."""
     start = time.perf_counter()
-    if _successor_count(tau, rules_a) * _successor_count(tau, rules_b) > pair_cap:
+    (redexes_a, count_a), (redexes_b, count_b) = _redexes(tau, rules_a), _redexes(tau, rules_b)
+    if count_a * count_b > pair_cap:
         raise BudgetExceededError("move-pair space exceeds the pair budget")
-    moves_a = _moves(tau, rules_a)
-    moves_b = _moves(tau, rules_b)
-    failures = []
-    pairs = 0
-
-    def is_idle(label: str) -> bool:
-        return set(label.split(" | ")) == {"idle"}
-
-    for label_a, mu in moves_a:
-        for label_b, nu in moves_b:
-            if is_idle(label_a) and is_idle(label_b):
-                continue  # both sides idled; rejoining by idling is trivial
-            pairs += 1
-            if not _find_join(mu, nu, rules_b, rules_a, join_cap):
-                failures.append((label_a, label_b))
+    moves_a, moves_b = _moves(tau, redexes_a), _moves(tau, redexes_b)
+    # Successors of every A-move under B and of every B-move under A.  The
+    # all-idle move (last) leaves tau as it is: its successors are the other
+    # side's moves, and it is paired only when that side can fire.
+    joins_a = [_successors(mu, rules_b, join_cap) for _, mu in moves_a[:-1]]
+    joins_b = [_successors(nu, rules_a, join_cap) for _, nu in moves_b[:-1]]
+    if (joins_b and len(moves_b) > join_cap) or (joins_a and len(moves_a) > join_cap):
+        raise BudgetExceededError("one-step successor space exceeds the join budget")
+    joins_a.append([nu for _, nu in moves_b])
+    joins_b.append([mu for _, mu in moves_a])
+    # the last pair has both sides idle; rejoining by idling is trivial
+    pairs = list(itertools.product(zip(moves_a, joins_a), zip(moves_b, joins_b)))[:-1]
+    failures = [(label_a, label_b)
+                for ((label_a, _), omegas1), ((label_b, _), omegas2) in pairs
+                if not _find_join(omegas1, omegas2)]
     elapsed = time.perf_counter() - start
-    return DiamondReport(tau.entries[0][0], pairs, failures, elapsed)
+    return DiamondReport(tau.entries[0][0], len(pairs), failures, elapsed)
 
 
 def check_diamond(t: Term, rules_a: RuleSet, rules_b: RuleSet,

@@ -4,7 +4,10 @@ An ensemble is a finite multiset of (term, probability) entries with total
 mass 1.  Probabilistic reduction determinizes over ensembles: in one
 ensemble step every entry independently fires one enumerated redex or idles,
 and a branching rule fans an entry out into its weighted successors.  Mass
-is preserved by every such step.
+is preserved by every such step.  ``det_step`` is that step, and the only
+one: ``evaluate`` iterates it under a redex chooser, canonicalizing after
+each step.  ``sample`` follows one entry instead, through
+``reduction.step_strategy``.
 
 ``min_ensemble`` canonicalizes by merging alpha-equivalent entries
 (summing their probabilities); two ensembles are equivalent when their
@@ -20,6 +23,7 @@ pair.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from dataclasses import dataclass
@@ -34,6 +38,7 @@ from .reduction import (
     RuleSet,
     enumerate_redexes,
     step_at,
+    step_strategy,
     strategy_redex,
 )
 
@@ -180,21 +185,27 @@ def equivalent_canonical(ma: TermEnsemble, mb: TermEnsemble,
 
 
 def det_step(e: TermEnsemble, rules: RuleSet, chooser: Chooser,
-             cap: int = ENSEMBLE_CAP) -> TermEnsemble:
+             cap: int = ENSEMBLE_CAP,
+             trace: Callable[[int, ProbStep], None] | None = None) -> TermEnsemble:
     """One ensemble step: each entry fires the redex its chooser picks, or
     idles on None.  Mass is preserved.  The chooser must pick from
-    enumerate_redexes(term, rules)."""
+    enumerate_redexes(term, rules).  Returns ``e`` itself when every entry
+    idles.  ``trace`` sees (entry index, step) for every step fired."""
     out: list[tuple[Term, float]] = []
-    for term, p in e.entries:
+    fired = False
+    for entry_index, (term, p) in enumerate(e.entries):
         choice = chooser(term)
         if choice is None:
             out.append((term, p))
         else:
+            fired = True
             for step in step_at(term, *choice):
                 out.append((step.target, p * step.probability))
+                if trace is not None:
+                    trace(entry_index, step)
         if len(out) > cap:
             raise EnsembleCapError(f"ensemble exceeded {cap} entries")
-    return TermEnsemble(tuple(out))
+    return TermEnsemble(tuple(out)) if fired else e
 
 
 def strategy_chooser(rules: RuleSet = RULESET_ST) -> Chooser:
@@ -234,6 +245,7 @@ NAMED_CHOOSERS: dict[str, Callable[[RuleSet], Chooser]] = {
     "rightmost": rightmost_chooser,
 }
 
+# (step index, entry index, step) for every step evaluate or sample fires
 TraceFn = Callable[[int, int, ProbStep], None]
 
 
@@ -254,21 +266,11 @@ def evaluate(t: Term, max_steps: int = 10_000, rules: RuleSet = RULESET_ST,
         chooser = strategy_chooser(rules)
     ens = singleton(t)
     for step_index in range(max_steps):
-        choices = [chooser(term) for term, _ in ens.entries]
-        if all(c is None for c in choices):
+        hook = None if trace is None else functools.partial(trace, step_index)
+        stepped = det_step(ens, rules, chooser, cap, hook)
+        if stepped is ens:
             return EvalResult(ens, "Converged", step_index)
-        out: list[tuple[Term, float]] = []
-        for entry_index, ((term, p), choice) in enumerate(zip(ens.entries, choices)):
-            if choice is None:
-                out.append((term, p))
-                continue
-            for step in step_at(term, *choice):
-                out.append((step.target, p * step.probability))
-                if trace is not None:
-                    trace(step_index, entry_index, step)
-            if len(out) > cap:
-                raise EnsembleCapError(f"ensemble exceeded {cap} entries")
-        ens = min_ensemble(TermEnsemble(tuple(out)))
+        ens = min_ensemble(stepped)
     status: Status = "Converged" if all(
         chooser(term) is None for term, _ in ens.entries) else "StepLimit"
     return EvalResult(ens, status, max_steps)
@@ -281,10 +283,9 @@ def sample(t: Term, seed: int, max_steps: int = 10_000,
     rng = random.Random(seed)
     term = t
     for step_index in range(max_steps):
-        redex = strategy_redex(term)
-        if redex is None:
+        steps = step_strategy(term)
+        if steps[0].rule == RULE_ID:
             return term
-        steps = step_at(term, *redex)
         if len(steps) == 1:
             chosen = steps[0]
         else:

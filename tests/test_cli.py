@@ -60,9 +60,39 @@ def test_missing_file_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["check", "run", "fmt"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_program_exit_two(tmp_path, capsys, command, kind):
+    path = tmp_path
+    if kind == "not-utf8":
+        path = tmp_path / "latin1.qlam"
+        path.write_bytes(b"main = \xff;\n")
+    code, _, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_bad_usage_exit_two(capsys):
     assert main(["run"]) == 2
     assert main(["frobnicate"]) == 2
+
+
+def test_run_max_steps_zero_exit_two(capsys):
+    code, _, err = run_cli(capsys, "run", str(PROGRAMS / "epr.qlam"), "--max-steps", "0")
+    assert code == 2
+    assert err == "error: max_steps must be >= 1\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--max-width", "0"),
+    ("--max-width", "13"),
+    ("--count", "-1"),
+    ("--max-size", "0"),
+])
+def test_confluence_bad_sizes_exit_two(capsys, flags):
+    code, out, err = run_cli(capsys, "confluence", *flags)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
 
 
 def test_run_requires_main(tmp_path, capsys):
@@ -93,6 +123,15 @@ def test_sample_env_seed(monkeypatch, capsys):
     assert code == 0 and out_env == out_flag
 
 
+@pytest.mark.parametrize("mode, expected", [("--sample", 2), ("--ensemble", 0)])
+def test_bad_env_seed_only_matters_when_sampling(monkeypatch, capsys, mode, expected):
+    monkeypatch.setenv("QLAM_SEED", "abc")
+    code, _, err = run_cli(capsys, "run", str(PROGRAMS / "measure_demo.qlam"), mode)
+    assert code == expected
+    if expected:
+        assert err == "error: QLAM_SEED must be an integer, not 'abc'\n"
+
+
 def test_sample_without_seed_fails(monkeypatch, capsys):
     monkeypatch.delenv("QLAM_SEED", raising=False)
     code, _, err = run_cli(capsys, "run", str(PROGRAMS / "measure_demo.qlam"), "--sample")
@@ -107,6 +146,21 @@ def test_trace_lines_on_stderr(capsys):
     code, _, err = run_cli(capsys, "run", str(PROGRAMS / "measure_demo.qlam"), "--trace")
     assert code == 0
     assert "M @root" in err
+
+
+def test_trace_golden(capsys):
+    code, _, err = run_cli(capsys, "run", str(PROGRAMS / "teleport.qlam"), "--trace")
+    assert code == 0
+    assert err == (GOLDEN / "teleport.trace.stderr").read_text()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_trace_golden(capsys, seed):
+    code, out, err = run_cli(capsys, "run", str(PROGRAMS / "teleport.qlam"),
+                             "--sample", "--seed", str(seed), "--trace")
+    assert code == 0
+    assert out == (GOLDEN / f"teleport.sample_seed{seed}.stdout").read_text()
+    assert err == (GOLDEN / f"teleport.sample_seed{seed}.stderr").read_text()
 
 
 def test_fmt_output_reparses(capsys):

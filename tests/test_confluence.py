@@ -111,6 +111,16 @@ def test_budget_exceeded_raises():
         check_diamond(t, RULESET_T, RULESET_T, pair_cap=1)
 
 
+def test_join_budget_counts_the_idle_move():
+    """S idles on this term, and the start term then has to rejoin with its
+    three T-moves, so a join budget of 2 is exceeded and one of 3 is not."""
+    t = parse_term(f"(M{{1}} {HALF}) (M{{1}} {HALF})")
+    with pytest.raises(BudgetExceededError):
+        check_diamond(t, RULESET_S, RULESET_T, join_cap=2)
+    report = check_diamond(t, RULESET_S, RULESET_T, join_cap=3)
+    assert report.ok and report.pairs_checked == 2
+
+
 def test_diamond_detects_genuine_failure():
     """A non-confluent ad-hoc shape must be reported, not smoothed over: a
     linear variable duplicated into both conditional arms (rejected by the

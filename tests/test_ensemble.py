@@ -243,7 +243,7 @@ def test_det_step_measurement():
 
 def test_det_step_idles_on_normal_forms():
     e = TermEnsemble(((parse_term("!|0>"), 0.5), (parse_term("!|1>"), 0.5)))
-    assert det_step(e, RULESET_ST, strategy_chooser()) == e
+    assert det_step(e, RULESET_ST, strategy_chooser()) is e
 
 
 def test_det_step_cap():
