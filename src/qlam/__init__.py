@@ -8,7 +8,6 @@ from .quantum import (
     QubitValue,
     apply_gate,
     basis_state,
-    coincidence_set,
     ket,
     measure,
     tensor,

@@ -21,6 +21,7 @@ from .ensemble import (
     sample,
 )
 from .parser import ParseError, Program, parse_program
+from .quantum import RegisterWidthError
 from .reduction import RULESET_ST, ProbStep, stuck_sites
 from .syntax import Term, pretty
 from .wellformed import WfReport, check
@@ -66,9 +67,20 @@ def _format_path(pos: tuple[int, ...]) -> str:
     return ".".join(map(str, pos)) if pos else "root"
 
 
+class ProgramFileError(Exception):
+    """A program file that cannot be read as UTF-8 text."""
+
+
 def _load_program(path: str) -> Program:
-    with open(path, encoding="utf-8") as handle:
-        return parse_program(handle.read())
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        source = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProgramFileError(f"{path}: not valid UTF-8 (byte 0x{raw[exc.start]:02x} "
+                               f"at offset {exc.start})") from None
+    # newlines as a text-mode read translates them
+    return parse_program(source.replace("\r\n", "\n").replace("\r", "\n"))
 
 
 def _checked_report(program: Program, strict: bool) -> tuple[WfReport, Term | None]:
@@ -292,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ProgramFileError, RegisterWidthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

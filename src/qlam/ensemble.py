@@ -32,11 +32,13 @@ from typing import Callable, Iterable, Literal
 from .syntax import AMP_TOL, Term, alpha_eq, pretty, shape_key
 from .reduction import (
     RULE_ID,
+    RULE_MEASURE,
     RULESET_ST,
     Position,
     ProbStep,
     RuleSet,
     enumerate_redexes,
+    measurement_fits,
     step_at,
     step_strategy,
     strategy_redex,
@@ -190,7 +192,10 @@ def det_step(e: TermEnsemble, rules: RuleSet, chooser: Chooser,
     """One ensemble step: each entry fires the redex its chooser picks, or
     idles on None.  Mass is preserved.  The chooser must pick from
     enumerate_redexes(term, rules).  Returns ``e`` itself when every entry
-    idles.  ``trace`` sees (entry index, step) for every step fired."""
+    idles.  ``trace`` sees (entry index, step) for every step fired.
+    EnsembleCapError is raised as soon as the step would hold more than
+    ``cap`` entries, and before a measurement that would pass the cap
+    builds any post-state."""
     out: list[tuple[Term, float]] = []
     fired = False
     for entry_index, (term, p) in enumerate(e.entries):
@@ -199,7 +204,10 @@ def det_step(e: TermEnsemble, rules: RuleSet, chooser: Chooser,
             out.append((term, p))
         else:
             fired = True
-            for step in step_at(term, *choice):
+            position, rule = choice
+            if rule == RULE_MEASURE and not measurement_fits(term, position, cap - len(out)):
+                raise EnsembleCapError(f"ensemble exceeded {cap} entries")
+            for step in step_at(term, position, rule):
                 out.append((step.target, p * step.probability))
                 if trace is not None:
                     trace(entry_index, step)

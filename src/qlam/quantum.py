@@ -5,11 +5,24 @@ states: a width m and a map from basis index u in [0, 2**m) to a complex
 amplitude.  Wire 1 is the most significant bit of a basis index, so the
 m-bit binary word of u reads left to right as wires 1..m.
 
-Gates are tensor compositions of named primitive unitaries and are applied
-factor by factor on the sparse map.  Projective measurement of a wire set I
-follows the Born rule: outcome word w occurs with probability equal to the
-squared mass on the coincidence set of w, and the surviving amplitudes are
-renormalized by 1/sqrt(p_w).
+Gates are tensor compositions of named primitive unitaries.  apply_gate
+makes one scatter pass over the stored amplitudes per non-identity factor,
+sending each amplitude through the nonzero entries of its column of that
+factor's matrix; identity factors are skipped.
+
+Projective measurement of a wire set I follows the Born rule: outcome word w
+occurs with probability equal to the squared mass on the basis indices whose
+bits at the wires of I spell w, and the surviving amplitudes are renormalized
+by 1/sqrt(p_w).  measure buckets the stored amplitudes by their bits at I in
+one pass in index order, so every branch costs only its own support.
+
+factor_split decides whether a register is a product across a cut with a
+rank-1 test over the stored amplitudes: the pivot's column gives a dense left
+vector of 2**left_width entries and its row a sparse right row.  Their outer
+product is compared with the stored amplitudes on the right row's columns;
+off those columns it is zero, so every stored amplitude there must itself be
+within the tolerance.  No 2**width array is built.  Basis indices are int64
+in that test, which is what bounds register widths by MAX_WIDTH.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -27,10 +40,17 @@ EPS_ZERO = 1e-12
 EPS_NORM = 1e-9
 # Tolerance for U @ U.conj().T == identity.
 UNITARY_TOL = 1e-9
+# Widest register: every basis index must fit the int64 indices of the
+# sparse split.
+MAX_WIDTH = 63
 
 
 class ArityMismatchError(ValueError):
     """Gate arity does not match the register width it is applied to."""
+
+
+class RegisterWidthError(ValueError):
+    """A register is wider than MAX_WIDTH wires."""
 
 
 class IndexOutOfRangeError(ValueError):
@@ -71,10 +91,15 @@ class GateAtom:
 
 
 @lru_cache(maxsize=None)
-def _atom_matrix(atom: GateAtom) -> np.ndarray:
-    mat = np.array(atom.matrix, dtype=complex)
-    mat.flags.writeable = False
-    return mat
+def _atom_columns(atom: GateAtom) -> tuple[tuple[tuple[int, complex], ...], ...] | None:
+    """Per column c, the (row, entry) pairs with a nonzero entry; None for an
+    identity matrix, which apply_gate skips."""
+    mat = atom.matrix
+    n = len(mat)
+    if all(mat[r][c] == (1 if r == c else 0) for r in range(n) for c in range(n)):
+        return None
+    return tuple(tuple((r, mat[r][c]) for r in range(n) if mat[r][c] != 0)
+                 for c in range(n))
 
 
 @dataclass(frozen=True)
@@ -145,18 +170,26 @@ class QubitValue:
     amps: tuple[tuple[int, complex], ...]
 
     def __post_init__(self) -> None:
-        if self.width < 1:
-            raise ValueError(f"register width must be >= 1, got {self.width}")
-        items: Iterable[tuple[int, complex]]
+        width = self.width
+        if width < 1:
+            raise ValueError(f"register width must be >= 1, got {width}")
+        if width > MAX_WIDTH:
+            raise RegisterWidthError(
+                f"register width {width} exceeds the maximum of {MAX_WIDTH} wires")
+        dim = 1 << width
         if isinstance(self.amps, Mapping):
-            items = self.amps.items()
+            # distinct keys: nothing to merge
+            amps = self.amps
+            if amps and not (0 <= min(amps) and max(amps) < dim):
+                u = next(u for u in amps if not 0 <= u < dim)
+                raise ValueError(f"basis index {u} out of range for width {width}")
+            merged = {u: 0j + complex(a) for u, a in amps.items()}
         else:
-            items = self.amps
-        merged: dict[int, complex] = {}
-        for u, a in items:
-            if not 0 <= u < (1 << self.width):
-                raise ValueError(f"basis index {u} out of range for width {self.width}")
-            merged[u] = merged.get(u, 0j) + complex(a)
+            merged = {}
+            for u, a in self.amps:
+                if not 0 <= u < dim:
+                    raise ValueError(f"basis index {u} out of range for width {width}")
+                merged[u] = merged.get(u, 0j) + complex(a)
         cleaned = tuple(sorted((u, a) for u, a in merged.items() if abs(a) > EPS_ZERO))
         object.__setattr__(self, "amps", cleaned)
 
@@ -245,37 +278,31 @@ def tensor(a: QubitValue, b: QubitValue) -> QubitValue:
 
 
 def apply_gate(g: GateExpr, q: QubitValue) -> QubitValue:
-    """Apply the unitary of g to q, factor by factor on the sparse map."""
+    """Apply the unitary of g to q: one scatter pass over the amplitudes per
+    non-identity factor, through that factor's nonzero column entries."""
     if g.arity != q.width:
         raise ArityMismatchError(
             f"gate of arity {g.arity} applied to a width-{q.width} register")
     entries: dict[int, complex] = dict(q.amps)
-    left = 0
+    right = q.width
     for atom in g.atoms:
         k = atom.arity
-        right = q.width - left - k
-        mat = _atom_matrix(atom)
-        size = 1 << k
-        low_mask = (1 << right) - 1
-        # Group amplitudes by the bits outside this factor's wire block.
-        buckets: dict[int, np.ndarray] = {}
-        for u, a in entries.items():
-            rest = ((u >> (right + k)) << right) | (u & low_mask)
-            vec = buckets.get(rest)
-            if vec is None:
-                vec = buckets[rest] = np.zeros(size, dtype=complex)
-            vec[(u >> right) & (size - 1)] = a
+        right -= k
+        columns = _atom_columns(atom)
+        if columns is None:
+            continue
+        block = (1 << k) - 1
+        outside = ~(block << right)
+        moves = [tuple((r << right, z) for r, z in col) for col in columns]
         new: dict[int, complex] = {}
-        for rest, vec in buckets.items():
-            out = mat @ vec
-            hi = (rest >> right) << (right + k)
-            lo = rest & low_mask
-            for mid in range(size):
-                z = out[mid]
-                if abs(z) > EPS_ZERO:
-                    new[hi | (mid << right) | lo] = z
+        for u, a in entries.items():
+            if abs(a) <= EPS_ZERO:  # cancelled in an earlier factor
+                continue
+            base = u & outside
+            for offset, z in moves[(u >> right) & block]:
+                v = base | offset
+                new[v] = new.get(v, 0j) + z * a
         entries = new
-        left += k
     return QubitValue(q.width, entries)
 
 
@@ -293,35 +320,33 @@ class MeasurementOutcome:
     post: QubitValue
 
 
-def coincidence_set(w: int, m: int, indices: frozenset[int] | set[int]) -> frozenset[int]:
-    """Basis indices of an m-wire register whose bits at the measured wire
-    positions spell the outcome word w.
-
-    The j-th bit of w (most significant first) constrains the j-th smallest
-    wire index in ``indices``.  The result always has 2**(m - |indices|)
-    elements.
-    """
+def _buckets(q: QubitValue,
+             indices: frozenset[int] | set[int]) -> tuple[list[int], dict[int, list]]:
+    """The sorted measured wires, and the (index, amplitude) pairs of q
+    bucketed by their bits at those wires, in one pass in index order.  A
+    bucket's key is ``u & mask``, so sorted keys are in outcome-word order."""
     idx = sorted(indices)
     if not idx:
         raise IndexOutOfRangeError("measured index set must be nonempty")
-    if idx[0] < 1 or idx[-1] > m:
+    if idx[0] < 1 or idx[-1] > q.width:
         raise IndexOutOfRangeError(
-            f"measured indices {idx} not within [1, {m}]")
-    if not 0 <= w < (1 << len(idx)):
-        raise ValueError(f"outcome word {w} out of range for {len(idx)} wires")
-    fixed = 0
-    for j, i in enumerate(idx):
-        bit = (w >> (len(idx) - 1 - j)) & 1
-        fixed |= bit << (m - i)
-    free_shifts = [m - i for i in range(1, m + 1) if i not in set(idx)]
-    out = set()
-    for assign in range(1 << len(free_shifts)):
-        u = fixed
-        for k, shift in enumerate(free_shifts):
-            if (assign >> k) & 1:
-                u |= 1 << shift
-        out.add(u)
-    return frozenset(out)
+            f"measured indices {idx} not within [1, {q.width}]")
+    mask = 0
+    for i in idx:
+        mask |= 1 << (q.width - i)
+    buckets: dict[int, list[tuple[int, complex]]] = {}
+    for u, a in q.amps:
+        key = u & mask
+        bucket = buckets.get(key)
+        if bucket is None:
+            buckets[key] = [(u, a)]
+        else:
+            bucket.append((u, a))
+    return idx, buckets
+
+
+def _probability(entries: list[tuple[int, complex]]) -> float:
+    return sum(abs(a) ** 2 for _, a in entries)
 
 
 def measure(q: QubitValue, indices: frozenset[int] | set[int]) -> list[MeasurementOutcome]:
@@ -332,22 +357,78 @@ def measure(q: QubitValue, indices: frozenset[int] | set[int]) -> list[Measureme
     post-state is unit norm.  Branches with p <= EPS_ZERO are omitted since
     their post-state (a division by sqrt(p)) is undefined.
     """
-    idx = sorted(indices)
-    if not idx:
-        raise IndexOutOfRangeError("measured index set must be nonempty")
-    if idx[0] < 1 or idx[-1] > q.width:
-        raise IndexOutOfRangeError(
-            f"measured indices {idx} not within [1, {q.width}]")
+    idx, buckets = _buckets(q, indices)
     outcomes = []
-    for w in range(1 << len(idx)):
-        keep = coincidence_set(w, q.width, indices)
-        p = sum(abs(a) ** 2 for u, a in q.amps if u in keep)
+    for key in sorted(buckets):
+        entries = buckets[key]
+        p = _probability(entries)
         if p <= EPS_ZERO:
             continue
         scale = 1.0 / math.sqrt(p)
-        post = QubitValue(q.width, {u: a * scale for u, a in q.amps if u in keep})
-        outcomes.append(MeasurementOutcome(w, p, post))
+        post = QubitValue(q.width, {u: a * scale for u, a in entries})
+        word = 0
+        for i in idx:
+            word = (word << 1) | ((key >> (q.width - i)) & 1)
+        outcomes.append(MeasurementOutcome(word, p, post))
     return outcomes
+
+
+def outcome_count(q: QubitValue, indices: frozenset[int] | set[int]) -> int:
+    """len(measure(q, indices)), counted without building any post-state."""
+    _, buckets = _buckets(q, indices)
+    return sum(1 for entries in buckets.values() if _probability(entries) > EPS_ZERO)
+
+
+# ---------------------------------------------------------------------------
+# Product splitting
+
+
+def _rank1(q: QubitValue, left_width: int,
+           tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The rank-1 test behind factor_split: (left vector, right columns,
+    right row) with q = left (x) right within ``tol`` per basis index, or None.
+
+    Rows are the left ``left_width`` bits of a basis index, columns the rest.
+    The pivot is the first amplitude of largest modulus; the left vector is
+    its column (dense, 2**left_width entries) and the right row is its row
+    divided by the pivot (sparse: the stored columns only).  Outside the
+    right row's columns the outer product is zero, so there the residual is
+    the stored modulus itself.
+    """
+    if not 0 < left_width < q.width:
+        raise ValueError(f"split width {left_width} not inside (0, {q.width})")
+    if not q.amps:
+        return None
+    right_width = q.width - left_width
+    n = len(q.amps)
+    us, zs = zip(*q.amps)
+    index = np.fromiter(us, dtype=np.int64, count=n)
+    amps = np.fromiter(zs, dtype=complex, count=n)
+    rows = index >> right_width
+    cols = index & ((1 << right_width) - 1)
+    mags = np.abs(amps)
+    p = int(mags.argmax())
+    a_vec = np.zeros(1 << left_width, dtype=complex)
+    in_col = cols == cols[p]
+    a_vec[rows[in_col]] = amps[in_col]
+    in_row = rows == rows[p]
+    b_cols = cols[in_row]
+    b_vec = amps[in_row] / amps[p]
+    slot = np.minimum(np.searchsorted(b_cols, cols), len(b_cols) - 1)
+    hit = b_cols[slot] == cols
+    if not hit.all() and mags[~hit].max() > tol:
+        return None
+    stored = np.zeros((1 << left_width, len(b_cols)), dtype=complex)
+    stored[rows[hit], slot[hit]] = amps[hit]
+    if np.abs(np.outer(a_vec, b_vec) - stored).max() > tol:
+        return None
+    return a_vec, b_cols, b_vec
+
+
+def is_product(q: QubitValue, left_width: int, tol: float = EPS_NORM) -> bool:
+    """Whether factor_split(q, left_width, tol) succeeds, decided without
+    building either factor."""
+    return _rank1(q, left_width, tol) is not None
 
 
 def factor_split(q: QubitValue, left_width: int,
@@ -358,18 +439,10 @@ def factor_split(q: QubitValue, left_width: int,
     norm and the left factor's lowest-index amplitude is made real positive,
     pushing any global phase into the right factor.
     """
-    if not 0 < left_width < q.width:
-        raise ValueError(f"split width {left_width} not inside (0, {q.width})")
-    right_width = q.width - left_width
-    mat = q.to_dense().reshape((1 << left_width, 1 << right_width))
-    i_star, j_star = np.unravel_index(np.argmax(np.abs(mat)), mat.shape)
-    pivot = mat[i_star, j_star]
-    if abs(pivot) <= EPS_ZERO:
+    parts = _rank1(q, left_width, tol)
+    if parts is None:
         return None
-    a_vec = mat[:, j_star].copy()
-    b_vec = mat[i_star, :] / pivot
-    if np.max(np.abs(np.outer(a_vec, b_vec) - mat)) > tol:
-        return None
+    a_vec, b_cols, b_vec = parts
     na = np.linalg.norm(a_vec)
     a_vec /= na
     b_vec *= na
@@ -377,6 +450,6 @@ def factor_split(q: QubitValue, left_width: int,
     phase = a_vec[first] / abs(a_vec[first])
     a_vec /= phase
     b_vec *= phase
-    left = QubitValue(left_width, {u: complex(z) for u, z in enumerate(a_vec)})
-    right = QubitValue(right_width, {u: complex(z) for u, z in enumerate(b_vec)})
+    left = QubitValue(left_width, dict(enumerate(a_vec.tolist())))
+    right = QubitValue(q.width - left_width, dict(zip(b_cols.tolist(), b_vec.tolist())))
     return left, right

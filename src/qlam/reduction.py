@@ -32,7 +32,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quantum import EPS_NORM, QubitValue, apply_gate, factor_split, measure
+from .quantum import (
+    EPS_NORM,
+    QubitValue,
+    apply_gate,
+    factor_split,
+    is_product,
+    measure,
+    outcome_count,
+)
 from .syntax import (
     App,
     Bang,
@@ -127,14 +135,14 @@ def head_rule(t: Term) -> str | None:
                 return RULE_IF1
             return None
         case LetTensor(_, _, QubitConst(q), _) if q.width >= 2:
-            if factor_split(q, 1) is not None:
-                return RULE_SPLIT
-            return None
+            return RULE_SPLIT if is_product(q, 1) else None
     return None
 
 
-def _contract(t: Term, rule: str) -> list[tuple[Term, float]]:
-    """Successors of the head redex t under rule, with probabilities."""
+def _contract(t: Term, rule: str) -> list[tuple[Term, float]] | None:
+    """Successors of the head redex t under rule, with probabilities; None
+    when rule does not match at the root of t.  The guards are head_rule's,
+    so one match both validates and contracts."""
     match t, rule:
         case App(Lam(x, body), arg), "beta":
             return [(substitute(body, x, arg), 1.0)]
@@ -142,21 +150,22 @@ def _contract(t: Term, rule: str) -> list[tuple[Term, float]]:
             return [(substitute(body, x, payload), 1.0)]
         case App(BangLam(x, body), QubitConst(_) as q), "!beta2":
             return [(substitute(body, x, q), 1.0)]
-        case App(GateConst(g), QubitConst(q)), "U":
+        case App(GateConst(g), QubitConst(q)), "U" if g.arity == q.width:
             return [(QubitConst(apply_gate(g, q)), 1.0)]
-        case App(MeasConst(idx), QubitConst(q)), "M":
+        case App(MeasConst(idx), QubitConst(q)), "M" if idx and max(idx) <= q.width:
             return [(QubitConst(o.post), o.probability) for o in measure(q, idx)]
-        case If(_, a, _), "if-0":
+        case If(QubitConst(q), a, _), "if-0" if _is_base_bit(q, 0):
             return [(a, 1.0)]
-        case If(_, _, b), "if-1":
+        case If(QubitConst(q), _, b), "if-1" if _is_base_bit(q, 1):
             return [(b, 1.0)]
-        case LetTensor(x, y, QubitConst(q), body), "split":
+        case LetTensor(x, y, QubitConst(q), body), "split" if q.width >= 2:
             parts = factor_split(q, 1)
-            assert parts is not None
+            if parts is None:
+                return None
             left, right = parts
             contracted = substitute(substitute(body, x, QubitConst(left)), y, QubitConst(right))
             return [(contracted, 1.0)]
-    raise NoRedexError(f"rule {rule} does not match")
+    return None
 
 
 def step_at(t: Term, position: Position, rule: str) -> list[ProbStep]:
@@ -164,15 +173,26 @@ def step_at(t: Term, position: Position, rule: str) -> list[ProbStep]:
     to 1.  Raises NoRedexError when the rule does not match there, and the
     sharper StuckMeasurementError when (M) meets a non-constant operand."""
     sub = subterm_at(t, position)
-    actual = head_rule(sub)
-    if actual != rule:
+    contracted = _contract(sub, rule)
+    if contracted is None:
         if rule == RULE_MEASURE and isinstance(sub, App) and \
                 isinstance(sub.fun, MeasConst) and not isinstance(sub.arg, QubitConst):
             raise StuckMeasurementError(
                 f"measurement operand at {position} is not a register constant")
         raise NoRedexError(f"rule {rule} does not match at {position}")
     return [ProbStep(replace_at(t, position, target), p, rule, position)
-            for target, p in _contract(sub, rule)]
+            for target, p in contracted]
+
+
+def measurement_fits(t: Term, position: Position, room: int) -> bool:
+    """Whether (M) at ``position`` yields at most ``room`` steps, decided
+    without building any post-state.  The outcome words are counted in a
+    pass over the register only when neither 2**|I| nor the register's
+    support size already fits.  True when (M) does not match there."""
+    match subterm_at(t, position):
+        case App(MeasConst(idx), QubitConst(q)) if idx and max(idx) <= q.width:
+            return min(1 << len(idx), len(q.amps)) <= room or outcome_count(q, idx) <= room
+    return True
 
 
 def enumerate_redexes(t: Term, rules: RuleSet) -> list[tuple[Position, str]]:

@@ -70,6 +70,42 @@ def test_unreadable_program_exit_two(tmp_path, capsys, command, kind):
     code, _, err = run_cli(capsys, command, str(path))
     assert code == 2
     assert err.startswith("error: ")
+    assert str(path) in err
+    if kind == "not-utf8":
+        assert "not valid UTF-8 (byte 0xff at offset 7)" in err
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_program_newlines_read_as_text_mode(tmp_path, capsys, newline):
+    """Line numbers count CRLF and CR line ends as one newline each."""
+    path = tmp_path / "newlines.qlam"
+    path.write_bytes(f"main ={newline}  (\\x. x) ?;{newline}".encode())
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 2
+    assert err == "parse error: 2:11: unexpected character '?'\n"
+
+
+def test_ensemble_cap_exits_one_before_building_branches(tmp_path, capsys):
+    """An 18-wire full measurement has 2**18 branches, past the 2**16 cap:
+    the run stops with the cap error instead of building them."""
+    wires = range(1, 19)
+    path = tmp_path / "wide.qlam"
+    path.write_text(f"main = M{{{','.join(map(str, wires))}}} "
+                    f"(({'*'.join('H' for _ in wires)}) !|{'0' * len(wires)}>);\n")
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: ensemble exceeded 65536 entries\n"
+
+
+@pytest.mark.parametrize("command", ["check", "run", "fmt"])
+def test_overwide_register_exit_two(tmp_path, capsys, command):
+    path = tmp_path / "overwide.qlam"
+    path.write_text(f"main = M{{1}} (!|{'0' * 40}> * !|{'0' * 30}>);\n")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: register width 70 exceeds the maximum of 63 wires\n"
 
 
 def test_bad_usage_exit_two(capsys):

@@ -23,8 +23,18 @@ from qlam.ensemble import (
 )
 from qlam.parser import parse_term
 from qlam.reduction import RULESET_ST, RULESET_T, enumerate_redexes
-from qlam.quantum import QubitValue, gate
-from qlam.syntax import AMP_TOL, App, GateConst, Lam, QubitConst, Var, alpha_eq, pretty
+from qlam.quantum import QubitValue, gate, uniform_state
+from qlam.syntax import (
+    AMP_TOL,
+    App,
+    GateConst,
+    Lam,
+    MeasConst,
+    QubitConst,
+    Var,
+    alpha_eq,
+    pretty,
+)
 
 from conftest import (
     generated_term,
@@ -251,6 +261,25 @@ def test_det_step_cap():
         "M{1,2} ((0.5,0)!|00> + (0.5,0)!|01> + (0.5,0)!|10> + (0.5,0)!|11>)"))
     with pytest.raises(EnsembleCapError):
         det_step(e, RULESET_T, strategy_chooser(RULESET_T), cap=2)
+
+
+def test_det_step_cap_fails_before_any_post_state(monkeypatch):
+    """A measurement that would pass the cap raises before it builds a
+    branch; the entries already stepped count against the cap."""
+    import qlam.quantum as quantum
+
+    built = []
+    monkeypatch.setattr(quantum, "MeasurementOutcome", lambda *args: built.append(args))
+    full = App(MeasConst(frozenset({1, 2, 3})), QubitConst(uniform_state(3)))
+    with pytest.raises(EnsembleCapError, match="ensemble exceeded 7 entries"):
+        evaluate(full, cap=7)
+    e = TermEnsemble(((parse_term("!|0>"), 0.5), (full, 0.5)))
+    with pytest.raises(EnsembleCapError, match="ensemble exceeded 8 entries"):
+        det_step(e, RULESET_ST, strategy_chooser(), cap=8)
+    assert built == []
+    monkeypatch.undo()
+    assert len(det_step(e, RULESET_ST, strategy_chooser(), cap=9)) == 9
+    assert len(evaluate(full, cap=8).ensemble) == 8
 
 
 @given(generated_term(), st.integers(0, 2**31))

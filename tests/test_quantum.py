@@ -17,7 +17,6 @@ from qlam.quantum import (
     amps_close,
     apply_gate,
     basis_state,
-    coincidence_set,
     factor_split,
     gate,
     ket,
@@ -27,6 +26,7 @@ from qlam.quantum import (
 )
 
 from conftest import coincidence_brute, random_register
+from kernel_oracles import coincidence_set
 
 S2 = 1 / math.sqrt(2)
 
