@@ -7,7 +7,8 @@ and a branching rule fans an entry out into its weighted successors.  Mass
 is preserved by every such step.  ``det_step`` is that step, and the only
 one: ``evaluate`` iterates it under a redex chooser, canonicalizing after
 each step.  ``sample`` follows one entry instead, through
-``reduction.step_strategy``.
+``reduction.step_strategy``; it draws a measurement's outcome from the branch
+probabilities before any post-state is built, and builds only that one.
 
 ``min_ensemble`` canonicalizes by merging alpha-equivalent entries
 (summing their probabilities); two ensembles are equivalent when their
@@ -287,17 +288,19 @@ def evaluate(t: Term, max_steps: int = 10_000, rules: RuleSet = RULESET_ST,
 def sample(t: Term, seed: int, max_steps: int = 10_000,
            trace: TraceFn | None = None) -> Term:
     """One seeded run: follow the deterministic strategy, sampling each
-    measurement branch with its Born probability.  Reproducible per seed."""
+    measurement branch with its Born probability.  Reproducible per seed.
+    The branch is drawn before any post-state is built, so a measurement
+    builds only the branch it keeps."""
     rng = random.Random(seed)
+
+    def choose(weights: list[float]) -> int:
+        return rng.choices(range(len(weights)), weights=weights)[0]
+
     term = t
     for step_index in range(max_steps):
-        steps = step_strategy(term)
-        if steps[0].rule == RULE_ID:
+        (chosen,) = step_strategy(term, choose)
+        if chosen.rule == RULE_ID:
             return term
-        if len(steps) == 1:
-            chosen = steps[0]
-        else:
-            chosen = rng.choices(steps, weights=[s.probability for s in steps])[0]
         if trace is not None:
             trace(step_index, 0, chosen)
         term = chosen.target

@@ -33,6 +33,16 @@ Program files hold ``gate NAME = [[...]];`` declarations and definitions
 desugar to nested abstractions (a ``!arg`` parameter binds nonlinearly) and
 every use site is inlined.
 
+A parsed term may nest at most MAX_NESTING levels: the nodes on its
+longest path from the root to a leaf, counted on the term that is built
+(a ``let`` builds two, the application and the abstraction, and an inlined
+definition brings its own levels).  Each definition and ``main`` is
+measured once it is built, and a deeper one is a ParseError at its name.
+The parser's own recursion is bounded separately, by the constructs open
+at a token, so that parentheses or prefixes without end are a ParseError
+too.  Parsing raises Python's recursion limit to cover the parser and the
+recursive term walkers on any term it accepts; it never lowers it.
+
 The parser also collects *strict surface* notes: places where a register
 constant was written outside the normal form (unbanged kets, tensors over
 sums or scalars, nested scalars).  Lenient checking ignores them; the CLI's
@@ -42,6 +52,7 @@ sums or scalars, nested scalars).  Lenient checking ignores them; the CLI's
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .quantum import (
@@ -66,11 +77,25 @@ from .syntax import (
     QubitConst,
     Term,
     Var,
+    children,
     free_vars,
     fresh_name,
 )
 
 KEYWORDS = {"let", "in", "if", "then", "else", "gate"}
+
+# Deepest a parsed term may nest, in nodes on its longest root-to-leaf path.
+# A chain of 300 lets nests 602 levels, one of 400 lets 802.
+MAX_NESTING = 900
+# Constructs (lambdas, lets, conditionals, parentheses, bangs and scalar
+# prefixes) the parser may have open at one token.  ``pretty`` opens at most
+# two per level of the term it prints, so the printed form of every term the
+# parser accepts parses again.
+_MAX_OPEN = 2 * MAX_NESTING
+# An open construct costs the parser at most two frames, and the recursive
+# term walkers (check, reduction, pretty-printing) take at most a few a
+# level of the term; Python's default limit of 1000 covers neither.
+_RECURSION_LIMIT = 8 * MAX_NESTING
 
 _TOKEN_RE = re.compile(
     r"""
@@ -149,6 +174,9 @@ class _Parser:
         self.gates = gates
         self.defs = defs
         self.strict_notes: list[tuple[int, int, str]] = []
+        self.depth = 0  # constructs open at the current token
+        if sys.getrecursionlimit() < _RECURSION_LIMIT:
+            sys.setrecursionlimit(_RECURSION_LIMIT)
 
     # -- token plumbing
 
@@ -179,16 +207,48 @@ class _Parser:
     def note(self, tok: Token, message: str) -> None:
         self.strict_notes.append((tok.line, tok.col, message))
 
+    def open_level(self, tok: Token) -> None:
+        """Open one construct at ``tok``; a ParseError there past _MAX_OPEN.
+        Closing it lowers ``depth`` again."""
+        self.depth += 1
+        if self.depth > _MAX_OPEN:
+            raise ParseError(f"source nested deeper than {_MAX_OPEN} levels", tok.line, tok.col)
+
     # -- term grammar
 
     def parse_term(self) -> Term:
+        """term, with the sum, tensor and application loops run in this one
+        frame, so that a parenthesis costs the parser two frames (this one
+        and _prim's)."""
         if self.at("sym", "\\"):
             return self._lambda()
         if self.at("keyword", "let"):
             return self._let()
         if self.at("keyword", "if"):
             return self._if()
-        return self._sum()
+        summands: list[Term] = []
+        summand_toks: list[Token] = []
+        while True:
+            factors: list[Term] = []
+            factor_toks: list[Token] = []
+            while True:
+                factor_toks.append(self.peek())
+                term = self._prim()
+                while self._starts_prim():
+                    term = App(term, self._prim())
+                factors.append(term)
+                if not self.at("sym", "*"):
+                    break
+                self.next()
+            summand_toks.append(factor_toks[0])
+            summands.append(factors[0] if len(factors) == 1
+                            else self._fold_tensor(factors, factor_toks))
+            if not self.at("sym", "+"):
+                break
+            self.next()
+        if len(summands) == 1:
+            return summands[0]
+        return _fold_sum(summands, summand_toks)
 
     def _binder_name(self) -> str:
         tok = self.expect("name")
@@ -200,7 +260,7 @@ class _Parser:
         return tok.text
 
     def _lambda(self) -> Term:
-        self.expect("sym", "\\")
+        self.open_level(self.expect("sym", "\\"))
         nonlinear = False
         if self.at("sym", "!"):
             self.next()
@@ -208,10 +268,12 @@ class _Parser:
         name = self._binder_name()
         self.expect("sym", ".")
         body = self.parse_term()
+        self.depth -= 1
         return BangLam(name, body) if nonlinear else Lam(name, body)
 
     def _let(self) -> Term:
-        self.expect("keyword", "let")
+        let_tok = self.expect("keyword", "let")
+        self.open_level(let_tok)
         if self.at("sym", "!"):
             self.next()
             name = self._binder_name()
@@ -219,6 +281,7 @@ class _Parser:
             value = self.parse_term()
             self.expect("keyword", "in")
             body = self.parse_term()
+            self.depth -= 1
             return App(BangLam(name, body), value)
         names = [self._binder_name()]
         while self.at("sym", "*"):
@@ -228,57 +291,25 @@ class _Parser:
         value = self.parse_term()
         self.expect("keyword", "in")
         body = self.parse_term()
+        self.depth -= 1
         if len(names) == 1:
             return App(Lam(names[0], body), value)
         if len(set(names)) != len(names):
             self.fail("duplicate names in destructuring pattern")
+        # the desugaring recurses once a name and walks the body, which sits
+        # under a split for each name but the last
+        _check_height(body, let_tok, len(names) - 1)
         return _nest_splits(names, value, body)
 
     def _if(self) -> Term:
-        self.expect("keyword", "if")
+        self.open_level(self.expect("keyword", "if"))
         cond = self.parse_term()
         self.expect("keyword", "then")
         then = self.parse_term()
         self.expect("keyword", "else")
         orelse = self.parse_term()
+        self.depth -= 1
         return If(cond, then, orelse)
-
-    def _sum(self) -> Term:
-        first_tok = self.peek()
-        items = [self._tensor()]
-        toks = [first_tok]
-        while self.at("sym", "+"):
-            self.next()
-            toks.append(self.peek())
-            items.append(self._tensor())
-        if len(items) == 1:
-            return items[0]
-        total: dict[int, complex] = {}
-        width = None
-        for tok, item in zip(toks, items):
-            if not isinstance(item, QubitConst):
-                raise ParseError("'+' combines qubit constants only", tok.line, tok.col)
-            if width is None:
-                width = item.value.width
-            elif item.value.width != width:
-                raise ParseError(
-                    f"superposition mixes widths {width} and {item.value.width}",
-                    tok.line, tok.col)
-            for u, a in item.value.amps:
-                total[u] = total.get(u, 0j) + a
-        return QubitConst(QubitValue(width, total))
-
-    def _tensor(self) -> Term:
-        first_tok = self.peek()
-        items = [self._app()]
-        toks = [first_tok]
-        while self.at("sym", "*"):
-            self.next()
-            toks.append(self.peek())
-            items.append(self._app())
-        if len(items) == 1:
-            return items[0]
-        return self._fold_tensor(items, toks)
 
     def _fold_tensor(self, items: list[Term], toks: list[Token]) -> Term:
         if all(isinstance(it, GateConst) for it in items):
@@ -322,12 +353,6 @@ class _Parser:
             term = App(GateConst(factors), term)
         return term
 
-    def _app(self) -> Term:
-        term = self._prim()
-        while self._starts_prim():
-            term = App(term, self._prim())
-        return term
-
     def _starts_prim(self) -> bool:
         tok = self.peek()
         if tok.kind in ("name", "ket"):
@@ -339,16 +364,19 @@ class _Parser:
         if tok.kind == "sym" and tok.text == "(":
             if self.peek(1).kind == "number":
                 return self._scalar()
-            self.next()
+            self.open_level(self.next())
             inner = self.parse_term()
             self.expect("sym", ")")
+            self.depth -= 1
             return inner
         if tok.kind == "sym" and tok.text == "!":
             self.next()
             if self.at("ket"):
                 kt = self.next()
                 return QubitConst(ket(kt.text[1:-1]))
+            self.open_level(tok)
             inner = self._prim()
+            self.depth -= 1
             if isinstance(inner, QubitConst):
                 self.note(tok, "bang on a non-base register expression")
                 return inner
@@ -376,7 +404,9 @@ class _Parser:
         self.expect("sym", ",")
         im_tok = self.expect("number")
         self.expect("sym", ")")
+        self.open_level(open_tok)
         operand = self._prim()
+        self.depth -= 1
         if not isinstance(operand, QubitConst):
             raise ParseError("scalar product applies to qubit constants only",
                              open_tok.line, open_tok.col)
@@ -397,6 +427,36 @@ class _Parser:
             indices.append(_parse_wire_index(tok))
         self.expect("sym", "}")
         return MeasConst(frozenset(indices))
+
+
+def _check_height(term: Term, tok: Token, above: int = 0) -> None:
+    """A ParseError at ``tok`` if ``term``, placed ``above`` levels down,
+    reaches deeper than MAX_NESTING.  Counts level by level, without
+    recursion, and stops at the first level past the limit."""
+    level, height = [term], above
+    while level:
+        height += 1
+        if height > MAX_NESTING:
+            raise ParseError(f"term nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
+        level = [c for t in level for c in children(t)]
+
+
+def _fold_sum(items: list[Term], toks: list[Token]) -> Term:
+    """The one register constant a '+' of register constants denotes."""
+    total: dict[int, complex] = {}
+    width = None
+    for tok, item in zip(toks, items):
+        if not isinstance(item, QubitConst):
+            raise ParseError("'+' combines qubit constants only", tok.line, tok.col)
+        if width is None:
+            width = item.value.width
+        elif item.value.width != width:
+            raise ParseError(
+                f"superposition mixes widths {width} and {item.value.width}",
+                tok.line, tok.col)
+        for u, a in item.value.amps:
+            total[u] = total.get(u, 0j) + a
+    return QubitConst(QubitValue(width, total))
 
 
 def _parse_wire_index(tok: Token) -> int:
@@ -425,9 +485,7 @@ def _nest_splits(names: list[str], value: Term, body: Term) -> Term:
 
 def parse_term(source: str, gates: dict[str, GateAtom] | None = None) -> Term:
     """Parse one term; desugared per the module grammar."""
-    parser = _Parser(_tokenize(source), gates or {}, {})
-    term = parser.parse_term()
-    parser.expect("eof")
+    term, _ = parse_term_with_notes(source, gates)
     return term
 
 
@@ -435,8 +493,10 @@ def parse_term_with_notes(source: str,
                           gates: dict[str, GateAtom] | None = None
                           ) -> tuple[Term, list[tuple[int, int, str]]]:
     parser = _Parser(_tokenize(source), gates or {}, {})
+    first = parser.peek()
     term = parser.parse_term()
     parser.expect("eof")
+    _check_height(term, first)
     return term, parser.strict_notes
 
 
@@ -478,6 +538,7 @@ def parse_program(source: str) -> Program:
         parser.expect("sym", ";")
         for nonlinear, p in reversed(params):
             body = BangLam(p, body) if nonlinear else Lam(p, body)
+        _check_height(body, name_tok)
         defs[name_tok.text] = body
         order.append((name_tok.text, body))
     notes.extend(parser.strict_notes)

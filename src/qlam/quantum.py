@@ -15,6 +15,8 @@ occurs with probability equal to the squared mass on the basis indices whose
 bits at the wires of I spell w, and the surviving amplitudes are renormalized
 by 1/sqrt(p_w).  measure buckets the stored amplitudes by their bits at I in
 one pass in index order, so every branch costs only its own support.
+measure_one takes the same buckets and probabilities, lets a caller pick one
+branch, and builds only that branch's post-state.
 
 factor_split decides whether a register is a product across a cut with a
 rank-1 test over the stored amplitudes: the pivot's column gives a dense left
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -349,6 +351,31 @@ def _probability(entries: list[tuple[int, complex]]) -> float:
     return sum(abs(a) ** 2 for _, a in entries)
 
 
+def _branches(q: QubitValue, indices: frozenset[int] | set[int]
+              ) -> tuple[list[int], list[tuple[int, list, float]]]:
+    """The sorted measured wires, and (bucket key, entries, probability) for
+    every outcome with probability above EPS_ZERO, in outcome-word order."""
+    idx, buckets = _buckets(q, indices)
+    branches = []
+    for key in sorted(buckets):
+        entries = buckets[key]
+        p = _probability(entries)
+        if p > EPS_ZERO:
+            branches.append((key, entries, p))
+    return idx, branches
+
+
+def _outcome(q: QubitValue, idx: list[int], key: int, entries: list,
+             p: float) -> MeasurementOutcome:
+    """The branch of one bucket: its word and the renormalized post-state."""
+    scale = 1.0 / math.sqrt(p)
+    post = QubitValue(q.width, {u: a * scale for u, a in entries})
+    word = 0
+    for i in idx:
+        word = (word << 1) | ((key >> (q.width - i)) & 1)
+    return MeasurementOutcome(word, p, post)
+
+
 def measure(q: QubitValue, indices: frozenset[int] | set[int]) -> list[MeasurementOutcome]:
     """All measurement branches of the wires in ``indices`` with nonzero
     probability, in increasing outcome-word order.
@@ -357,26 +384,23 @@ def measure(q: QubitValue, indices: frozenset[int] | set[int]) -> list[Measureme
     post-state is unit norm.  Branches with p <= EPS_ZERO are omitted since
     their post-state (a division by sqrt(p)) is undefined.
     """
-    idx, buckets = _buckets(q, indices)
-    outcomes = []
-    for key in sorted(buckets):
-        entries = buckets[key]
-        p = _probability(entries)
-        if p <= EPS_ZERO:
-            continue
-        scale = 1.0 / math.sqrt(p)
-        post = QubitValue(q.width, {u: a * scale for u, a in entries})
-        word = 0
-        for i in idx:
-            word = (word << 1) | ((key >> (q.width - i)) & 1)
-        outcomes.append(MeasurementOutcome(word, p, post))
-    return outcomes
+    idx, branches = _branches(q, indices)
+    return [_outcome(q, idx, *branch) for branch in branches]
+
+
+def measure_one(q: QubitValue, indices: frozenset[int] | set[int],
+                choose: Callable[[list[float]], int]) -> MeasurementOutcome:
+    """The branch of ``measure(q, indices)`` at the index ``choose`` picks
+    from the branch probabilities (in outcome-word order); only that branch's
+    post-state is built.  A single branch is returned without asking."""
+    idx, branches = _branches(q, indices)
+    pick = 0 if len(branches) == 1 else choose([p for _, _, p in branches])
+    return _outcome(q, idx, *branches[pick])
 
 
 def outcome_count(q: QubitValue, indices: frozenset[int] | set[int]) -> int:
     """len(measure(q, indices)), counted without building any post-state."""
-    _, buckets = _buckets(q, indices)
-    return sum(1 for entries in buckets.values() if _probability(entries) > EPS_ZERO)
+    return len(_branches(q, indices)[1])
 
 
 # ---------------------------------------------------------------------------

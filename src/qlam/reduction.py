@@ -31,6 +31,7 @@ and the steps of one (position, rule) pair always carry total probability 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .quantum import (
     EPS_NORM,
@@ -39,6 +40,7 @@ from .quantum import (
     factor_split,
     is_product,
     measure,
+    measure_one,
     outcome_count,
 )
 from .syntax import (
@@ -69,6 +71,9 @@ RULE_IF1 = "if-1"
 RULE_ID = "Id"  # the idle step of ensemble reduction; never enumerated
 
 Position = tuple[int, ...]
+
+# Picks one measurement branch by index from the branch probabilities.
+Choose = Callable[[list[float]], int]
 
 
 class NoRedexError(ValueError):
@@ -139,10 +144,11 @@ def head_rule(t: Term) -> str | None:
     return None
 
 
-def _contract(t: Term, rule: str) -> list[tuple[Term, float]] | None:
+def _contract(t: Term, rule: str, choose: Choose | None) -> list[tuple[Term, float]] | None:
     """Successors of the head redex t under rule, with probabilities; None
     when rule does not match at the root of t.  The guards are head_rule's,
-    so one match both validates and contracts."""
+    so one match both validates and contracts.  With ``choose``, (M) yields
+    only the branch it picks."""
     match t, rule:
         case App(Lam(x, body), arg), "beta":
             return [(substitute(body, x, arg), 1.0)]
@@ -153,7 +159,8 @@ def _contract(t: Term, rule: str) -> list[tuple[Term, float]] | None:
         case App(GateConst(g), QubitConst(q)), "U" if g.arity == q.width:
             return [(QubitConst(apply_gate(g, q)), 1.0)]
         case App(MeasConst(idx), QubitConst(q)), "M" if idx and max(idx) <= q.width:
-            return [(QubitConst(o.post), o.probability) for o in measure(q, idx)]
+            outcomes = measure(q, idx) if choose is None else [measure_one(q, idx, choose)]
+            return [(QubitConst(o.post), o.probability) for o in outcomes]
         case If(QubitConst(q), a, _), "if-0" if _is_base_bit(q, 0):
             return [(a, 1.0)]
         case If(QubitConst(q), _, b), "if-1" if _is_base_bit(q, 1):
@@ -168,12 +175,18 @@ def _contract(t: Term, rule: str) -> list[tuple[Term, float]] | None:
     return None
 
 
-def step_at(t: Term, position: Position, rule: str) -> list[ProbStep]:
+def step_at(t: Term, position: Position, rule: str,
+            choose: Choose | None = None) -> list[ProbStep]:
     """Fire ``rule`` at ``position``; the returned steps' probabilities sum
     to 1.  Raises NoRedexError when the rule does not match there, and the
-    sharper StuckMeasurementError when (M) meets a non-constant operand."""
+    sharper StuckMeasurementError when (M) meets a non-constant operand.
+
+    With ``choose``, a measurement builds only the one branch ``choose``
+    picks by index from the branch probabilities (in outcome-word order),
+    and that step keeps its Born probability; it is not asked when there is
+    one branch.  No other rule branches, so none of them asks it."""
     sub = subterm_at(t, position)
-    contracted = _contract(sub, rule)
+    contracted = _contract(sub, rule, choose)
     if contracted is None:
         if rule == RULE_MEASURE and isinstance(sub, App) and \
                 isinstance(sub.fun, MeasConst) and not isinstance(sub.arg, QubitConst):
@@ -286,9 +299,10 @@ def strategy_redex(t: Term) -> tuple[Position, str] | None:
     return rest[0] if rest else None
 
 
-def step_strategy(t: Term) -> list[ProbStep]:
-    """One strategy step; a normal form idles as [(t, 1, Id)]."""
+def step_strategy(t: Term, choose: Choose | None = None) -> list[ProbStep]:
+    """One strategy step; a normal form idles as [(t, 1, Id)].  ``choose``
+    is step_at's."""
     redex = strategy_redex(t)
     if redex is None:
         return [ProbStep(t, 1.0, RULE_ID, ())]
-    return step_at(t, *redex)
+    return step_at(t, *redex, choose)

@@ -5,6 +5,13 @@ Terms are immutable values, safe to share across threads.  A position is a
 tuple of child indices (child numbering per constructor is fixed below), so
 () addresses the whole term.
 
+``free_vars`` memoizes each node's free-variable set on the node itself, as
+an instance attribute that equality, hashing and repr do not look at.  The
+write is idempotent (every thread computes the same set), so terms stay safe
+to share.  ``substitute`` returns every subterm in which the variable is not
+free as the same object, so a step costs the paths down to the occurrences
+rather than the whole body: with the linear discipline, one path.
+
 Qubit registers appear in terms only as whole constants (QubitConst); there
 is no term-level tensor, which is what makes cloning of unknown quantum data
 unwritable.  The destructuring binder LetTensor is the one primitive that
@@ -20,6 +27,7 @@ other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Union
@@ -122,7 +130,7 @@ class LetTensor:
 
 Term = Union[Var, Lam, BangLam, App, Bang, GateConst, QubitConst, MeasConst, If, LetTensor]
 
-_LEAVES = (Var, GateConst, QubitConst, MeasConst)
+_CLOSED_LEAVES = frozenset((GateConst, QubitConst, MeasConst))
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +208,62 @@ def term_size(t: Term) -> int:
 # Variables
 
 
+_EMPTY: frozenset[str] = frozenset()
+
+# Name of the instance attribute that holds a node's free-variable memo.
+_FREE = "_free_vars"
+
+
+@functools.lru_cache(maxsize=1024)
+def _singleton(name: str) -> frozenset[str]:
+    """The one-variable set of ``name``, shared by every variable so named
+    (a bounded cache keyed by the name, not by any term)."""
+    return frozenset((name,))
+
+
+def _union(a: frozenset[str], b: frozenset[str]) -> frozenset[str]:
+    """a | b, reusing an operand when it already holds the union."""
+    if b <= a:
+        return a
+    if a <= b:
+        return b
+    return a | b
+
+
 def free_vars(t: Term) -> frozenset[str]:
+    """The free variables of t, computed once per node and kept on it.
+
+    The set is stored as an instance attribute that is not a field (a frozen
+    dataclass without __slots__ has room for one, and object.__setattr__
+    gets past the frozen check), so equality, hashing and repr never see
+    it.  Equal sets are shared rather than copied: a binder whose variable
+    is not free returns its body's set, a union one side already holds is
+    that side, variables of one name share one set, and every closed
+    subterm returns one empty frozenset.
+    """
+    if type(t) in _CLOSED_LEAVES:
+        return _EMPTY
+    out = getattr(t, _FREE, None)
+    if out is not None:
+        return out
     match t:
         case Var(x):
-            return frozenset((x,))
+            out = _singleton(x)
         case Lam(x, body) | BangLam(x, body):
-            return free_vars(body) - {x}
+            out = free_vars(body)
+            if x in out:
+                out = out - {x} or _EMPTY
         case LetTensor(x, y, value, body):
-            return free_vars(value) | (free_vars(body) - {x, y})
+            inner = free_vars(body)
+            if x in inner or y in inner:
+                inner = inner - {x, y} or _EMPTY
+            out = _union(free_vars(value), inner)
         case _:
-            out: frozenset[str] = frozenset()
+            out = _EMPTY
             for c in children(t):
-                out |= free_vars(c)
-            return out
+                out = _union(out, free_vars(c))
+    object.__setattr__(t, _FREE, out)
+    return out
 
 
 def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
@@ -223,40 +274,36 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 
 def substitute(body: Term, var: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution body[replacement/var]."""
+    """Capture-avoiding substitution body[replacement/var].  A subterm in
+    which ``var`` is not free is returned as the same object, so only the
+    paths down to the occurrences of ``var`` are rebuilt."""
     rep_free = free_vars(replacement)
 
     def go(t: Term) -> Term:
+        if var not in free_vars(t):
+            return t
         match t:
-            case Var(x):
-                return replacement if x == var else t
+            case Var(_):
+                return replacement
             case Lam(x, inner) | BangLam(x, inner):
-                cls = type(t)
-                if x == var:
-                    return t
-                if x in rep_free and var in free_vars(inner):
+                if x in rep_free:
                     x2 = fresh_name(x, rep_free | free_vars(inner))
                     inner = substitute(inner, x, Var(x2))
-                    return cls(x2, go(inner))
-                return cls(x, go(inner))
+                    x = x2
+                return type(t)(x, go(inner))
             case LetTensor(x, y, value, inner):
                 new_value = go(value)
-                if var in (x, y):
+                if var in (x, y) or var not in free_vars(inner):
                     return LetTensor(x, y, new_value, inner)
-                if var in free_vars(inner):
-                    inner_free = free_vars(inner)
-                    if x in rep_free:
-                        x2 = fresh_name(x, rep_free | inner_free | {y})
-                        inner = substitute(inner, x, Var(x2))
-                        x = x2
-                    if y in rep_free:
-                        y2 = fresh_name(y, rep_free | free_vars(inner) | {x})
-                        inner = substitute(inner, y, Var(y2))
-                        y = y2
-                    return LetTensor(x, y, new_value, go(inner))
-                return LetTensor(x, y, new_value, inner)
-            case _ if isinstance(t, _LEAVES):
-                return t
+                if x in rep_free:
+                    x2 = fresh_name(x, rep_free | free_vars(inner) | {y})
+                    inner = substitute(inner, x, Var(x2))
+                    x = x2
+                if y in rep_free:
+                    y2 = fresh_name(y, rep_free | free_vars(inner) | {x})
+                    inner = substitute(inner, y, Var(y2))
+                    y = y2
+                return LetTensor(x, y, new_value, go(inner))
             case _:
                 return with_children(t, tuple(go(c) for c in children(t)))
 

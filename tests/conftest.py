@@ -59,6 +59,74 @@ def _fmt_c(z: complex) -> str:
     return f"({z.real:.17g},{z.imag:.17g})"
 
 
+def let_chain(depth: int) -> str:
+    """A program whose main is ``depth`` nested lets, each applying H to the
+    previous one, measured at the end.  Its term nests 2 * depth + 2
+    levels: each let builds an application and an abstraction, and the
+    final measurement is an application over a variable."""
+    lines = ["main =", "  let x1 = H !|0> in"]
+    lines += [f"  let x{i} = H x{i - 1} in" for i in range(2, depth + 1)]
+    lines.append(f"  M{{1}} x{depth};")
+    return "\n".join(lines) + "\n"
+
+
+def _lets(depth: int) -> str:
+    # an odd depth measures H x rather than x, one level more
+    n = (depth - 2) // 2
+    program = let_chain(n)
+    return program if depth % 2 == 0 else program.replace(f"M{{1}} x{n};", f"M{{1}} (H x{n});")
+
+
+def _definition_chain(depth: int) -> str:
+    # f nests 2n + 1 + tail levels (its parameter, n lets, the tail); main
+    # adds the application of f and the measurement over it
+    tail = 1 + depth % 2
+    n = (depth - 3 - tail) // 2
+    lets = "".join(f"let a{i} = H a{i - 1} in " for i in range(1, n + 1))
+    return f"f a0 = {lets}{'H ' * (tail - 1)}a{n};\nmain = M{{1}} (f !|0>);"
+
+
+def _deep_spine_head(depth: int) -> str:
+    # the head nests 2n + 2 levels (n lets, an abstraction, its variable),
+    # and each of the m arguments adds one
+    n = depth // 4
+    m = depth - 2 - 2 * n
+    lets = "".join(f"let !x{i} = !|0> in " for i in range(n))
+    return f"main = ({lets}\\!y. y) " + "!|0> " * m + ";"
+
+
+# Programs whose main term nests exactly ``depth`` levels (nodes on its
+# longest root-to-leaf path), one shape each.
+NESTED = {
+    "lets": _lets,
+    "applications": lambda depth: "main = " + r"(\x. x) " * (depth - 2) + "!|0>;",
+    "arguments": lambda depth: ("main = " + r"(\x. x) (" * (depth - 2) + "!|0>"
+                                + ")" * (depth - 2) + ";"),
+    "lambdas": lambda depth: "main = " + "".join(f"\\!x{i}. " for i in range(depth - 1)) + "!|0>;",
+    "bangs": lambda depth: "main = " + "!" * (depth - 1) + "M{1};",
+    "conditionals": lambda depth: ("main = " + "if !|0> then " * (depth - 1) + "!|0>"
+                                   + " else !|1>" * (depth - 1) + ";"),
+    "conditions": lambda depth: ("main = " + "if (" * (depth - 1) + "!|0>"
+                                 + ") then !|0> else !|1>" * (depth - 1) + ";"),
+    "split-names": lambda depth: ("main = \\!v. let " + "*".join(f"a{i}" for i in range(depth - 1))
+                                  + " = v in a0;"),
+    "spine-head": _deep_spine_head,
+    "definitions": _definition_chain,
+}
+
+# Programs whose source opens ``count`` constructs one inside the next but
+# whose term is one constant.
+OPEN = {
+    "parentheses": lambda count: "main = " + "(" * count + "!|0>" + ")" * count + ";",
+    "scalars": lambda count: "main = " + "(1,0)" * count + "!|0>;",
+}
+
+
+def term_height(t) -> int:
+    """Nodes on the longest root-to-leaf path of t."""
+    return 1 + max((term_height(c) for c in children(t)), default=0)
+
+
 def rename_binders(t, prefix, counter=None):
     """t with every binder renamed to a fresh ``prefix<n>``: an
     alpha-equivalent copy with different bound names."""

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from qlam.cli import main
-from qlam.parser import parse_program
+from qlam.parser import _MAX_OPEN, MAX_NESTING, parse_program
+from qlam.syntax import alpha_eq
 
-from conftest import GOLDEN, PROGRAMS
+from conftest import GOLDEN, NESTED, OPEN, PROGRAMS, REPO, let_chain
 
 CORPUS = ["teleport", "teleport_deferred", "epr", "measure_demo", "stuck_if", "promotion"]
 
@@ -290,3 +294,103 @@ def test_both_teleport_programs_deliver_the_payload():
     bits, payload = factor_split(final, 2)
     assert amps_close(bits, uniform_state(2), 1e-7)
     assert amps_close(payload, psi, 1e-7)
+
+
+# ---------------------------------------------------------------------------
+# deep nesting
+
+
+def _stacked_definitions(count: int, lets: int) -> str:
+    """``count`` definitions of ``lets`` lets each, every one ending in a
+    use of the one before, so inlining stacks their depths."""
+    defs = []
+    for k in range(count):
+        body = "".join(f"let d{k}x{i} = H d{k}x{i - 1} in " for i in range(1, lets + 1))
+        tail = f"d{k - 1} d{k}x{lets}" if k else f"d{k}x{lets}"
+        defs.append(f"d{k} d{k}x0 = {body}{tail};")
+    return "\n".join(defs) + f"\nmain = M{{1}} (d{count - 1} !|0>);\n"
+
+
+HOSTILE = {
+    "lets": let_chain(600),
+    "parentheses": OPEN["parentheses"](2000),
+    "applications": "main = " + r"(\x. x) " * 3000 + "!|0>;\n",
+    "definitions": _stacked_definitions(3, 200),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "run", "fmt"])
+@pytest.mark.parametrize("shape", sorted(HOSTILE))
+def test_too_deep_nesting_exits_two(tmp_path, capsys, shape, command):
+    path = tmp_path / f"{shape}.qlam"
+    path.write_text(HOSTILE[shape])
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
+    if shape == "parentheses":
+        assert f"source nested deeper than {_MAX_OPEN} levels" in err
+    else:
+        assert f"term nested deeper than {MAX_NESTING} levels" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [("check",), ("run",), ("run", "--sample", "--seed", "0"),
+                                     ("fmt",)])
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_at_the_limit_exits_zero(tmp_path, capsys, shape, command):
+    path = tmp_path / f"{shape}.qlam"
+    path.write_text(NESTED[shape](MAX_NESTING))
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 0
+    assert out and err == ""
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_fmt_output_at_the_limit_parses_again(tmp_path, capsys, shape):
+    """fmt prints a let as an applied abstraction and adds parentheses,
+    but the printed term is the same term, so it is inside the limit too."""
+    path = tmp_path / f"{shape}.qlam"
+    path.write_text(NESTED[shape](MAX_NESTING))
+    code, out, _ = run_cli(capsys, "fmt", str(path))
+    assert code == 0
+    assert alpha_eq(parse_program(out).main, parse_program(path.read_text()).main)
+    path.write_text(out)
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert code == 0 and err == ""
+
+
+def test_run_400_let_chain(tmp_path, capsys):
+    """Substitution recurses only along the path to an occurrence, so a long
+    let-chain evaluates without exhausting the stack."""
+    path = tmp_path / "lets.qlam"
+    path.write_text(let_chain(400))
+    code, out, err = run_cli(capsys, "run", str(path))
+    assert code == 0 and err == ""
+    assert out.startswith("status: Converged")
+
+
+# ---------------------------------------------------------------------------
+# python -m qlam
+
+
+def run_module(*argv):
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "qlam", *argv], cwd=REPO,
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                          timeout=120)
+
+
+def test_python_m_qlam_runs_the_cli():
+    proc = run_module("run", "programs/epr.qlam", "--ensemble", "--json")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "epr.ensemble.json").read_bytes()
+
+
+def test_python_m_qlam_deep_nesting_prints_no_traceback(tmp_path):
+    path = tmp_path / "lets.qlam"
+    path.write_text(HOSTILE["lets"])
+    proc = run_module("run", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"parse error: ") and b"Traceback" not in proc.stderr

@@ -22,11 +22,13 @@ from qlam.ensemble import (
     strategy_chooser,
 )
 from qlam.parser import parse_term
-from qlam.reduction import RULESET_ST, RULESET_T, enumerate_redexes
+from qlam.reduction import RULE_ID, RULESET_ST, RULESET_T, enumerate_redexes, step_strategy
 from qlam.quantum import QubitValue, gate, uniform_state
 from qlam.syntax import (
     AMP_TOL,
     App,
+    Bang,
+    BangLam,
     GateConst,
     Lam,
     MeasConst,
@@ -366,3 +368,77 @@ def test_sample_frequency_smoke():
     t = parse_term(f"M{{1}} {BIASED}")
     ones = sum(1 for s in range(3000) if pretty(sample(t, seed=s)) == "!|1>")
     assert 0.64 == pytest.approx(ones / 3000, abs=0.05)
+
+
+def sample_all_branches(t, seed, max_steps=10_000, trace=None):
+    """The sampler that builds every branch of a measurement and then keeps
+    one, drawn with ``rng.choices`` over the steps: the reference for
+    ``sample``, which draws first and builds one branch."""
+    rng = random.Random(seed)
+    term = t
+    for step_index in range(max_steps):
+        steps = step_strategy(term)
+        if steps[0].rule == RULE_ID:
+            return term
+        if len(steps) == 1:
+            chosen = steps[0]
+        else:
+            chosen = rng.choices(steps, weights=[s.probability for s in steps])[0]
+        if trace is not None:
+            trace(step_index, 0, chosen)
+        term = chosen.target
+    raise StepLimitError(f"no normal form within {max_steps} steps")
+
+
+@st.composite
+def wide_measurement(draw):
+    """M over some wires of a register of up to 10 wires with up to 40
+    random amplitudes, bare or under a copying context."""
+    width = draw(st.integers(1, 10))
+    support = draw(st.sets(st.integers(0, (1 << width) - 1), min_size=1, max_size=40))
+    raw = [complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1))) for _ in support]
+    norm = math.sqrt(sum(abs(a) ** 2 for a in raw))
+    if norm < 1e-3:
+        raw, norm = [1.0] * len(raw), math.sqrt(len(raw))
+    q = QubitValue(width, {u: a / norm for u, a in zip(sorted(support), raw)})
+    wires = draw(st.sets(st.integers(1, width), min_size=1))
+    m = App(MeasConst(frozenset(wires)), QubitConst(q))
+    return m if draw(st.booleans()) else App(BangLam("x", App(Var("x"), Var("x"))), Bang(m))
+
+
+def _sampled(run, t, seed):
+    steps = []
+    try:
+        result = run(t, seed, max_steps=200, trace=lambda *step: steps.append(step))
+    except StepLimitError:
+        result = None
+    return result, steps
+
+
+@given(st.one_of(generated_term(), wide_measurement()), st.integers(0, 2**32 - 1))
+@settings(max_examples=80)
+def test_sample_matches_build_everything_sampler(t, seed):
+    """The same draws, the same steps (targets, probabilities, rules,
+    positions) and the same result as the sampler that builds every branch."""
+    assert _sampled(sample, t, seed) == _sampled(sample_all_branches, t, seed)
+
+
+def test_sample_builds_only_the_drawn_branch(monkeypatch):
+    """An 18-wire full measurement samples one basis state: one
+    MeasurementOutcome is built, not 2**18."""
+    import qlam.quantum as quantum
+
+    n = 18
+    wires = ",".join(str(i) for i in range(1, n + 1))
+    t = parse_term(f"M{{{wires}}} (({'*'.join(['H'] * n)}) !|{'0' * n}>)")
+    built = []
+    outcome = quantum.MeasurementOutcome
+
+    def counted(*args):
+        built.append(args[0])
+        return outcome(*args)
+
+    monkeypatch.setattr(quantum, "MeasurementOutcome", counted)
+    result = sample(t, seed=0)
+    assert len(built) == 1
+    assert result == QubitConst(QubitValue(n, {built[0]: 1.0}))

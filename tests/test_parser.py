@@ -2,7 +2,14 @@ import math
 
 import pytest
 
-from qlam.parser import ParseError, parse_program, parse_term, parse_term_with_notes
+from qlam.parser import (
+    _MAX_OPEN,
+    MAX_NESTING,
+    ParseError,
+    parse_program,
+    parse_term,
+    parse_term_with_notes,
+)
 from qlam.quantum import QubitValue
 from qlam.syntax import (
     App,
@@ -17,6 +24,8 @@ from qlam.syntax import (
     Var,
     pretty,
 )
+
+from conftest import NESTED, OPEN, let_chain, term_height
 
 S2 = 1 / math.sqrt(2)
 
@@ -261,3 +270,71 @@ def test_teleport_template_parses():
 
     prog = parse_program(teleport_source(QubitValue(1, {0: 0.6, 1: 0.8})))
     assert prog.main is not None
+
+
+# ---------------------------------------------------------------------------
+# nesting limit
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_limit_is_exact(shape):
+    """Each shape builds a term of exactly MAX_NESTING levels, which
+    parses, and one level deeper is a ParseError, not a RecursionError."""
+    assert term_height(parse_program(NESTED[shape](MAX_NESTING)).main) == MAX_NESTING
+    with pytest.raises(ParseError, match=f"term nested deeper than {MAX_NESTING} levels"):
+        parse_program(NESTED[shape](MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("shape", sorted(OPEN))
+def test_open_construct_limit_is_exact(shape):
+    """Parentheses and scalar prefixes build no level of the term, but the
+    parser recurses into each; one past _MAX_OPEN is a ParseError."""
+    assert term_height(parse_program(OPEN[shape](_MAX_OPEN)).main) == 1
+    with pytest.raises(ParseError, match=f"source nested deeper than {_MAX_OPEN} levels"):
+        parse_program(OPEN[shape](_MAX_OPEN + 1))
+
+
+def test_nesting_error_points_at_the_token_past_the_limit():
+    with pytest.raises(ParseError) as info:
+        parse_program(OPEN["parentheses"](2000))
+    # "main = " is 7 columns, so the first parenthesis is at column 8
+    assert (info.value.line, info.value.col) == (1, 8 + _MAX_OPEN)
+    # a term too deep is reported at the name of its definition
+    with pytest.raises(ParseError) as info:
+        parse_program("id = \\x. x;\n" + let_chain(600))
+    assert (info.value.line, info.value.col) == (2, 1)
+    with pytest.raises(ParseError) as info:
+        parse_term("(\\x. x) " * 3000 + "!|0>")
+    assert (info.value.line, info.value.col) == (1, 1)
+    # a split of more names than the limit is reported at its let, before
+    # its desugaring recurses once a name
+    names = "*".join(f"a{i}" for i in range(5000))
+    with pytest.raises(ParseError, match="term nested deeper") as info:
+        parse_program(f"main = \\!v. let {names} = v in a0;")
+    assert (info.value.line, info.value.col) == (1, 13)
+
+
+def test_nesting_counts_inlined_definitions():
+    """A definition brings its own levels to each use: two chains of n
+    lets each fit, but one used inside the other does not."""
+    n = MAX_NESTING // 3
+
+    def chain(name, tail):
+        lets = "".join(f"let {name}{i} = H {name}{i - 1} in " for i in range(1, n + 1))
+        return f"{name} {name}0 = {lets}{tail};\n"
+    program = chain("a", f"a{n}") + chain("b", f"b{n}")
+    assert len(parse_program(program).defs) == 2
+    with pytest.raises(ParseError, match="term nested deeper") as info:
+        parse_program(chain("a", f"a{n}") + chain("b", f"a b{n}"))
+    assert (info.value.line, info.value.col) == (2, 1)
+
+
+def test_nesting_levels_close_with_their_construct():
+    """Terms side by side do not add up: a sum of deep summands and a
+    program of deep definitions parse."""
+    deep = _MAX_OPEN - 1
+    summands = ["(" * deep + f"!|{bit}>" + ")" * deep for bit in "0101"]
+    assert parse_term(" + ".join(summands)) == parse_term("(2,0)!|0> + (2,0)!|1>")
+    deep_def = "(" * _MAX_OPEN + "!|0>" + ")" * _MAX_OPEN
+    program = parse_program("".join(f"d{i} = {deep_def};\n" for i in range(3)))
+    assert len(program.defs) == 3

@@ -1,15 +1,18 @@
 import random
 
+import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from qlam.parser import parse_term
+from qlam.ensemble import evaluate
+from qlam.parser import parse_program, parse_term
 from qlam.quantum import QubitValue
 from qlam.syntax import (
     AMP_TOL,
     KEY_AMP_THRESHOLD,
     App,
     Bang,
+    BangLam,
     Lam,
     LetTensor,
     QubitConst,
@@ -25,7 +28,15 @@ from qlam.syntax import (
     term_size,
 )
 
-from conftest import generated_term, near_threshold_register, perturb_registers, rename_binders
+from conftest import (
+    generated_term,
+    let_chain,
+    near_threshold_register,
+    perturb_registers,
+    random_terms,
+    rename_binders,
+)
+from syntax_oracles import free_vars_reference, substitute_reference
 
 
 # ---------------------------------------------------------------------------
@@ -248,3 +259,132 @@ def test_round_trip_corpus_programs():
             # reparse each definition's canonical form (user gates in scope)
             reparsed = parse_term(pretty(term), gates=program.gates)
             assert alpha_eq(reparsed, term)
+
+
+# ---------------------------------------------------------------------------
+# sharing substitution and the free-variable memo
+
+
+@st.composite
+def substitution_cases(draw):
+    """(body, var, replacement): a generated term with renamed binders and
+    a free ``hole`` planted at a random position, a variable that is the
+    hole or one of the binders, and a replacement whose free variables are
+    drawn from the binder names (so enclosing binders must be renamed) and
+    from primed names (so fresh_name must skip them)."""
+    t = rename_binders(draw(generated_term()), "v")
+    pos = draw(st.sampled_from(list(positions(t))))
+    body = replace_at(t, pos, App(Var("hole"), subterm_at(t, pos)))
+    if draw(st.booleans()):
+        pos = draw(st.sampled_from(list(positions(body))))
+        body = replace_at(body, pos, App(subterm_at(body, pos), Var("hole")))
+    binders = sorted(_binder_names(t))
+    names = binders + [n + "'" for n in binders] + ["hole", "other"]
+    var = draw(st.sampled_from(["hole"] + binders))
+    replacement = draw(generated_term())
+    for name in draw(st.lists(st.sampled_from(names), max_size=3)):
+        replacement = App(replacement, Var(name))
+    return body, var, replacement
+
+
+def _binder_names(t):
+    names = set()
+    for pos in positions(t):
+        match subterm_at(t, pos):
+            case Lam(x, _) | BangLam(x, _):
+                names.add(x)
+            case LetTensor(x, y, _, _):
+                names.update((x, y))
+    return names
+
+
+@given(substitution_cases())
+def test_substitute_matches_reference(case):
+    body, var, replacement = case
+    got = substitute(body, var, replacement)
+    assert got == substitute_reference(body, var, replacement)
+    assert free_vars(got) == free_vars_reference(got)
+
+
+@given(substitution_cases())
+def test_free_vars_memo_matches_reference(case):
+    body, _, replacement = case
+    for t in (body, replacement):
+        for pos in positions(t):
+            sub = subterm_at(t, pos)
+            assert free_vars(sub) == free_vars_reference(sub)
+        assert free_vars(t) == free_vars_reference(t)  # read back from the memo
+
+
+def test_substitute_renames_each_binder_kind_as_reference():
+    """The capture-avoiding renames of Lam, BangLam and LetTensor, with
+    primed names taken, agree with the reference."""
+    pair = App(Var("y"), Var("y'"))
+    cases = [
+        (Lam("y", App(Var("x"), Var("y"))), "x", pair),
+        (BangLam("y", App(Var("x"), Var("y"))), "x", pair),
+        (LetTensor("y", "z", Var("w"), App(App(Var("x"), Var("y")), Var("z"))), "x",
+         App(pair, Var("z"))),
+        (LetTensor("y", "z", Var("x"), App(Var("x"), Var("z"))), "x", pair),
+    ]
+    for body, var, replacement in cases:
+        got = substitute(body, var, replacement)
+        assert got == substitute_reference(body, var, replacement)
+        assert free_vars(got) == free_vars(replacement) | (free_vars(body) - {var})
+    assert substitute(*cases[0]) == Lam("y''", App(pair, Var("y''")))
+
+
+def test_substitute_returns_untouched_subterms_themselves():
+    f = parse_term(r"\y. y")
+    a = App(Var("g"), Var("x"))
+    one = parse_term("!|1>")
+    got = substitute(App(f, a), "x", one)
+    assert got.fun is f
+    assert got.arg == App(Var("g"), one)
+    closed = parse_term(r"(\x. x) (M{1} !|0>)")
+    assert substitute(closed, "x", one) is closed
+    shadowed = Lam("x", a)
+    assert substitute(shadowed, "x", one) is shadowed
+
+
+def test_free_vars_sets_are_shared():
+    body = App(Var("f"), Var("g"))
+    assert free_vars(Lam("y", body)) is free_vars(body)
+    assert free_vars(parse_term(r"\x. x")) is free_vars(parse_term("H !|0>"))
+    assert free_vars(App(parse_term("!|0>"), body)) is free_vars(body)
+    assert free_vars(Var("f")) is free_vars(body.fun)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_free_vars_memo_leaves_equality_hash_and_repr(seed):
+    """A term whose free variables were computed still equals, hashes and
+    prints as a fresh copy on which they were not."""
+    (t,), (copy,) = random_terms(seed, 1), random_terms(seed, 1)
+    t, copy = App(Var("hole"), t), App(Var("hole"), copy)
+    before = repr(t), hash(t)
+    for pos in positions(t):
+        free_vars(subterm_at(t, pos))
+    assert (repr(t), hash(t)) == before
+    assert t == copy and copy == t
+    assert hash(copy) == hash(t) and repr(copy) == repr(t)
+
+
+@pytest.mark.parametrize("depth", [50, 100, 200])
+def test_let_chain_evaluation_rebuilds_a_linear_number_of_nodes(monkeypatch, depth):
+    """Each beta step of a let-chain rebuilds only the path to the one
+    occurrence of its variable: at most 3 nodes per let over the whole
+    evaluation (an always-rebuild substitution makes depth * (depth + 1))."""
+    import qlam.syntax as syntax
+
+    calls = []
+    rebuild = syntax.with_children
+
+    def counted(t, new):
+        calls.append(1)
+        return rebuild(t, new)
+
+    main = parse_program(let_chain(depth)).main
+    monkeypatch.setattr(syntax, "with_children", counted)
+    result = evaluate(main)
+    assert result.status == "Converged"
+    assert len(calls) <= 3 * depth
