@@ -30,7 +30,7 @@ from .syntax import (
     substitute,
 )
 from .parser import ParseError, Program, parse_program, parse_term
-from .wellformed import WfReport, check, is_normalized
+from .wellformed import WfReport, check
 from .reduction import (
     ProbStep,
     RuleSet,

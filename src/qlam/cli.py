@@ -23,7 +23,7 @@ from .ensemble import (
 from .parser import ParseError, Program, parse_program
 from .quantum import RegisterWidthError
 from .reduction import RULESET_ST, ProbStep, stuck_sites
-from .syntax import Term, pretty
+from .syntax import Term, format_amplitude, format_position, pretty
 from .wellformed import WfReport, check
 
 EXIT_OK = 0
@@ -61,10 +61,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(mode="sample" if args.sample else "ensemble",
                      max_steps=args.max_steps, seed=seed, strategy=args.strategy,
                      json_output=args.json, trace=args.trace, strict_wf=args.strict_wf)
-
-
-def _format_path(pos: tuple[int, ...]) -> str:
-    return ".".join(map(str, pos)) if pos else "root"
 
 
 class ProgramFileError(Exception):
@@ -110,7 +106,7 @@ def _report_json(report: WfReport) -> dict:
     return {
         "verdict": report.verdict,
         "violations": [
-            {"position": _format_path(pos), "rule": rule, "message": msg}
+            {"position": format_position(pos), "rule": rule, "message": msg}
             for pos, rule, msg in report.violations
         ],
     }
@@ -125,7 +121,7 @@ def _print_report(report: WfReport, as_json: bool) -> None:
         return
     print("not well-formed:")
     for pos, rule, msg in report.violations:
-        print(f"  [{_format_path(pos)}] {rule}: {msg}")
+        print(f"  [{format_position(pos)}] {rule}: {msg}")
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -136,7 +132,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _trace_printer(step: ProbStep) -> None:
-    print(f"  {step.rule} @{_format_path(step.position)} p={step.probability:.12g} "
+    print(f"  {step.rule} @{format_position(step.position)} p={step.probability:.12g} "
           f"-> {pretty(step.target)}", file=sys.stderr)
 
 
@@ -183,7 +179,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"  p={p:.12g}  {pretty(term)}")
         stuck = [site for term, _ in res.ensemble.entries for site in stuck_sites(term)]
         for pos, why in stuck:
-            print(f"  note: stuck at {_format_path(pos)}: {why}")
+            print(f"  note: stuck at {format_position(pos)}: {why}")
     return EXIT_OK if res.status == "Converged" else EXIT_FAIL
 
 
@@ -229,19 +225,12 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
     chunks = []
     for name, atom in program.gates.items():
         rows = ",\n             ".join(
-            "[" + ", ".join(_fmt_entry(z) for z in row) + "]" for row in atom.matrix)
+            "[" + ", ".join(format_amplitude(z) for z in row) + "]" for row in atom.matrix)
         chunks.append(f"gate {name} = [{rows}];")
     for name, term in program.defs:
         chunks.append(f"{name} = {pretty(term)};")
     print("\n\n".join(chunks))
     return EXIT_OK
-
-
-def _fmt_entry(z: complex) -> str:
-    def f(x: float) -> str:
-        return "0" if x == 0 else f"{x:.12g}"
-
-    return f"({f(z.real)},{f(z.imag)})"
 
 
 def build_arg_parser() -> argparse.ArgumentParser:

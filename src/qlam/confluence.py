@@ -43,6 +43,7 @@ from .syntax import (
     Term,
     Var,
     bang,
+    format_position,
     pretty,
 )
 from .reduction import RULESETS, Position, RuleSet, enumerate_redexes, step_at
@@ -355,7 +356,7 @@ def _moves(ens: TermEnsemble, redexes: Redexes) -> list[tuple[str, TermEnsemble]
     for (term, p), entry_redexes in zip(ens.entries, redexes):
         opts: list[tuple[str, tuple[tuple[Term, float], ...]]] = []
         for pos, rule in entry_redexes:
-            label = f"{rule}@{'.'.join(map(str, pos)) or 'root'}"
+            label = f"{rule}@{format_position(pos)}"
             steps = step_at(term, pos, rule)
             opts.append((label, tuple((s.target, p * s.probability) for s in steps)))
         opts.append(("idle", ((term, p),)))

@@ -187,13 +187,12 @@ def equivalent_canonical(ma: TermEnsemble, mb: TermEnsemble,
 # Determinized reduction
 
 
-def det_step(e: TermEnsemble, rules: RuleSet, chooser: Chooser,
-             cap: int = ENSEMBLE_CAP,
+def det_step(e: TermEnsemble, chooser: Chooser, cap: int = ENSEMBLE_CAP,
              trace: Callable[[int, ProbStep], None] | None = None) -> TermEnsemble:
     """One ensemble step: each entry fires the redex its chooser picks, or
-    idles on None.  Mass is preserved.  The chooser must pick from
-    enumerate_redexes(term, rules).  Returns ``e`` itself when every entry
-    idles.  ``trace`` sees (entry index, step) for every step fired.
+    idles on None.  Mass is preserved.  The chooser must pick one of the
+    term's enumerate_redexes.  Returns ``e`` itself when every entry idles.
+    ``trace`` sees (entry index, step) for every step fired.
     EnsembleCapError is raised as soon as the step would hold more than
     ``cap`` entries, and before a measurement that would pass the cap
     builds any post-state."""
@@ -265,18 +264,17 @@ class EvalResult:
     steps: int
 
 
-def evaluate(t: Term, max_steps: int = 10_000, rules: RuleSet = RULESET_ST,
-             chooser: Chooser | None = None, trace: TraceFn | None = None,
-             cap: int = ENSEMBLE_CAP) -> EvalResult:
+def evaluate(t: Term, max_steps: int = 10_000, chooser: Chooser | None = None,
+             trace: TraceFn | None = None, cap: int = ENSEMBLE_CAP) -> EvalResult:
     """Iterate ensemble steps under the chooser (the deterministic strategy
     by default) until every entry is a normal form, canonicalizing along the
     way.  Status is StepLimit when the budget runs out first."""
     if chooser is None:
-        chooser = strategy_chooser(rules)
+        chooser = strategy_chooser()
     ens = singleton(t)
     for step_index in range(max_steps):
         hook = None if trace is None else functools.partial(trace, step_index)
-        stepped = det_step(ens, rules, chooser, cap, hook)
+        stepped = det_step(ens, chooser, cap, hook)
         if stepped is ens:
             return EvalResult(ens, "Converged", step_index)
         ens = min_ensemble(stepped)
@@ -290,7 +288,8 @@ def sample(t: Term, seed: int, max_steps: int = 10_000,
     """One seeded run: follow the deterministic strategy, sampling each
     measurement branch with its Born probability.  Reproducible per seed.
     The branch is drawn before any post-state is built, so a measurement
-    builds only the branch it keeps."""
+    builds only the branch it keeps.  StepLimitError is raised when the
+    term is not normal after ``max_steps`` steps."""
     rng = random.Random(seed)
 
     def choose(weights: list[float]) -> int:
@@ -304,4 +303,6 @@ def sample(t: Term, seed: int, max_steps: int = 10_000,
         if trace is not None:
             trace(step_index, 0, chosen)
         term = chosen.target
+    if strategy_redex(term) is None:
+        return term
     raise StepLimitError(f"no normal form within {max_steps} steps")

@@ -31,7 +31,7 @@ and the steps of one (position, rule) pair always carry total probability 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .quantum import (
     EPS_NORM,
@@ -208,26 +208,36 @@ def measurement_fits(t: Term, position: Position, room: int) -> bool:
     return True
 
 
+def _preorder(t: Term) -> Iterator[tuple[Position, Term]]:
+    """Every (position, subterm) of t that is not under a bang, in preorder
+    position order.  A bang itself is visited; its body is not."""
+    stack: list[tuple[Position, Term]] = [((), t)]
+    while stack:
+        pos, term = stack.pop()
+        yield pos, term
+        if type(term) is not Bang:
+            kids = children(term)
+            i = len(kids)
+            while i:
+                i -= 1
+                stack.append((pos + (i,), kids[i]))
+
+
+def _preorder_redexes(t: Term, rules: RuleSet) -> Iterator[tuple[Position, str]]:
+    for pos, term in _preorder(t):
+        rule = head_rule(term)
+        if rule is not None and rule in rules:
+            yield pos, rule
+
+
 def enumerate_redexes(t: Term, rules: RuleSet) -> list[tuple[Position, str]]:
     """Every (position, rule) where step_at succeeds, in preorder position
     order.  Never descends under a bang."""
-    out: list[tuple[Position, str]] = []
-
-    def walk(term: Term, pos: Position) -> None:
-        rule = head_rule(term)
-        if rule is not None and rule in rules:
-            out.append((pos, rule))
-        if isinstance(term, Bang):
-            return
-        for i, c in enumerate(children(term)):
-            walk(c, pos + (i,))
-
-    walk(t, ())
-    return out
+    return list(_preorder_redexes(t, rules))
 
 
 def is_normal_form(t: Term, rules: RuleSet = RULESET_ST) -> bool:
-    return not enumerate_redexes(t, rules)
+    return next(_preorder_redexes(t, rules), None) is None
 
 
 def stuck_sites(t: Term) -> list[tuple[Position, str]]:
@@ -236,8 +246,7 @@ def stuck_sites(t: Term) -> list[tuple[Position, str]]:
     non-constants or out-of-range wires, entangled splits, arity mismatches.
     Useful diagnostics for terms that converge while still containing them."""
     out: list[tuple[Position, str]] = []
-
-    def walk(term: Term, pos: Position) -> None:
+    for pos, term in _preorder(t):
         match term:
             case If(cond, _, _) if head_rule(term) is None:
                 if isinstance(cond, QubitConst):
@@ -251,12 +260,6 @@ def stuck_sites(t: Term) -> list[tuple[Position, str]]:
                 out.append((pos, f"gate arity {g.arity} vs register width {q.width}"))
             case App(MeasConst(idx), QubitConst(q)) if max(idx) > q.width:
                 out.append((pos, f"measured wire {max(idx)} beyond width {q.width}"))
-        if isinstance(term, Bang):
-            return
-        for i, c in enumerate(children(term)):
-            walk(c, pos + (i,))
-
-    walk(t, ())
     return out
 
 
@@ -292,11 +295,7 @@ def strategy_redex(t: Term) -> tuple[Position, str] | None:
         rule = head_rule(term)
         return (pos, rule) if rule is not None else None
 
-    found = walk(t, ())
-    if found:
-        return found
-    rest = enumerate_redexes(t, RULESET_ST)
-    return rest[0] if rest else None
+    return walk(t, ()) or next(_preorder_redexes(t, RULESET_ST), None)
 
 
 def step_strategy(t: Term, choose: Choose | None = None) -> list[ProbStep]:

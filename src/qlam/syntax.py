@@ -422,23 +422,37 @@ def shape_key(t: Term, tol: float = AMP_TOL) -> tuple | None:
 # Pretty-printing
 
 
+def format_position(pos: tuple[int, ...]) -> str:
+    """A position as dotted child indices, or 'root' for ()."""
+    return ".".join(map(str, pos)) if pos else "root"
+
+
 def _fmt_float(x: float) -> str:
     if x == 0:
         return "0"
     return f"{x:.12g}"
 
 
+def format_amplitude(z: complex) -> str:
+    """A complex number as the (re,im) pair the parser reads."""
+    return f"({_fmt_float(z.real)},{_fmt_float(z.imag)})"
+
+
 def format_qubit(q: QubitValue) -> tuple[str, bool]:
     """Render a register constant; the flag says whether the text is atomic
-    (a single banged ket needing no parentheses)."""
+    (a single banged ket needing no parentheses).  A register with no
+    amplitudes prints as a zero-scaled ket of its width, which parses back
+    to it."""
+    if not q.amps:
+        return f"(0,0)!|{'0' * q.width}>", False
     if len(q.amps) == 1:
         u, a = q.amps[0]
-        if _fmt_float(a.real) == "1" and _fmt_float(a.imag) == "0":
+        if format_amplitude(a) == "(1,0)":
             return f"!|{format(u, f'0{q.width}b')}>", True
     parts = []
     for u, a in q.amps:
         bits = format(u, f"0{q.width}b")
-        parts.append(f"({_fmt_float(a.real)},{_fmt_float(a.imag)})!|{bits}>")
+        parts.append(f"{format_amplitude(a)}!|{bits}>")
     return " + ".join(parts), False
 
 

@@ -22,14 +22,18 @@ A pre-term is well-formed when:
     the register representation, and gate constants are checked unitary at
     construction.)
 
-Violations are reported, never raised; check is total.
+The check is one walk.  It returns, for each subterm, how often each
+variable name occurs free in it; a binder pops its own name from its body's
+counts (a linear abstraction requires exactly one use), so shadowing needs no
+bookkeeping beyond a scope mapping each bound name to its linearity, and the
+root's counts are the free-variable uses.  Violations are reported, never
+raised; check is total.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .quantum import EPS_NORM
 from .syntax import (
@@ -53,25 +57,6 @@ Position = tuple[int, ...]
 Violation = tuple[Position, str, str]  # (position, rule name, message)
 
 
-@dataclass(frozen=True)
-class Context:
-    """Typing context: variable names with their linearity, in binding order.
-    A linear variable occurs at most once."""
-
-    entries: tuple[tuple[str, str], ...] = ()
-
-    def extended(self, name: str, linearity: str) -> "Context":
-        if linearity == LINEAR and any(n == name and l == LINEAR for n, l in self.entries):
-            raise ValueError(f"linear variable {name!r} already in context")
-        return Context(self.entries + ((name, linearity),))
-
-    def lookup(self, name: str) -> str | None:
-        for n, linearity in reversed(self.entries):
-            if n == name:
-                return linearity
-        return None
-
-
 @dataclass
 class WfReport:
     verdict: bool
@@ -81,12 +66,6 @@ class WfReport:
         return self.verdict
 
 
-def is_normalized(amplitudes: Iterable[complex], tol: float) -> bool:
-    """True iff the squared moduli sum to 1 within tol."""
-    total = sum(abs(a) ** 2 for a in amplitudes)
-    return abs(total - 1.0) <= tol
-
-
 # Argument shapes that may still reduce to a duplicable value.
 _REDUCIBLE_ARGS = (App, If, LetTensor)
 
@@ -94,83 +73,52 @@ _REDUCIBLE_ARGS = (App, If, LetTensor)
 def check(t: Term) -> WfReport:
     """Decide well-formedness; the verdict is true iff no violations."""
     violations: list[Violation] = []
-    _walk(t, {}, (), violations, _Ids())
     # Free variables are linear: more than one use anywhere is a violation.
-    free_uses = Counter()
-    _count_free(t, set(), free_uses)
-    for name, n in sorted(free_uses.items()):
+    for name, n in sorted(_walk(t, {}, (), violations).items()):
         if n > 1:
             violations.append(((), "linear",
                                f"free variable {name!r} used {n} times"))
     return WfReport(not violations, violations)
 
 
-class _Ids:
-    def __init__(self) -> None:
-        self.n = 0
-
-    def fresh(self) -> int:
-        self.n += 1
-        return self.n
+def _linear_names(uses: Counter, env: dict[str, str]) -> str:
+    """The used names bound linearly in env, quoted and sorted; '' if none."""
+    return ", ".join(repr(x) for x in sorted(uses) if env.get(x) == LINEAR)
 
 
-def _count_free(t: Term, bound: set[str], uses: Counter) -> None:
+def _walk(t: Term, env: dict[str, str], pos: Position,
+          violations: list[Violation]) -> Counter:
+    """How often each variable name occurs free in t.  ``env`` maps every
+    name bound around t to its linearity."""
     match t:
         case Var(x):
-            if x not in bound:
-                uses[x] += 1
-        case Lam(x, body) | BangLam(x, body):
-            _count_free(body, bound | {x}, uses)
-        case LetTensor(x, y, value, body):
-            _count_free(value, bound, uses)
-            _count_free(body, bound | {x, y}, uses)
-        case If(c, a, b):
-            _count_free(c, bound, uses)
-            _count_free(a, bound, uses)
-            _count_free(b, bound, uses)
-        case _:
-            from .syntax import children
-
-            for c in children(t):
-                _count_free(c, bound, uses)
-
-
-def _walk(t: Term, env: dict[str, tuple[str, int]], pos: Position,
-          violations: list[Violation], ids: _Ids) -> Counter:
-    """Returns usage counts of linear binders (by binder id) below t."""
-    match t:
-        case Var(x):
-            entry = env.get(x)
-            if entry is not None and entry[0] == LINEAR:
-                return Counter({entry[1]: 1})
-            return Counter()
+            return Counter((x,))
         case Lam(x, body):
-            bid = ids.fresh()
-            uses = _walk(body, {**env, x: (LINEAR, bid)}, pos + (0,), violations, ids)
-            n = uses.pop(bid, 0)
+            uses = _walk(body, {**env, x: LINEAR}, pos + (0,), violations)
+            n = uses.pop(x, 0)
             if n != 1:
                 violations.append((pos, "linear",
                                    f"linear variable {x!r} used {n} times (expected exactly once)"))
             return uses
         case BangLam(x, body):
-            return _walk(body, {**env, x: (NONLINEAR, 0)}, pos + (0,), violations, ids)
+            uses = _walk(body, {**env, x: NONLINEAR}, pos + (0,), violations)
+            uses.pop(x, None)
+            return uses
         case App(fun, arg):
             if isinstance(fun, BangLam):
-                _check_nonlinear_arg(arg, env, pos + (1,), violations)
-            uses = _walk(fun, env, pos + (0,), violations, ids)
-            uses.update(_walk(arg, env, pos + (1,), violations, ids))
+                _check_nonlinear_arg(arg, pos + (1,), violations)
+            uses = _walk(fun, env, pos + (0,), violations)
+            uses.update(_walk(arg, env, pos + (1,), violations))
             return uses
         case Bang(body):
-            uses = _walk(body, env, pos + (0,), violations, ids)
-            if uses:
-                names = sorted({x for x, (lin, bid) in env.items()
-                                if lin == LINEAR and uses.get(bid)})
-                free_linear = ", ".join(repr(n) for n in names) or "a linear variable"
+            uses = _walk(body, env, pos + (0,), violations)
+            listed = _linear_names(uses, env)
+            if listed:
                 violations.append((pos, "bang",
-                                   f"nonlinear term captures linear variable(s) {free_linear}"))
+                                   f"nonlinear term captures linear variable(s) {listed}"))
             return uses
         case QubitConst(q):
-            if not is_normalized((a for _, a in q.amps), EPS_NORM):
+            if not q.is_unit(EPS_NORM):
                 violations.append((pos, "superposition",
                                    f"register amplitudes have squared mass {q.norm_sq():.6g}, "
                                    "expected 1"))
@@ -178,28 +126,27 @@ def _walk(t: Term, env: dict[str, tuple[str, int]], pos: Position,
         case GateConst(_) | MeasConst(_):
             return Counter()
         case If(c, a, b):
-            uses = _walk(c, env, pos + (0,), violations, ids)
+            uses = _walk(c, env, pos + (0,), violations)
             for child_index, arm in ((1, a), (2, b)):
-                arm_uses = _walk(arm, env, pos + (child_index,), violations, ids)
-                if arm_uses:
-                    names = sorted({x for x, (lin, bid) in env.items()
-                                    if lin == LINEAR and arm_uses.get(bid)})
-                    listed = ", ".join(repr(n) for n in names) or "a linear variable"
+                arm_uses = _walk(arm, env, pos + (child_index,), violations)
+                listed = _linear_names(arm_uses, env)
+                if listed:
                     violations.append((pos, "linear",
                                        f"conditional arm consumes linear variable(s) "
                                        f"{listed}; the other arm would discard them"))
                 uses.update(arm_uses)
             return uses
         case LetTensor(x, y, value, body):
-            uses = _walk(value, env, pos + (0,), violations, ids)
-            env2 = {**env, x: (NONLINEAR, 0), y: (NONLINEAR, 0)}
-            uses.update(_walk(body, env2, pos + (1,), violations, ids))
+            uses = _walk(value, env, pos + (0,), violations)
+            inner = _walk(body, {**env, x: NONLINEAR, y: NONLINEAR}, pos + (1,), violations)
+            inner.pop(x, None)
+            inner.pop(y, None)
+            uses.update(inner)
             return uses
     raise TypeError(f"not a term: {t!r}")
 
 
-def _check_nonlinear_arg(arg: Term, env: dict[str, tuple[str, int]],
-                         pos: Position, violations: list[Violation]) -> None:
+def _check_nonlinear_arg(arg: Term, pos: Position, violations: list[Violation]) -> None:
     if isinstance(arg, (Bang, QubitConst)) or isinstance(arg, _REDUCIBLE_ARGS):
         return
     if isinstance(arg, Var):

@@ -63,7 +63,7 @@ def test_criterion_2_ensemble_mass_preserved():
         for _ in range(50):
             if all(chooser(t) is None for t, _ in ens.entries):
                 break
-            ens = det_step(ens, RULESET_ST, chooser)
+            ens = det_step(ens, chooser)
             assert abs(ens.mass() - 1.0) <= 1e-7
             checked += 1
             ens = min_ensemble(ens)

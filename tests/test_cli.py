@@ -155,6 +155,16 @@ def test_sample_deterministic(capsys):
     assert out1.strip() in ("!|0>", "!|1>")
 
 
+@pytest.mark.parametrize("mode", [("--ensemble",), ("--sample", "--seed", "0")])
+def test_run_step_budget_is_exact(capsys, mode):
+    """epr.qlam needs exactly two steps in either mode."""
+    path = str(PROGRAMS / "epr.qlam")
+    code, _, err = run_cli(capsys, "run", path, "--max-steps", "2", *mode)
+    assert code == 0 and err == ""
+    code, _, _ = run_cli(capsys, "run", path, "--max-steps", "1", *mode)
+    assert code == 1
+
+
 def test_sample_env_seed(monkeypatch, capsys):
     path = str(PROGRAMS / "measure_demo.qlam")
     monkeypatch.setenv("QLAM_SEED", "9")
@@ -209,6 +219,19 @@ def test_fmt_output_reparses(capsys):
         assert code == 0
         reparsed = parse_program(out)
         assert reparsed.defs
+
+
+@pytest.mark.parametrize("source", ["(0,0)!|0>", "(1e400,0)!|0> + (-1e400,0)!|0>"])
+def test_fmt_empty_register_reparses(tmp_path, capsys, source):
+    f = tmp_path / "empty.qlam"
+    f.write_text(f"main = {source};\n")
+    code, out, _ = run_cli(capsys, "fmt", str(f))
+    assert code == 0
+    assert out == "main = (0,0)!|0>;\n"
+    assert parse_program(out).main == parse_program(f.read_text()).main
+    code, out, _ = run_cli(capsys, "check", str(f))
+    assert code == 1
+    assert "squared mass 0" in out
 
 
 def test_strict_wf_rejects_sugared_registers(tmp_path, capsys):

@@ -248,21 +248,21 @@ def test_min_ensemble_independent_of_entry_order(spec, rng):
 
 def test_det_step_measurement():
     e = singleton(parse_term(f"M{{1}} {BIASED}"))
-    got = det_step(e, RULESET_T, strategy_chooser(RULESET_T))
+    got = det_step(e, strategy_chooser(RULESET_T))
     assert [(pretty(t), pytest.approx(p, abs=1e-9)) for t, p in got.entries] == \
         [("!|0>", 0.36), ("!|1>", 0.64)]
 
 
 def test_det_step_idles_on_normal_forms():
     e = TermEnsemble(((parse_term("!|0>"), 0.5), (parse_term("!|1>"), 0.5)))
-    assert det_step(e, RULESET_ST, strategy_chooser()) is e
+    assert det_step(e, strategy_chooser()) is e
 
 
 def test_det_step_cap():
     e = singleton(parse_term(
         "M{1,2} ((0.5,0)!|00> + (0.5,0)!|01> + (0.5,0)!|10> + (0.5,0)!|11>)"))
     with pytest.raises(EnsembleCapError):
-        det_step(e, RULESET_T, strategy_chooser(RULESET_T), cap=2)
+        det_step(e, strategy_chooser(RULESET_T), cap=2)
 
 
 def test_det_step_cap_fails_before_any_post_state(monkeypatch):
@@ -277,10 +277,10 @@ def test_det_step_cap_fails_before_any_post_state(monkeypatch):
         evaluate(full, cap=7)
     e = TermEnsemble(((parse_term("!|0>"), 0.5), (full, 0.5)))
     with pytest.raises(EnsembleCapError, match="ensemble exceeded 8 entries"):
-        det_step(e, RULESET_ST, strategy_chooser(), cap=8)
+        det_step(e, strategy_chooser(), cap=8)
     assert built == []
     monkeypatch.undo()
-    assert len(det_step(e, RULESET_ST, strategy_chooser(), cap=9)) == 9
+    assert len(det_step(e, strategy_chooser(), cap=9)) == 9
     assert len(evaluate(full, cap=8).ensemble) == 8
 
 
@@ -298,7 +298,7 @@ def test_det_step_preserves_mass_any_chooser(t, chooser_seed):
 
     e = singleton(t)
     for _ in range(6):
-        e = det_step(e, RULESET_ST, chooser)
+        e = det_step(e, chooser)
         assert abs(e.mass() - 1.0) <= 1e-7
         e = min_ensemble(e)
 
@@ -364,6 +364,27 @@ def test_sample_step_limit():
         sample(OMEGA, seed=0, max_steps=50)
 
 
+@pytest.mark.parametrize("source", [r"(\x. H x) ((\y. y) !|0>)", r"M{1} ((\x. H x) !|0>)"])
+def test_step_budget_is_exact(source):
+    """A term that needs exactly n steps reaches its normal form with a
+    budget of n and not with n - 1, evaluated or sampled."""
+    t = parse_term(source)
+    n = evaluate(t).steps
+    assert n >= 2
+    assert evaluate(t, max_steps=n).status == "Converged"
+    assert evaluate(t, max_steps=n - 1).status == "StepLimit"
+    assert sample(t, seed=0, max_steps=n) == sample(t, seed=0)
+    with pytest.raises(StepLimitError):
+        sample(t, seed=0, max_steps=n - 1)
+
+
+def test_sample_zero_budget():
+    normal = parse_term("!|0>")
+    assert sample(normal, seed=0, max_steps=0) == normal
+    with pytest.raises(StepLimitError):
+        sample(parse_term(r"(\x. x) !|0>"), seed=0, max_steps=0)
+
+
 def test_sample_frequency_smoke():
     t = parse_term(f"M{{1}} {BIASED}")
     ones = sum(1 for s in range(3000) if pretty(sample(t, seed=s)) == "!|1>")
@@ -387,6 +408,8 @@ def sample_all_branches(t, seed, max_steps=10_000, trace=None):
         if trace is not None:
             trace(step_index, 0, chosen)
         term = chosen.target
+    if step_strategy(term)[0].rule == RULE_ID:
+        return term
     raise StepLimitError(f"no normal form within {max_steps} steps")
 
 

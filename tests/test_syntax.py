@@ -244,6 +244,13 @@ def test_pretty_qubit_deterministic_order():
     assert pretty(t) == "(0.6,0)!|0> + (0.8,0)!|1>"
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_pretty_empty_register_parses_back(width):
+    t = QubitConst(QubitValue(width, ()))
+    assert pretty(t) == f"(0,0)!|{'0' * width}>"
+    assert alpha_eq(parse_term(pretty(t)), t)
+
+
 @given(generated_term())
 def test_round_trip(t):
     assert alpha_eq(parse_term(pretty(t)), t)

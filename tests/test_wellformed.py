@@ -1,13 +1,31 @@
 import math
+import random
 
+import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
+from qlam.confluence import _Gen
 from qlam.parser import parse_term, parse_term_with_notes
 from qlam.reduction import RULESET_ST, enumerate_redexes, step_at
-from qlam.syntax import alpha_eq
-from qlam.wellformed import Context, check, is_normalized
+from qlam.syntax import (
+    App,
+    Bang,
+    BangLam,
+    If,
+    Lam,
+    LetTensor,
+    QubitConst,
+    Var,
+    alpha_eq,
+    positions,
+    replace_at,
+)
+from qlam.quantum import QubitValue
+from qlam.wellformed import check
 
 from conftest import generated_term, rename_binders
+from wellformed_oracles import check_reference
 
 S2 = f"{1 / math.sqrt(2):.17g}"
 HALF_SUP = f"(({S2},0)!|0> + ({S2},0)!|1>)"
@@ -136,25 +154,10 @@ def test_mixed_tensor_canonicalized_then_accepted():
 
 
 def test_is_normalized_values():
-    assert is_normalized([1], 1e-9)
-    assert is_normalized([1 / math.sqrt(2), 1 / math.sqrt(2)], 1e-9)
-    assert is_normalized([0.6, 0.8j], 1e-9)
-    assert not is_normalized([0.6, 0.9], 1e-9)
-
-
-# ---------------------------------------------------------------------------
-# context bookkeeping
-
-
-def test_context_rejects_duplicate_linear():
-    ctx = Context().extended("x", "linear")
-    assert ctx.lookup("x") == "linear"
-    try:
-        ctx.extended("x", "linear")
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("duplicate linear entry accepted")
+    assert QubitValue(1, ((0, 1),)).is_unit(1e-9)
+    assert QubitValue(1, ((0, 1 / math.sqrt(2)), (1, 1 / math.sqrt(2)))).is_unit(1e-9)
+    assert QubitValue(1, ((0, 0.6), (1, 0.8j))).is_unit(1e-9)
+    assert not QubitValue(1, ((0, 0.6), (1, 0.9))).is_unit(1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -183,3 +186,90 @@ def test_subject_reduction(t):
         for step in step_at(t, pos, rule):
             report = check(step.target)
             assert report.verdict, (rule, pos, report.violations)
+
+
+# ---------------------------------------------------------------------------
+# the one-walk check against the two-walk reference
+
+
+def assert_same_report(t):
+    got, want = check(t), check_reference(t)
+    assert got.verdict == want.verdict
+    assert got.violations == want.violations
+
+
+# names the generator also binds (v1, v2, ...), so wrappers shadow its
+# binders and capture its variables
+_NAMES = ("x", "y", "v1", "v2", "v3")
+_ZERO = QubitConst(QubitValue(1, ((0, 1),)))
+
+
+def _wrap(kind: str, x: str, t, rng: random.Random):
+    """t inside a context of the given kind; most kinds make it ill-formed."""
+    match kind:
+        case "unused":  # \x. t
+            return Lam(x, t)
+        case "nonlinear":  # \!x. t
+            return BangLam(x, t)
+        case "duplicate":  # (\x. x x) t
+            return App(Lam(x, App(Var(x), Var(x))), t)
+        case "bang-capture":  # \x. !(x t)
+            return Lam(x, Bang(App(Var(x), t)))
+        case "arm":  # \x. if t then x else !|0>, either arm
+            arms = (Var(x), _ZERO) if rng.random() < 0.5 else (_ZERO, Var(x))
+            return Lam(x, If(t, *arms))
+        case "free-twice":  # x t x
+            return App(App(Var(x), t), Var(x))
+        case "nonlinear-app":  # (\!x. x x) t
+            return App(BangLam(x, App(Var(x), Var(x))), t)
+        case "split":  # let x * y = !|00> in t
+            return LetTensor(x, "y", QubitConst(QubitValue(2, ((0, 1),))), t)
+        case "unnormalized":  # t (0.6,0)!|0>
+            return App(t, QubitConst(QubitValue(1, ((0, 0.6),))))
+        case "plant":  # t with one subterm replaced by x
+            pos = rng.choice(list(positions(t)))
+            return replace_at(t, pos, Var(x))
+    raise ValueError(kind)
+
+
+_KINDS = ("unused", "nonlinear", "duplicate", "bang-capture", "arm", "free-twice",
+          "nonlinear-app", "split", "unnormalized", "plant")
+
+
+@st.composite
+def unfiltered_term(draw):
+    """A generator term that has not been through check, under up to three
+    random wrappers."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = random.Random(seed)
+    t = _Gen(rng, draw(st.integers(1, 3))).gen(draw(st.integers(1, 12)), (), ())
+    for _ in range(draw(st.integers(0, 3))):
+        t = _wrap(draw(st.sampled_from(_KINDS)), draw(st.sampled_from(_NAMES)), t, rng)
+    return t
+
+
+@given(unfiltered_term())
+@settings(max_examples=300)
+def test_check_matches_reference(t):
+    assert_same_report(t)
+
+
+@pytest.mark.parametrize("source", [
+    r"\x. \x. x",
+    r"\x. (\!x. x x) !|0>",
+    r"\!x. \x. !x",
+    r"\x. \!x. !x",
+    r"\!x. \x. x x",
+    r"\x. let x * y = !|00> in x x",
+    r"\x. !(let x * y = !|00> in x)",
+    r"\y. let x * y = !|00> in y y",
+    r"let a * b = !|00> in b b",
+    r"\x. (\x. x) x",
+    r"\x. (\!z. z) !(\x. x)",
+    r"\x. if !|0> then (\x. x) else x",
+    r"x (\x. x) x",
+    r"(\z. z z) (H y)",
+    r"\x. !(x y)",
+])
+def test_check_matches_reference_on_shadowing(source):
+    assert_same_report(parse_term(source))
