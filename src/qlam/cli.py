@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .confluence import GenConfig, run_suite
 from .ensemble import (
@@ -29,38 +28,6 @@ from .wellformed import WfReport, check
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Settings for one `qlam run` invocation."""
-
-    mode: str = "ensemble"  # ensemble | sample
-    max_steps: int = 10_000
-    seed: int | None = None
-    strategy: str = "strategy"
-    json_output: bool = False
-    trace: bool = False
-    strict_wf: bool = False
-
-    def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.mode == "sample" and self.seed is None:
-            raise ValueError("sample mode requires a seed (pass --seed or set QLAM_SEED)")
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    seed = args.seed
-    env_seed = os.environ.get("QLAM_SEED")
-    if seed is None and args.sample and env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ValueError(f"QLAM_SEED must be an integer, not {env_seed!r}") from None
-    return RunConfig(mode="sample" if args.sample else "ensemble",
-                     max_steps=args.max_steps, seed=seed, strategy=args.strategy,
-                     json_output=args.json, trace=args.trace, strict_wf=args.strict_wf)
 
 
 class ProgramFileError(Exception):
@@ -137,41 +104,51 @@ def _trace_printer(step: ProbStep) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        config = _run_config(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    seed = args.seed
+    env_seed = os.environ.get("QLAM_SEED")
+    if seed is None and args.sample and env_seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"error: QLAM_SEED must be an integer, not {env_seed!r}", file=sys.stderr)
+            return EXIT_USAGE
+    if args.max_steps < 1:
+        print("error: max_steps must be >= 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.sample and seed is None:
+        print("error: sample mode requires a seed (pass --seed or set QLAM_SEED)",
+              file=sys.stderr)
         return EXIT_USAGE
     program = _load_program(args.file)
-    report, target = _checked_report(program, config.strict_wf)
+    report, target = _checked_report(program, args.strict_wf)
     if target is None:
         print("error: program has no main", file=sys.stderr)
         return EXIT_USAGE
     if not report.verdict:
-        _print_report(report, config.json_output)
+        _print_report(report, args.json)
         return EXIT_FAIL
 
-    trace = (lambda _i, _j, step: _trace_printer(step)) if config.trace else None
+    trace = (lambda _i, _j, step: _trace_printer(step)) if args.trace else None
 
-    if config.mode == "sample":
+    if args.sample:
         try:
-            result = sample(target, config.seed, max_steps=config.max_steps, trace=trace)
+            result = sample(target, seed, max_steps=args.max_steps, trace=trace)
         except StepLimitError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_FAIL
-        if config.json_output:
-            print(json.dumps({"term": pretty(result), "seed": config.seed}, indent=2))
+        if args.json:
+            print(json.dumps({"term": pretty(result), "seed": seed}, indent=2))
         else:
             print(pretty(result))
         return EXIT_OK
 
-    chooser = NAMED_CHOOSERS[config.strategy](RULESET_ST)
+    chooser = NAMED_CHOOSERS[args.strategy](RULESET_ST)
     try:
-        res = evaluate(target, max_steps=config.max_steps, chooser=chooser, trace=trace)
+        res = evaluate(target, max_steps=args.max_steps, chooser=chooser, trace=trace)
     except EnsembleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    if config.json_output:
+    if args.json:
         print(json.dumps(res.ensemble.to_json(res.status), indent=2))
     else:
         print(f"status: {res.status} ({res.steps} steps)")

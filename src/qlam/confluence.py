@@ -424,9 +424,7 @@ def check_diamond_ensemble(tau: TermEnsemble, rules_a: RuleSet, rules_b: RuleSet
 def check_diamond(t: Term, rules_a: RuleSet, rules_b: RuleSet,
                   pair_cap: int = 10_000, join_cap: int = 4096) -> DiamondReport:
     """Strong-diamond check from the single-term ensemble {<t, 1>}."""
-    report = check_diamond_ensemble(singleton(t), rules_a, rules_b, pair_cap, join_cap)
-    report.term = t
-    return report
+    return check_diamond_ensemble(singleton(t), rules_a, rules_b, pair_cap, join_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ have equal keys, ``alpha_eq`` only runs between entries of one bucket and
 against entries whose key is None (a register amplitude too close to the
 key threshold), which are compared with everything.  Candidates are still
 visited in entry order, so the results are exactly those of comparing every
-pair.
+pair.  Keys and comparisons read one shape per term, walked once and kept
+on the term, so keying an entry and comparing it again cost no new walk.
 """
 
 from __future__ import annotations
@@ -164,8 +165,8 @@ def equivalent_canonical(ma: TermEnsemble, mb: TermEnsemble,
     if len(ma) != len(mb):
         return False
     if len(ma) == 1:
-        # the common case in diamond checks: one alpha_eq costs less than
-        # two shape_key walks
+        # the common case in diamond checks: alpha_eq reads the two shapes,
+        # and keys would add a support pass and a bucket table
         (term, p), (other, q) = ma.entries[0], mb.entries[0]
         return abs(p - q) <= tol and alpha_eq(term, other, amp_tol)
     buckets = _Buckets()

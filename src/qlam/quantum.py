@@ -205,7 +205,8 @@ class QubitValue:
         return frozenset(u for u, _ in self.amps)
 
     def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for _, a in self.amps)
+        # m * m overflows to inf where m ** 2 raises OverflowError
+        return sum(m * m for m in (abs(a) for _, a in self.amps))
 
     def is_unit(self, tol: float = EPS_NORM) -> bool:
         return abs(self.norm_sq() - 1.0) <= tol

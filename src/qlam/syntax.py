@@ -17,12 +17,12 @@ is no term-level tensor, which is what makes cloning of unknown quantum data
 unwritable.  The destructuring binder LetTensor is the one primitive that
 takes a register apart, and only product states split.
 
-``shape_key`` is a hash key for alpha-equivalence under an amplitude
-tolerance: ``alpha_eq(a, b, tol)`` implies ``shape_key(a, tol) ==
-shape_key(b, tol)``, so terms with different keys never need comparing.  It
-returns None when a register amplitude lies too close to the key's support
-threshold to place on one side; such a term must be compared against every
-other.
+Alpha-equivalence reads a second memo kept the same way: a term's shape
+(nodes in preorder, bound variables as binder levels) and its registers,
+from one iterative walk.  ``alpha_eq`` compares shapes, then amplitudes
+within a tolerance.  ``shape_key``, the shape plus each register's support,
+is a hash key that alpha-equivalent terms share, or None when an amplitude
+is too close to the support threshold to place (compare with every term).
 """
 
 from __future__ import annotations
@@ -210,8 +210,10 @@ def term_size(t: Term) -> int:
 
 _EMPTY: frozenset[str] = frozenset()
 
-# Name of the instance attribute that holds a node's free-variable memo.
+# Names of the instance attributes that hold a node's free-variable memo and
+# a term's shape memo.
 _FREE = "_free_vars"
+_SHAPE = "_shape"
 
 
 @functools.lru_cache(maxsize=1024)
@@ -314,108 +316,105 @@ def substitute(body: Term, var: str, replacement: Term) -> Term:
 # Alpha-equivalence
 
 
+def _shape(t: Term) -> tuple[tuple, tuple[QubitValue, ...]]:
+    """The shape of t and its registers, from one preorder walk, kept on t.
+
+    The shape lists each node's class and payload: a bound variable's binder
+    level (a binder at depth d binds level d; LetTensor binds d and d + 1),
+    a free variable's name, a register's width, a gate's GateExpr (compared
+    by ==, not by name) and a measurement's wire set.  Each class has fixed
+    numbers of children and payloads, so equal shapes mean terms equal up to
+    bound names and amplitudes.  LetTensor's body goes before its value, so
+    its binders are in scope exactly while the body is walked.
+    """
+    memo = getattr(t, _SHAPE, None)
+    if memo is not None:
+        return memo
+    out: list = []
+    registers: list[QubitValue] = []
+    levels: dict[str, int | None] = {}  # name -> innermost binder level
+    depth = 0
+    stack: list = [t]
+    while stack:
+        term = stack.pop()
+        cls = type(term)
+        if cls is tuple:  # leaving a binder: (name, outer level or None, depth)
+            name, levels[name], depth = term
+            continue
+        out.append(cls)
+        if cls is Var:
+            level = levels.get(term.name)
+            out.append(term.name if level is None else level)
+        elif cls is App:
+            stack += term.arg, term.fun
+        elif cls is Lam or cls is BangLam:
+            stack.append((term.var, levels.get(term.var), depth))
+            levels[term.var] = depth
+            depth += 1
+            stack.append(term.body)
+        elif cls is Bang:
+            stack.append(term.body)
+        elif cls is If:
+            stack += term.orelse, term.then, term.cond
+        elif cls is LetTensor:
+            stack.append(term.value)
+            for name in (term.left, term.right):
+                stack.append((name, levels.get(name), depth))
+                levels[name] = depth
+                depth += 1
+            stack.append(term.body)
+        elif cls is QubitConst:
+            out.append(term.value.width)
+            registers.append(term.value)
+        elif cls is GateConst:
+            out.append(term.gate)
+        elif cls is MeasConst:
+            out.append(term.indices)
+        else:
+            raise TypeError(f"not a term: {term!r}")
+    memo = (tuple(out), tuple(registers))
+    object.__setattr__(t, _SHAPE, memo)
+    return memo
+
+
 def alpha_eq(a: Term, b: Term, tol: float = AMP_TOL) -> bool:
     """Structural equality up to consistent renaming of bound variables.
 
     Qubit constants compare amplitude-wise with absolute tolerance ``tol``
     (they are already canonical: zero summands dropped, indices sorted).
     """
-
-    def go(a: Term, b: Term, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
-        if type(a) is not type(b):
-            return False
-        match a, b:
-            case Var(x), Var(y):
-                la, lb = env_a.get(x), env_b.get(y)
-                if la is None and lb is None:
-                    return x == y
-                return la == lb
-            case (Lam(x, ba), Lam(y, bb)) | (BangLam(x, ba), BangLam(y, bb)):
-                return go(ba, bb, {**env_a, x: depth}, {**env_b, y: depth}, depth + 1)
-            case App(f1, a1), App(f2, a2):
-                return go(f1, f2, env_a, env_b, depth) and go(a1, a2, env_a, env_b, depth)
-            case Bang(ba), Bang(bb):
-                return go(ba, bb, env_a, env_b, depth)
-            case GateConst(g1), GateConst(g2):
-                return g1 == g2
-            case QubitConst(q1), QubitConst(q2):
-                return amps_close(q1, q2, tol)
-            case MeasConst(i1), MeasConst(i2):
-                return i1 == i2
-            case If(c1, t1, e1), If(c2, t2, e2):
-                return (go(c1, c2, env_a, env_b, depth)
-                        and go(t1, t2, env_a, env_b, depth)
-                        and go(e1, e2, env_a, env_b, depth))
-            case LetTensor(x1, y1, v1, b1), LetTensor(x2, y2, v2, b2):
-                if not go(v1, v2, env_a, env_b, depth):
-                    return False
-                ea = {**env_a, x1: depth, y1: depth + 1}
-                eb = {**env_b, x2: depth, y2: depth + 1}
-                return go(b1, b2, ea, eb, depth + 2)
-            case _:
-                return False
-
-    return go(a, b, {}, {}, 0)
+    shape_a, registers_a = _shape(a)
+    shape_b, registers_b = _shape(b)
+    return shape_a == shape_b and all(
+        amps_close(x, y, tol) for x, y in zip(registers_a, registers_b))
 
 
 def shape_key(t: Term, tol: float = AMP_TOL) -> tuple | None:
     """A hashable key such that ``alpha_eq(a, b, tol)`` implies
     ``shape_key(a, tol) == shape_key(b, tol)``, or None.
 
-    The key is the preorder sequence of node types with their payloads:
-    bound variables as binder levels (numbered as alpha_eq numbers them),
-    free variables by name, gate names, measured wire sets, and for each
-    register its width and the indices whose amplitude modulus exceeds
-    KEY_AMP_THRESHOLD.  An amplitude within the tolerance band around the
-    threshold could sit on either side of it in a tolerance-close register,
-    so the key is None then (the band is twice ``tol`` wide on each side, a
-    margin for float rounding in amps_close).
+    The key is the term's shape (see _shape) plus, for each register, its
+    support: the indices whose amplitude modulus exceeds KEY_AMP_THRESHOLD.
+    An amplitude within the tolerance band around the threshold could sit
+    on either side of it in a tolerance-close register, so the key is None
+    then (the band is twice ``tol`` wide on each side, a margin for float
+    rounding in amps_close).
     """
     band = 2 * tol
     if not band < KEY_AMP_THRESHOLD:
         band = math.inf  # an absent index (modulus 0) is inside the band too
-    out: list = []
-    stack: list[tuple[Term, dict[str, int], int]] = [(t, {}, 0)]
-    while stack:
-        term, env, depth = stack.pop()
-        cls = type(term)
-        out.append(cls)
-        if cls is Var:
-            level = env.get(term.name)
-            out.append(term.name if level is None else level)
-        elif cls is Lam or cls is BangLam:
-            stack.append((term.body, {**env, term.var: depth}, depth + 1))
-        elif cls is App:
-            stack.append((term.arg, env, depth))
-            stack.append((term.fun, env, depth))
-        elif cls is Bang:
-            stack.append((term.body, env, depth))
-        elif cls is If:
-            stack.append((term.orelse, env, depth))
-            stack.append((term.then, env, depth))
-            stack.append((term.cond, env, depth))
-        elif cls is LetTensor:
-            inner = {**env, term.left: depth, term.right: depth + 1}
-            stack.append((term.body, inner, depth + 2))
-            stack.append((term.value, env, depth))
-        elif cls is QubitConst:
-            q = term.value
-            support = []
-            for u, a in q.amps:
-                modulus = abs(a)
-                if not abs(modulus - KEY_AMP_THRESHOLD) > band:
-                    return None
-                if modulus > KEY_AMP_THRESHOLD:
-                    support.append(u)
-            out.append(q.width)
-            out.append(tuple(support))
-        elif cls is GateConst:
-            out.append(term.gate.names)
-        elif cls is MeasConst:
-            out.append(term.indices)
-        else:
-            raise TypeError(f"not a term: {term!r}")
-    return tuple(out)
+    shape, registers = _shape(t)
+    supports = []
+    for q in registers:
+        support = []
+        for u, a in q.amps:
+            modulus = abs(a)
+            if not abs(modulus - KEY_AMP_THRESHOLD) > band:
+                return None
+            if modulus > KEY_AMP_THRESHOLD:
+                support.append(u)
+        supports.append(tuple(support))
+    return shape, tuple(supports)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,34 @@
-"""Reference implementations of free variables and substitution: the
-uncached ``free_vars`` and the always-rebuild ``substitute`` that
-``qlam.syntax`` replaced with a per-node free-variable memo and a
-substitution that shares every subterm it does not touch.  They are kept
-only as test oracles.
+"""Reference implementations of free variables, substitution and
+alpha-equivalence: the uncached ``free_vars``, the always-rebuild
+``substitute``, the recursive ``alpha_eq`` and the separate ``shape_key``
+walk that ``qlam.syntax`` replaced with a per-node free-variable memo, a
+substitution that shares every subterm it does not touch, and one memoized
+shape walk behind both alpha-equivalence functions.  They are kept only as
+test oracles.
 
 - ``free_vars_reference`` walks the whole term on every call.
 - ``substitute_reference`` rebuilds every node of the body, whether or not
   the variable occurs under it, and renames binders exactly as
   ``qlam.syntax.substitute`` does.
+- ``alpha_eq_reference`` recurses over both terms at once, one Python frame
+  per level, copying the binder environment at every binder.
+- ``shape_key_reference`` walks the term on every call and keys gates by
+  their names.
 """
 
 from __future__ import annotations
 
+import math
+
+from qlam.quantum import amps_close
 from qlam.syntax import (
+    AMP_TOL,
+    KEY_AMP_THRESHOLD,
+    App,
+    Bang,
     BangLam,
     GateConst,
+    If,
     Lam,
     LetTensor,
     MeasConst,
@@ -83,3 +97,96 @@ def substitute_reference(body: Term, var: str, replacement: Term) -> Term:
                 return with_children(t, tuple(go(c) for c in children(t)))
 
     return go(body)
+
+
+def alpha_eq_reference(a: Term, b: Term, tol: float = AMP_TOL) -> bool:
+    """Structural equality up to consistent renaming of bound variables."""
+
+    def go(a: Term, b: Term, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
+        if type(a) is not type(b):
+            return False
+        match a, b:
+            case Var(x), Var(y):
+                la, lb = env_a.get(x), env_b.get(y)
+                if la is None and lb is None:
+                    return x == y
+                return la == lb
+            case (Lam(x, ba), Lam(y, bb)) | (BangLam(x, ba), BangLam(y, bb)):
+                return go(ba, bb, {**env_a, x: depth}, {**env_b, y: depth}, depth + 1)
+            case App(f1, a1), App(f2, a2):
+                return go(f1, f2, env_a, env_b, depth) and go(a1, a2, env_a, env_b, depth)
+            case Bang(ba), Bang(bb):
+                return go(ba, bb, env_a, env_b, depth)
+            case GateConst(g1), GateConst(g2):
+                return g1 == g2
+            case QubitConst(q1), QubitConst(q2):
+                return amps_close(q1, q2, tol)
+            case MeasConst(i1), MeasConst(i2):
+                return i1 == i2
+            case If(c1, t1, e1), If(c2, t2, e2):
+                return (go(c1, c2, env_a, env_b, depth)
+                        and go(t1, t2, env_a, env_b, depth)
+                        and go(e1, e2, env_a, env_b, depth))
+            case LetTensor(x1, y1, v1, b1), LetTensor(x2, y2, v2, b2):
+                if not go(v1, v2, env_a, env_b, depth):
+                    return False
+                ea = {**env_a, x1: depth, y1: depth + 1}
+                eb = {**env_b, x2: depth, y2: depth + 1}
+                return go(b1, b2, ea, eb, depth + 2)
+            case _:
+                return False
+
+    return go(a, b, {}, {}, 0)
+
+
+def shape_key_reference(t: Term, tol: float = AMP_TOL) -> tuple | None:
+    """The preorder sequence of node types with their payloads: bound
+    variables as binder levels, free variables by name, gate names, measured
+    wire sets, and each register's width and the indices whose amplitude
+    modulus exceeds KEY_AMP_THRESHOLD; None when an amplitude lies within
+    twice ``tol`` of that threshold."""
+    band = 2 * tol
+    if not band < KEY_AMP_THRESHOLD:
+        band = math.inf  # an absent index (modulus 0) is inside the band too
+    out: list = []
+    stack: list[tuple[Term, dict[str, int], int]] = [(t, {}, 0)]
+    while stack:
+        term, env, depth = stack.pop()
+        cls = type(term)
+        out.append(cls)
+        if cls is Var:
+            level = env.get(term.name)
+            out.append(term.name if level is None else level)
+        elif cls is Lam or cls is BangLam:
+            stack.append((term.body, {**env, term.var: depth}, depth + 1))
+        elif cls is App:
+            stack.append((term.arg, env, depth))
+            stack.append((term.fun, env, depth))
+        elif cls is Bang:
+            stack.append((term.body, env, depth))
+        elif cls is If:
+            stack.append((term.orelse, env, depth))
+            stack.append((term.then, env, depth))
+            stack.append((term.cond, env, depth))
+        elif cls is LetTensor:
+            inner = {**env, term.left: depth, term.right: depth + 1}
+            stack.append((term.body, inner, depth + 2))
+            stack.append((term.value, env, depth))
+        elif cls is QubitConst:
+            q = term.value
+            support = []
+            for u, a in q.amps:
+                modulus = abs(a)
+                if not abs(modulus - KEY_AMP_THRESHOLD) > band:
+                    return None
+                if modulus > KEY_AMP_THRESHOLD:
+                    support.append(u)
+            out.append(q.width)
+            out.append(tuple(support))
+        elif cls is GateConst:
+            out.append(term.gate.names)
+        elif cls is MeasConst:
+            out.append(term.indices)
+        else:
+            raise TypeError(f"not a term: {term!r}")
+    return tuple(out)

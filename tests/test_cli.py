@@ -417,3 +417,15 @@ def test_python_m_qlam_deep_nesting_prints_no_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.startswith(b"parse error: ") and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["check", "run"])
+def test_overflowing_register_mass_exits_one(tmp_path, command):
+    """Squared amplitudes past the float range are a check violation (mass
+    inf), not an OverflowError."""
+    path = tmp_path / "huge.qlam"
+    path.write_text("main = (1e300,0)!|0> + (1e300,0)!|1>;\n")
+    proc = run_module(command, str(path))
+    assert proc.returncode == 1
+    assert b"superposition: register amplitudes have squared mass inf, expected 1" in proc.stdout
+    assert b"Traceback" not in proc.stderr

@@ -1,18 +1,20 @@
+import itertools
 import random
 
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
-from qlam.ensemble import evaluate
+from qlam.ensemble import TermEnsemble, evaluate, min_ensemble
 from qlam.parser import parse_program, parse_term
-from qlam.quantum import QubitValue
+from qlam.quantum import PAULI_X, PAULI_Z, GateAtom, GateExpr, QubitValue
 from qlam.syntax import (
     AMP_TOL,
     KEY_AMP_THRESHOLD,
     App,
     Bang,
     BangLam,
+    GateConst,
     Lam,
     LetTensor,
     QubitConst,
@@ -36,7 +38,12 @@ from conftest import (
     random_terms,
     rename_binders,
 )
-from syntax_oracles import free_vars_reference, substitute_reference
+from syntax_oracles import (
+    alpha_eq_reference,
+    free_vars_reference,
+    shape_key_reference,
+    substitute_reference,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +157,80 @@ def test_shape_key_separates_only_inequivalent_terms(a, b):
     if None not in (ka, kb) and ka != kb:
         assert not alpha_eq(a, b)
     assert hash(ka) == hash(shape_key(a))
+
+
+@given(generated_term(), generated_term(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.5),
+       st.sampled_from([AMP_TOL, 1e-7, KEY_AMP_THRESHOLD]))
+def test_shape_walk_matches_reference(a, b, seed, scale, tol):
+    """On unrelated terms and on renamed copies whose registers moved by up
+    to 1.5 tolerances per component, alpha_eq agrees with the recursive
+    reference, shape_key is None exactly when the reference key is, and two
+    keys are equal exactly when the reference keys are."""
+    copy = perturb_registers(rename_binders(a, "k"), random.Random(seed), scale * tol)
+    terms = (a, b, copy)
+    keys = [shape_key(t, tol) for t in terms]
+    references = [shape_key_reference(t, tol) for t in terms]
+    for key, reference in zip(keys, references):
+        assert (key is None) == (reference is None)
+    for i, j in itertools.combinations(range(3), 2):
+        assert alpha_eq(terms[i], terms[j], tol) == alpha_eq_reference(terms[i], terms[j], tol)
+        assert (keys[i] == keys[j]) == (references[i] == references[j])
+
+
+def _gate(name, matrix):
+    return GateConst(GateExpr((GateAtom(name, matrix),)))
+
+
+def test_shape_walk_hand_built_cases():
+    """Gates compare by matrix, not name; a free variable never matches a
+    bound one, also where its name was bound in an earlier scope; a
+    LetTensor whose two binders share a name binds the right one, as in the
+    reference."""
+    q = "(0.6,0)!|00> + (0.8,0)!|01>"
+    value = parse_term(q)
+    x_gate, z_gate = _gate("U", PAULI_X.matrix), _gate("U", PAULI_Z.matrix)
+    cases = [
+        (x_gate, z_gate, False),
+        (x_gate, _gate("U", PAULI_X.matrix), True),
+        (Lam("x", Var("x")), Lam("y", Var("x")), False),
+        (Lam("x", App(Var("x"), Var("y"))), Lam("y", App(Var("y"), Var("y"))), False),
+        (Lam("x", Var("0")), Lam("x", Var("x")), False),
+        # a name is free again once its binder's scope is left
+        (App(Lam("x", Var("x")), Var("x")), App(Lam("y", Var("y")), Var("x")), True),
+        (App(Lam("x", Var("x")), Lam("y", Var("x"))),
+         App(Lam("x", Var("x")), Lam("y", Var("y"))), False),
+        (LetTensor("x", "y", Var("x"), Var("x")), LetTensor("a", "b", Var("x"), Var("a")), True),
+        (LetTensor("a", "a", value, Var("a")), parse_term(f"let c * d = {q} in d"), True),
+        (LetTensor("a", "a", value, Var("a")), parse_term(f"let c * d = {q} in c"), False),
+    ]
+    for a, b, expected in cases:
+        assert alpha_eq(a, b) == alpha_eq_reference(a, b) == expected
+        assert alpha_eq(b, a) == expected
+        assert (shape_key(a) == shape_key(b)) == expected
+    assert shape_key_reference(x_gate) == shape_key_reference(z_gate)
+
+
+def _deep_chain(prefix, amplitude=1.0):
+    """A term nesting 20,001 levels, built with constructors: 10,000
+    abstractions, each over an application of the next level to a variable
+    bound by it or by a binder further out, around one register."""
+    count = 10_000
+    t = QubitConst(QubitValue(1, ((0, amplitude),)))
+    for i in range(count):
+        t = Lam(f"{prefix}{i}", App(t, Var(f"{prefix}{min(2 * i, count - 1)}")))
+    return t
+
+
+def test_deep_terms_compare_without_recursion():
+    """Terms far deeper than the parser's recursion limit compare, key and
+    canonicalize without one Python frame per level."""
+    a, b = _deep_chain("a"), _deep_chain("b")
+    assert alpha_eq(a, b)
+    assert not alpha_eq(a, _deep_chain("c", -1.0))
+    assert shape_key(a) is not None and shape_key(a) == shape_key(b)
+    merged = min_ensemble(TermEnsemble(((a, 0.5), (b, 0.5))))
+    assert len(merged) == 1
+    assert merged.entries[0][0] is a and merged.entries[0][1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +445,14 @@ def test_free_vars_sets_are_shared():
 
 @given(st.integers(0, 2**32 - 1))
 def test_free_vars_memo_leaves_equality_hash_and_repr(seed):
-    """A term whose free variables were computed still equals, hashes and
-    prints as a fresh copy on which they were not."""
+    """A term whose free variables and shapes were computed still equals,
+    hashes and prints as a fresh copy on which they were not."""
     (t,), (copy,) = random_terms(seed, 1), random_terms(seed, 1)
     t, copy = App(Var("hole"), t), App(Var("hole"), copy)
     before = repr(t), hash(t)
     for pos in positions(t):
         free_vars(subterm_at(t, pos))
+        shape_key(subterm_at(t, pos))
     assert (repr(t), hash(t)) == before
     assert t == copy and copy == t
     assert hash(copy) == hash(t) and repr(copy) == repr(t)

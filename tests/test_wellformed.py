@@ -145,6 +145,13 @@ def test_unnormalized_rejected():
     assert any(rule == "superposition" for _, rule, _ in report.violations)
 
 
+def test_overflowing_mass_reported():
+    report = check(parse_term("(1e300,0)!|0> + (1e300,0)!|1>"))
+    assert not report.verdict
+    assert report.violations == [
+        ((), "superposition", "register amplitudes have squared mass inf, expected 1")]
+
+
 def test_mixed_tensor_canonicalized_then_accepted():
     # written as a base qubit tensored with a superposition: well-formed in
     # canonical form, flagged by the strict surface notes as written
