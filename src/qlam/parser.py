@@ -163,10 +163,6 @@ class Program:
     strict_notes: list[tuple[int, int, str]] = field(default_factory=list)
 
 
-# Tokens that can start a prim, for application chaining.
-_PRIM_START = {("name",), ("ket",), ("sym", "!"), ("sym", "(")}
-
-
 class _Parser:
     def __init__(self, tokens: list[Token], gates: dict[str, GateAtom], defs: dict[str, Term]):
         self.tokens = tokens
@@ -507,7 +503,6 @@ def parse_program(source: str) -> Program:
     gates: dict[str, GateAtom] = {}
     defs: dict[str, Term] = {}
     order: list[tuple[str, Term]] = []
-    notes: list[tuple[int, int, str]] = []
     parser = _Parser(tokens, gates, defs)
     while not parser.at("eof"):
         if parser.at("keyword", "gate"):
@@ -541,9 +536,8 @@ def parse_program(source: str) -> Program:
         _check_height(body, name_tok)
         defs[name_tok.text] = body
         order.append((name_tok.text, body))
-    notes.extend(parser.strict_notes)
     main = defs.get("main")
-    return Program(gates=gates, defs=order, main=main, strict_notes=notes)
+    return Program(gates=gates, defs=order, main=main, strict_notes=parser.strict_notes)
 
 
 def _parse_matrix(parser: _Parser) -> tuple[tuple[complex, ...], ...]:

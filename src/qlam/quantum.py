@@ -157,6 +157,14 @@ def identity_gate(width: int) -> GateExpr:
 # Qubit registers
 
 
+def _modulus(a: complex) -> float:
+    """abs(a), or inf where the modulus is past the float range."""
+    try:
+        return abs(a)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class QubitValue:
     """Canonical sparse superposition over a ``width``-wire register.
@@ -192,7 +200,12 @@ class QubitValue:
                 if not 0 <= u < dim:
                     raise ValueError(f"basis index {u} out of range for width {width}")
                 merged[u] = merged.get(u, 0j) + complex(a)
-        cleaned = tuple(sorted((u, a) for u, a in merged.items() if abs(a) > EPS_ZERO))
+        try:
+            cleaned = tuple(sorted((u, a) for u, a in merged.items() if abs(a) > EPS_ZERO))
+        except OverflowError:
+            # a modulus past the float range is inf, so its amplitude is kept
+            cleaned = tuple(sorted((u, a) for u, a in merged.items()
+                                   if _modulus(a) > EPS_ZERO))
         object.__setattr__(self, "amps", cleaned)
 
     def amp(self, u: int) -> complex:
@@ -206,7 +219,10 @@ class QubitValue:
 
     def norm_sq(self) -> float:
         # m * m overflows to inf where m ** 2 raises OverflowError
-        return sum(m * m for m in (abs(a) for _, a in self.amps))
+        try:
+            return sum(m * m for m in (abs(a) for _, a in self.amps))
+        except OverflowError:  # a modulus past the float range
+            return math.inf
 
     def is_unit(self, tol: float = EPS_NORM) -> bool:
         return abs(self.norm_sq() - 1.0) <= tol

@@ -8,6 +8,7 @@ import pytest
 from qlam.cli import main
 from qlam.parser import _MAX_OPEN, MAX_NESTING, parse_program
 from qlam.syntax import alpha_eq
+from qlam.wellformed import check
 
 from conftest import GOLDEN, NESTED, OPEN, PROGRAMS, REPO, let_chain
 
@@ -135,6 +136,33 @@ def test_confluence_bad_sizes_exit_two(capsys, flags):
     assert out == "" and err.startswith("error: ")
 
 
+def test_confluence_bad_pair_exit_two(capsys):
+    code, out, err = run_cli(capsys, "confluence", "--count", "5", "--pairs", "T:X")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad rule-set pair 'T:X' (use S:T etc.)\n"
+
+
+def test_check_gates_only_file_exit_one(tmp_path, capsys):
+    f = tmp_path / "gates.qlam"
+    f.write_text("gate G = [[0,1],[1,0]];\n")
+    code, out, _ = run_cli(capsys, "check", str(f))
+    assert code == 1
+    assert "[root] program: no definitions in file" in out
+
+
+@pytest.mark.parametrize("source, note", [
+    ("let a * b = !|0> in a", "split of a single-wire register"),
+    ("M{3} !|0>", "measured wire 3 beyond width 1"),
+])
+def test_run_reports_stuck_root(tmp_path, capsys, source, note):
+    f = tmp_path / "stuck.qlam"
+    f.write_text(f"main = {source};\n")
+    code, out, _ = run_cli(capsys, "run", str(f))
+    assert code == 0
+    assert f"note: stuck at root: {note}" in out
+
+
 def test_run_requires_main(tmp_path, capsys):
     f = tmp_path / "nomain.qlam"
     f.write_text("helper = !|0>;\n")
@@ -145,6 +173,14 @@ def test_run_requires_main(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # sampling
+
+
+def test_sample_json(capsys):
+    code, out, _ = run_cli(capsys, "run", str(PROGRAMS / "epr.qlam"),
+                           "--sample", "--seed", "3", "--json")
+    assert code == 0
+    assert out == json.dumps({"term": "(0.707106781187,0)!|00> + (0.707106781187,0)!|11>",
+                              "seed": 3}, indent=2) + "\n"
 
 
 def test_sample_deterministic(capsys):
@@ -419,13 +455,29 @@ def test_python_m_qlam_deep_nesting_prints_no_traceback(tmp_path):
     assert proc.stderr.startswith(b"parse error: ") and b"Traceback" not in proc.stderr
 
 
+HUGE_AMPLITUDE = "main = (1e308,1.5e308)!|0>;\n"
+
+
 @pytest.mark.parametrize("command", ["check", "run"])
 def test_overflowing_register_mass_exits_one(tmp_path, command):
-    """Squared amplitudes past the float range are a check violation (mass
-    inf), not an OverflowError."""
+    """Squared amplitudes, or a modulus, past the float range are a check
+    violation (mass inf), not an OverflowError."""
     path = tmp_path / "huge.qlam"
-    path.write_text("main = (1e300,0)!|0> + (1e300,0)!|1>;\n")
-    proc = run_module(command, str(path))
-    assert proc.returncode == 1
-    assert b"superposition: register amplitudes have squared mass inf, expected 1" in proc.stdout
-    assert b"Traceback" not in proc.stderr
+    for source in ("main = (1e300,0)!|0> + (1e300,0)!|1>;\n", HUGE_AMPLITUDE):
+        path.write_text(source)
+        proc = run_module(command, str(path))
+        assert proc.returncode == 1
+        assert b"[root] superposition: register amplitudes have squared mass inf, expected 1" \
+            in proc.stdout
+        assert b"Traceback" not in proc.stderr
+
+
+def test_overflowing_amplitude_modulus_formats(tmp_path):
+    path = tmp_path / "huge.qlam"
+    path.write_text(HUGE_AMPLITUDE)
+    proc = run_module("fmt", str(path))
+    assert proc.returncode == 0
+    assert proc.stdout == b"main = (1e+308,1.5e+308)!|0>;\n"
+    term = parse_program(proc.stdout.decode()).main
+    assert term == parse_program(HUGE_AMPLITUDE).main
+    assert not check(term).verdict

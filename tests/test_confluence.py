@@ -1,18 +1,22 @@
 import math
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from qlam import confluence
 from qlam.confluence import (
     BudgetExceededError,
+    DiamondReport,
     GenConfig,
     check_diamond,
     check_diamond_ensemble,
     generate,
     regression_seeds,
     run_suite,
+    _Gen,
 )
 from qlam.ensemble import TermEnsemble, equivalent, singleton
 from qlam.parser import parse_term
@@ -31,6 +35,7 @@ from qlam.syntax import (
 )
 from qlam.wellformed import check
 
+from confluence_oracles import find_join_reference
 from conftest import random_terms
 
 S2 = f"{1 / math.sqrt(2):.17g}"
@@ -91,6 +96,9 @@ def test_constructor_coverage():
 def test_normal_form_vacuously_confluent():
     report = check_diamond(parse_term(r"\x. x"), RULESET_T, RULESET_T)
     assert report.pairs_checked == 0 and report.ok
+    # a report holds its pair count and failures, and reads ok from them
+    assert isinstance(report, DiamondReport)
+    assert vars(report) == {"pairs_checked": 0, "failures": []}
 
 
 def test_two_measurements_commute():
@@ -132,6 +140,72 @@ def test_diamond_detects_genuine_failure():
     assert not check(bad).verdict
     report = check_diamond(bad, RULESET_S, RULESET_T)
     assert not report.ok
+
+
+def _ill_formed_family(count: int) -> list:
+    """Generated terms passed to a linear or a nonlinear abstraction that
+    uses its argument twice.  Many are ill-formed, so under S:T and S:S
+    some of their diamonds fail."""
+    out = []
+    for i in range(count):
+        rng = random.Random(f"f:{i}")
+        arg = _Gen(rng, 2).gen(rng.randint(2, 8), (), ())
+        dup = App(Var("z"), Var("z"))
+        out.append(App(Lam("z", dup) if rng.random() < 0.5 else BangLam("z", dup), arg))
+    return out
+
+
+def test_find_join_agrees_with_reference(monkeypatch):
+    """The join search over canonical lists gives the verdict of the
+    interleaved search it replaced, on joins that exist and on joins that
+    do not."""
+    find_join = confluence._find_join
+    verdicts = Counter()
+
+    def checked(omegas1, omegas2):
+        found = find_join(omegas1, omegas2)
+        assert found == find_join_reference(omegas1, omegas2)
+        verdicts[found] += 1
+        return found
+
+    monkeypatch.setattr(confluence, "_find_join", checked)
+    reports = Counter()
+    for t in _ill_formed_family(600):
+        for rules_a, rules_b in ((RULESET_T, RULESET_T), (RULESET_S, RULESET_T),
+                                 (RULESET_S, RULESET_S)):
+            try:
+                reports[check_diamond(t, rules_a, rules_b).ok] += 1
+            except BudgetExceededError:
+                continue
+    assert verdicts[True] and verdicts[False]
+    assert reports[True] and reports[False]
+
+
+@pytest.mark.parametrize("source, rules, built", [
+    (f"(M{{1}} {HALF}) (M{{1}} {HALF})", (RULESET_T, RULESET_T), 22),
+    (r"(\x. H x) (M{1} " + HALF + ")", (RULESET_S, RULESET_T), 10),
+])
+def test_each_move_canonicalized_once(monkeypatch, source, rules, built):
+    """A diamond check canonicalizes every ensemble that ``_moves`` builds
+    exactly once, and the join search canonicalizes nothing."""
+    calls = Counter()
+    min_ensemble, moves = confluence.min_ensemble, confluence._moves
+
+    def counted_min_ensemble(e, *args):
+        calls["min_ensemble"] += 1
+        return min_ensemble(e, *args)
+
+    def counted_moves(ens, redexes):
+        out = moves(ens, redexes)
+        calls["built"] += len(out)
+        return out
+
+    monkeypatch.setattr(confluence, "min_ensemble", counted_min_ensemble)
+    monkeypatch.setattr(confluence, "_moves", counted_moves)
+    report = check_diamond(parse_term(source), *rules)
+    assert report.ok and report.pairs_checked > 0
+    assert calls["built"] == built
+    assert calls["min_ensemble"] == built
 
 
 def QubitConst_bit0():

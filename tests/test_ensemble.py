@@ -22,7 +22,14 @@ from qlam.ensemble import (
     strategy_chooser,
 )
 from qlam.parser import parse_term
-from qlam.reduction import RULE_ID, RULESET_ST, RULESET_T, enumerate_redexes, step_strategy
+from qlam.reduction import (
+    RULE_ID,
+    RULESET_ST,
+    RULESET_T,
+    enumerate_redexes,
+    step_strategy,
+    strategy_redex,
+)
 from qlam.quantum import QubitValue, gate, uniform_state
 from qlam.syntax import (
     AMP_TOL,
@@ -244,6 +251,15 @@ def test_min_ensemble_independent_of_entry_order(spec, rng):
 
 # ---------------------------------------------------------------------------
 # determinized steps
+
+
+def test_restricted_strategy_falls_back_to_the_first_allowed_redex():
+    """Where the strategy's redex is outside the rule set, the restricted
+    chooser fires the first redex the rule set allows."""
+    t = parse_term(r"((\y. y) !|0>) (M{1} ((0.6,0)!|0> + (0.8,0)!|1>))")
+    assert strategy_redex(t) == ((0,), "beta")
+    assert strategy_chooser(RULESET_T)(t) == ((1,), "M")
+    assert strategy_chooser(RULESET_T)(t) == enumerate_redexes(t, RULESET_T)[0]
 
 
 def test_det_step_measurement():

@@ -40,6 +40,15 @@ def test_register_drops_zero_amplitudes():
     assert q.support() == {0}
 
 
+def test_register_keeps_an_amplitude_whose_modulus_overflows():
+    """A modulus past the float range counts as inf: the amplitude is kept
+    and the squared mass is inf, with no OverflowError."""
+    huge = complex(1e308, 1.5e308)
+    q = QubitValue(1, {0: huge, 1: 1e-13})
+    assert q.amps == ((0, huge),)
+    assert q.norm_sq() == math.inf and not q.is_unit()
+
+
 def test_register_merges_duplicates():
     q = QubitValue(1, [(0, 0.3), (0, 0.3), (1, math.sqrt(1 - 0.36))])
     assert abs(q.amp(0) - 0.6) < 1e-15
