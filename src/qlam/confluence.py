@@ -385,20 +385,26 @@ def _find_join(omegas1: list[TermEnsemble], omegas2: list[TermEnsemble]) -> bool
 
 def check_diamond_ensemble(tau: TermEnsemble, rules_a: RuleSet, rules_b: RuleSet,
                            pair_cap: int = 10_000, join_cap: int = 4096) -> DiamondReport:
-    """Exhaustive strong-diamond check from an arbitrary start ensemble."""
-    (redexes_a, count_a), (redexes_b, count_b) = _redexes(tau, rules_a), _redexes(tau, rules_b)
+    """Exhaustive strong-diamond check from an arbitrary start ensemble.
+    When both sides use the same rule set, side B is side A: its redexes,
+    moves and successor lists are built once."""
+    same = rules_a == rules_b
+    redexes_a, count_a = _redexes(tau, rules_a)
+    redexes_b, count_b = (redexes_a, count_a) if same else _redexes(tau, rules_b)
     if count_a * count_b > pair_cap:
         raise BudgetExceededError("move-pair space exceeds the pair budget")
-    moves_a, moves_b = _moves(tau, redexes_a), _moves(tau, redexes_b)
+    moves_a = _moves(tau, redexes_a)
+    moves_b = moves_a if same else _moves(tau, redexes_b)
     # Successors of every A-move under B and of every B-move under A.  The
     # all-idle move (last) leaves tau as it is: its successors are the other
     # side's moves, and it is paired only when that side can fire.
     joins_a = [_successors(mu, rules_b, join_cap) for _, mu in moves_a[:-1]]
-    joins_b = [_successors(nu, rules_a, join_cap) for _, nu in moves_b[:-1]]
+    joins_b = joins_a if same else [_successors(nu, rules_a, join_cap) for _, nu in moves_b[:-1]]
     if (joins_b and len(moves_b) > join_cap) or (joins_a and len(moves_a) > join_cap):
         raise BudgetExceededError("one-step successor space exceeds the join budget")
-    joins_a.append([min_ensemble(nu) for _, nu in moves_b])
-    joins_b.append([min_ensemble(mu) for _, mu in moves_a])
+    canon_b = [min_ensemble(nu) for _, nu in moves_b]
+    canon_a = canon_b if same else [min_ensemble(mu) for _, mu in moves_a]
+    joins_a, joins_b = joins_a + [canon_b], joins_b + [canon_a]
     # the last pair has both sides idle; rejoining by idling is trivial
     pairs = list(itertools.product(zip(moves_a, joins_a), zip(moves_b, joins_b)))[:-1]
     failures = [(label_a, label_b)

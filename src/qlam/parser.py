@@ -41,7 +41,9 @@ measured once it is built, and a deeper one is a ParseError at its name.
 The parser's own recursion is bounded separately, by the constructs open
 at a token, so that parentheses or prefixes without end are a ParseError
 too.  Parsing raises Python's recursion limit to cover the parser and the
-recursive term walkers on any term it accepts; it never lowers it.
+term walkers that still recurse once per level (``check``, ``free_vars``,
+``substitute``, ``pretty``, ``term_size``, and the dataclass ``==``,
+``hash`` and ``repr``) on any term it accepts; it never lowers it.
 
 The parser also collects *strict surface* notes: places where a register
 constant was written outside the normal form (unbanged kets, tensors over
@@ -93,8 +95,9 @@ MAX_NESTING = 900
 # parser accepts parses again.
 _MAX_OPEN = 2 * MAX_NESTING
 # An open construct costs the parser at most two frames, and the recursive
-# term walkers (check, reduction, pretty-printing) take at most a few a
-# level of the term; Python's default limit of 1000 covers neither.
+# term walkers (check, free_vars, substitute, pretty, term_size, and the
+# dataclass ==, hash and repr) take at most a few a level of the term;
+# Python's default limit of 1000 covers neither.
 _RECURSION_LIMIT = 8 * MAX_NESTING
 
 _TOKEN_RE = re.compile(

@@ -17,7 +17,7 @@ Head rules:
   split   let x * y = q in u    -> u[q1/x][q2/y]     p = 1   q = q1 (x) q2 product
 
 Both sets are closed under all term contexts except under a bang (bang terms
-are values), so redexes are enumerated at every position reachable without
+are values), so redexes are found at every position reachable without
 crossing a !, including under binders and in all three conditional arms.
 The linear beta rule is not value-restricted: it fires on arbitrary
 arguments.  The nonlinear rules only fire on duplicable values, which is why
@@ -26,6 +26,14 @@ measurement application must collapse before it can be passed.
 
 Only (M) branches; every other rule yields a single step of probability 1,
 and the steps of one (position, rule) pair always carry total probability 1.
+
+One walk finds redexes: it visits each App, If and LetTensor node (the only
+nodes a head rule matches) not under a bang, first those in evaluation
+position in call-by-value postorder (function, argument, application;
+condition, if; split value, split), then the subtrees that pass sets aside
+(binder bodies, if arms, split bodies) in position order, each in preorder.
+strategy_redex fires its first hit, enumerate_redexes sorts every hit into
+preorder, is_normal_form looks for none and stuck_sites reads every node.
 """
 
 from __future__ import annotations
@@ -208,94 +216,85 @@ def measurement_fits(t: Term, position: Position, room: int) -> bool:
     return True
 
 
-def _preorder(t: Term) -> Iterator[tuple[Position, Term]]:
-    """Every (position, subterm) of t that is not under a bang, in preorder
-    position order.  A bang itself is visited; its body is not."""
-    stack: list[tuple[Position, Term]] = [((), t)]
+def _position(link: tuple) -> Position:
+    """The position a walk link stands for: () at the root, else (the
+    parent's link, child index), so a walk holds O(depth) of them."""
+    out: list[int] = []
+    while link:
+        link, i = link
+        out.append(i)
+    return tuple(reversed(out))
+
+
+def _redex_sites(t: Term) -> Iterator[tuple[tuple, Term]]:
+    """The one redex walk of the module docstring: each App, If and LetTensor
+    node of t not under a bang, once, with its link, in strategy order."""
+    aside: list[tuple[tuple, Term]] = []
+    stack: list[tuple[tuple, Term, bool]] = [((), t, False)]
     while stack:
-        pos, term = stack.pop()
-        yield pos, term
-        if type(term) is not Bang:
-            kids = children(term)
-            i = len(kids)
-            while i:
-                i -= 1
-                stack.append((pos + (i,), kids[i]))
-
-
-def _preorder_redexes(t: Term, rules: RuleSet) -> Iterator[tuple[Position, str]]:
-    for pos, term in _preorder(t):
-        rule = head_rule(term)
-        if rule is not None and rule in rules:
-            yield pos, rule
+        link, term, done = stack.pop()
+        cls = type(term)
+        if done:
+            yield link, term
+            if cls is not App:  # set aside after the evaluated child: keeps position order
+                aside += [((link, i), kid) for i, kid in enumerate(children(term)) if i]
+        elif cls is App:
+            stack += (link, term, True), ((link, 1), term.arg, False), ((link, 0), term.fun, False)
+        elif cls is If or cls is LetTensor:
+            stack += (link, term, True), ((link, 0), children(term)[0], False)
+        elif cls is Lam or cls is BangLam:
+            aside.append((link, term))
+    aside.reverse()
+    while aside:
+        link, term = aside.pop()
+        cls = type(term)
+        if cls is App or cls is If or cls is LetTensor:
+            yield link, term
+        if cls is not Bang:
+            aside += reversed([((link, i), kid) for i, kid in enumerate(children(term))])
 
 
 def enumerate_redexes(t: Term, rules: RuleSet) -> list[tuple[Position, str]]:
     """Every (position, rule) where step_at succeeds, in preorder position
     order.  Never descends under a bang."""
-    return list(_preorder_redexes(t, rules))
+    return sorted((_position(link), rule) for link, term in _redex_sites(t)
+                  if (rule := head_rule(term)) in rules)
 
 
 def is_normal_form(t: Term, rules: RuleSet = RULESET_ST) -> bool:
-    return next(_preorder_redexes(t, rules), None) is None
+    return not any(head_rule(term) in rules for _, term in _redex_sites(t))
 
 
 def stuck_sites(t: Term) -> list[tuple[Position, str]]:
     """Positions that look like redexes but can never fire as they stand:
     conditionals on superposed or non-register conditions, measurements of
     non-constants or out-of-range wires, entangled splits, arity mismatches.
-    Useful diagnostics for terms that converge while still containing them."""
-    out: list[tuple[Position, str]] = []
-    for pos, term in _preorder(t):
+    Useful diagnostics for terms that converge while still containing them.
+    In preorder position order."""
+    out: list[tuple[tuple, str]] = []
+    for link, term in _redex_sites(t):
         match term:
-            case If(cond, _, _) if head_rule(term) is None:
-                if isinstance(cond, QubitConst):
-                    out.append((pos, "conditional on a non-base register"))
+            case If(QubitConst(_), _, _) if head_rule(term) is None:
+                out.append((link, "conditional on a non-base register"))
             case LetTensor(_, _, QubitConst(q), _) if head_rule(term) is None:
-                if q.width < 2:
-                    out.append((pos, "split of a single-wire register"))
-                else:
-                    out.append((pos, "split of an entangled register"))
+                kind = "a single-wire" if q.width < 2 else "an entangled"
+                out.append((link, f"split of {kind} register"))
             case App(GateConst(g), QubitConst(q)) if g.arity != q.width:
-                out.append((pos, f"gate arity {g.arity} vs register width {q.width}"))
+                out.append((link, f"gate arity {g.arity} vs register width {q.width}"))
             case App(MeasConst(idx), QubitConst(q)) if max(idx) > q.width:
-                out.append((pos, f"measured wire {max(idx)} beyond width {q.width}"))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Deterministic strategy
+                out.append((link, f"measured wire {max(idx)} beyond width {q.width}"))
+    return sorted((_position(link), why) for link, why in out)
 
 
 def strategy_redex(t: Term) -> tuple[Position, str] | None:
-    """The redex the deterministic strategy fires: call-by-value order
-    (function position to a value, then the argument, then the head), with
-    a leftmost-outermost fallback for redexes the value walk cannot reach
-    (e.g. under binders).  None iff t is a normal form."""
-
-    def walk(term: Term, pos: Position) -> tuple[Position, str] | None:
-        match term:
-            case App(fun, arg):
-                found = walk(fun, pos + (0,))
-                if found:
-                    return found
-                found = walk(arg, pos + (1,))
-                if found:
-                    return found
-            case If(cond, _, _):
-                found = walk(cond, pos + (0,))
-                if found:
-                    return found
-            case LetTensor(_, _, value, _):
-                found = walk(value, pos + (0,))
-                if found:
-                    return found
-            case _:
-                return None
+    """The redex the deterministic strategy fires: the redex walk's first
+    hit, so leftmost-outermost only in what call-by-value order does not
+    reach, and only when that order finds nothing.  None iff t is normal."""
+    for link, term in _redex_sites(t):
         rule = head_rule(term)
-        return (pos, rule) if rule is not None else None
-
-    return walk(t, ()) or next(_preorder_redexes(t, RULESET_ST), None)
+        if rule is not None:
+            return _position(link), rule
+    return None
 
 
 def step_strategy(t: Term, choose: Choose | None = None) -> list[ProbStep]:

@@ -183,11 +183,17 @@ def subterm_at(t: Term, pos: tuple[int, ...]) -> Term:
 
 
 def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
-    if not pos:
-        return new
-    kids = list(children(t))
-    kids[pos[0]] = replace_at(kids[pos[0]], pos[1:], new)
-    return with_children(t, tuple(kids))
+    """t with the subterm at pos replaced by new: the nodes on the path are
+    rebuilt, every other subterm comes back as the same object."""
+    path = []
+    for i in pos:
+        kids = list(children(t))
+        path.append((t, kids, i))
+        t = kids[i]
+    for parent, kids, i in reversed(path):
+        kids[i] = new
+        new = with_children(parent, tuple(kids))
+    return new
 
 
 def positions(t: Term) -> Iterator[tuple[int, ...]]:

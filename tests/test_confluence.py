@@ -182,7 +182,7 @@ def test_find_join_agrees_with_reference(monkeypatch):
 
 
 @pytest.mark.parametrize("source, rules, built", [
-    (f"(M{{1}} {HALF}) (M{{1}} {HALF})", (RULESET_T, RULESET_T), 22),
+    (f"(M{{1}} {HALF}) (M{{1}} {HALF})", (RULESET_T, RULESET_T), 11),
     (r"(\x. H x) (M{1} " + HALF + ")", (RULESET_S, RULESET_T), 10),
 ])
 def test_each_move_canonicalized_once(monkeypatch, source, rules, built):

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import qlam.reduction as reduction
+from qlam.confluence import GenConfig, generate
 from qlam.parser import parse_term
 from qlam.quantum import QubitValue
 from qlam.reduction import (
@@ -24,15 +26,24 @@ from qlam.syntax import (
     App,
     If,
     Lam,
+    LetTensor,
     MeasConst,
     QubitConst,
     Var,
     alpha_eq,
     pretty,
     substitute,
+    subterm_at,
 )
 
 from conftest import generated_term, random_register
+from reduction_oracles import (
+    enumerate_redexes_reference,
+    is_normal_form_reference,
+    preorder_reference,
+    strategy_redex_reference,
+    stuck_sites_reference,
+)
 
 S2 = f"{1 / math.sqrt(2):.17g}"
 BIASED = "((0.6,0)!|0> + (0.8,0)!|1>)"
@@ -246,3 +257,78 @@ def test_rule_sets_are_disjoint_and_cover():
     assert not (RULESET_S.members & RULESET_T.members)
     assert RULESET_ST.members == RULESET_S.members | RULESET_T.members
     assert "M" in RULESET_T and "beta" in RULESET_S
+
+
+# ---------------------------------------------------------------------------
+# the one redex walk against the walks it replaced
+
+
+def _with_successors(t):
+    """t and every term one step from it."""
+    out = [t]
+    for pos, rule in enumerate_redexes_reference(t, RULESET_ST):
+        out += [s.target for s in step_at(t, pos, rule)]
+    return out
+
+
+def _assert_walk_agrees(t):
+    assert strategy_redex(t) == strategy_redex_reference(t)
+    for rules in (RULESET_S, RULESET_T, RULESET_ST):
+        assert enumerate_redexes(t, rules) == enumerate_redexes_reference(t, rules)
+        assert is_normal_form(t, rules) == is_normal_form_reference(t, rules)
+    assert stuck_sites(t) == stuck_sites_reference(t)
+
+
+@given(generated_term(max_size=14))
+def test_redex_walk_agrees_with_reference(t):
+    """strategy_redex (fallback included), enumerate_redexes, is_normal_form
+    and stuck_sites answer as the recursive call-by-value walk and the
+    preorder walk did, on generated terms and every one-step successor."""
+    for u in _with_successors(t):
+        _assert_walk_agrees(u)
+
+
+def test_redex_walk_agrees_with_reference_on_seed_corpus():
+    terms = [u for t in generate(GenConfig(seed=0)) for u in _with_successors(t)]
+    assert len(terms) > 1000
+    for u in terms:
+        _assert_walk_agrees(u)
+
+
+def test_strategy_tries_each_redex_candidate_once(monkeypatch):
+    """One strategy_redex call runs head_rule at most once per node, and
+    only on App, If and LetTensor nodes."""
+    seen = []
+
+    def counted(term):
+        seen.append(term)
+        return head_rule(term)
+
+    monkeypatch.setattr(reduction, "head_rule", counted)
+    t = parse_term(r"f (\y. (\x. x) y)")
+    assert strategy_redex(t) == ((1, 0), "beta")
+    assert len(seen) == 2
+    assert all(type(u) is App for u in seen) and seen[0] is not seen[1]
+    for t in generate(GenConfig(seed=0)):
+        seen.clear()
+        strategy_redex(t)
+        candidates = [u for _, u in preorder_reference(t) if type(u) in (App, If, LetTensor)]
+        assert len(seen) <= len(candidates)
+        assert all(type(u) in (App, If, LetTensor) for u in seen)
+
+
+def test_redex_walk_and_step_on_a_deep_chain():
+    """A 10,000-level chain H (H (... !|0>)), built without the parser,
+    steps at depth 9,999 and walks without RecursionError."""
+    depth = 10_000
+    h = parse_term("H")
+    t = QubitConst(QubitValue(1, {0: 1.0}))
+    for _ in range(depth):
+        t = App(h, t)
+    deepest = (1,) * (depth - 1)
+    [step] = step_strategy(t)
+    assert (step.rule, step.position) == ("U", deepest)
+    assert len(subterm_at(step.target, deepest).value.amps) == 2
+    assert enumerate_redexes(t, RULESET_ST) == [(deepest, "U")]
+    assert not is_normal_form(t)
+    assert stuck_sites(t) == []
