@@ -6,9 +6,16 @@ amplitude.  Wire 1 is the most significant bit of a basis index, so the
 m-bit binary word of u reads left to right as wires 1..m.
 
 Gates are tensor compositions of named primitive unitaries.  apply_gate
-makes one scatter pass over the stored amplitudes per non-identity factor,
-sending each amplitude through the nonzero entries of its column of that
-factor's matrix; identity factors are skipped.
+makes one pass over the amplitudes per non-identity factor; identity factors
+are skipped.  The scatter pass sends each stored amplitude through the
+nonzero entries of its column of the factor's matrix.  The dense pass holds
+all 2**width amplitudes in a numpy vector and forms each row of the factor's
+block as a sum over that row's nonzero entries, in the column order the
+scatter adds them in.  It is taken on registers of DENSE_MIN_WIDTH to
+DENSE_MAX_WIDTH wires, and there only when the scatter's moves (estimated
+from the support, grown by each factor's column fan-out) exceed the dense
+pass's price.  Narrower registers, and wider ones such as a sparse 60-wire
+register, stay on the scatter.
 
 Projective measurement of a wire set I follows the Born rule: outcome word w
 occurs with probability equal to the squared mass on the basis indices whose
@@ -18,13 +25,18 @@ one pass in index order, so every branch costs only its own support.
 measure_one takes the same buckets and probabilities, lets a caller pick one
 branch, and builds only that branch's post-state.
 
-factor_split decides whether a register is a product across a cut with a
-rank-1 test over the stored amplitudes: the pivot's column gives a dense left
-vector of 2**left_width entries and its row a sparse right row.  Their outer
-product is compared with the stored amplitudes on the right row's columns;
-off those columns it is zero, so every stored amplitude there must itself be
-within the tolerance.  No 2**width array is built.  Basis indices are int64
-in that test, which is what bounds register widths by MAX_WIDTH.
+factor_split splits a register whose stored amplitudes all share their left
+bits r exactly and without numpy: |r> with amplitude 1, and the stored
+amplitudes with the left bits dropped (a register measured on the wires it
+splits off is one).  Any other register takes a rank-1 test over the stored
+amplitudes: the pivot's column gives a dense left vector of 2**left_width
+entries and its row a sparse right row.  Their outer product is compared
+with the stored amplitudes on the right row's columns; off those columns it
+is zero, so every stored amplitude there must itself be within the
+tolerance.  No 2**width array is built.  The test's result is kept on the
+register, so is_product and the factor_split after it run it once.  Basis
+indices are int64 in that test, which is what bounds register widths by
+MAX_WIDTH.
 """
 
 from __future__ import annotations
@@ -45,6 +57,18 @@ UNITARY_TOL = 1e-9
 # Widest register: every basis index must fit the int64 indices of the
 # sparse split.
 MAX_WIDTH = 63
+# apply_gate takes the dense pass only on registers of DENSE_MIN_WIDTH to
+# DENSE_MAX_WIDTH wires (a 2**16 vector is 1 MB), and there only when the
+# scatter would make more moves than the dense pass is priced at: per
+# non-identity factor, _DENSE_ENTRY_MOVES per matrix entry it may touch plus
+# one per _DENSE_AMPS_PER_MOVE amplitudes of the vector.  The prices are
+# timings of both passes on widths 4-16 (Python 3.11, numpy 2.4, x86-64): a
+# scatter move took about 0.3 us, the numpy calls for one matrix entry about
+# 20 moves, and 64 amplitudes of a dense pass about one.
+DENSE_MIN_WIDTH = 4
+DENSE_MAX_WIDTH = 16
+_DENSE_ENTRY_MOVES = 20
+_DENSE_AMPS_PER_MOVE = 64
 
 
 class ArityMismatchError(ValueError):
@@ -104,6 +128,16 @@ def _atom_columns(atom: GateAtom) -> tuple[tuple[tuple[int, complex], ...], ...]
                  for c in range(n))
 
 
+@lru_cache(maxsize=None)
+def _atom_rows(atom: GateAtom) -> tuple[tuple[tuple[int, complex], ...], ...]:
+    """Per row r, the (column, entry) pairs with a nonzero entry, in column
+    order."""
+    mat = atom.matrix
+    n = len(mat)
+    return tuple(tuple((c, mat[r][c]) for c in range(n) if mat[r][c] != 0)
+                 for r in range(n))
+
+
 @dataclass(frozen=True)
 class GateExpr:
     """Tensor composition of primitive gates, acting on ``arity`` wires."""
@@ -155,6 +189,15 @@ def identity_gate(width: int) -> GateExpr:
 
 # ---------------------------------------------------------------------------
 # Qubit registers
+
+
+def _probability(entries) -> float:
+    """The squared mass of (index, amplitude) pairs, inf past the float
+    range: m * m overflows to inf where m ** 2 raises OverflowError."""
+    try:
+        return sum(m * m for m in (abs(a) for _, a in entries))
+    except OverflowError:  # a modulus past the float range
+        return math.inf
 
 
 def _modulus(a: complex) -> float:
@@ -218,11 +261,7 @@ class QubitValue:
         return frozenset(u for u, _ in self.amps)
 
     def norm_sq(self) -> float:
-        # m * m overflows to inf where m ** 2 raises OverflowError
-        try:
-            return sum(m * m for m in (abs(a) for _, a in self.amps))
-        except OverflowError:  # a modulus past the float range
-            return math.inf
+        return _probability(self.amps)
 
     def is_unit(self, tol: float = EPS_NORM) -> bool:
         return abs(self.norm_sq() - 1.0) <= tol
@@ -242,6 +281,16 @@ class QubitValue:
     @classmethod
     def from_json(cls, data: dict) -> "QubitValue":
         return cls(data["width"], [(u, complex(re, im)) for u, re, im in data["amps"]])
+
+
+def _canonical(width: int, amps: tuple[tuple[int, complex], ...]) -> QubitValue:
+    """A register from pairs that are canonical already (indices distinct,
+    sorted and in range; complex amplitudes of modulus above EPS_ZERO),
+    built without canonicalizing them again."""
+    q = object.__new__(QubitValue)
+    object.__setattr__(q, "width", width)
+    object.__setattr__(q, "amps", amps)
+    return q
 
 
 def basis_state(width: int, index: int) -> QubitValue:
@@ -296,12 +345,9 @@ def tensor(a: QubitValue, b: QubitValue) -> QubitValue:
     return QubitValue(width, out)
 
 
-def apply_gate(g: GateExpr, q: QubitValue) -> QubitValue:
-    """Apply the unitary of g to q: one scatter pass over the amplitudes per
-    non-identity factor, through that factor's nonzero column entries."""
-    if g.arity != q.width:
-        raise ArityMismatchError(
-            f"gate of arity {g.arity} applied to a width-{q.width} register")
+def _scatter(g: GateExpr, q: QubitValue) -> dict[int, complex]:
+    """apply_gate's amplitudes by scatter: per non-identity factor, each
+    stored amplitude moves through the nonzero entries of its column."""
     entries: dict[int, complex] = dict(q.amps)
     right = q.width
     for atom in g.atoms:
@@ -322,6 +368,68 @@ def apply_gate(g: GateExpr, q: QubitValue) -> QubitValue:
                 v = base | offset
                 new[v] = new.get(v, 0j) + z * a
         entries = new
+    return entries
+
+
+def _dense(g: GateExpr, q: QubitValue) -> dict[int, complex]:
+    """apply_gate's amplitudes by dense passes over a 2**width vector: per
+    non-identity factor, each row of its block is the sum over the row's
+    nonzero entries in column order, as the scatter adds them; what a factor
+    cancels to EPS_ZERO or below is zeroed before the next one."""
+    vec = None
+    right = q.width
+    for atom in g.atoms:
+        k = atom.arity
+        right -= k
+        if _atom_columns(atom) is None:
+            continue
+        if vec is None:
+            us, zs = zip(*q.amps)
+            vec = np.zeros(1 << q.width, dtype=complex)
+            vec[list(us)] = zs
+        else:
+            vec[np.abs(vec) <= EPS_ZERO] = 0  # cancelled in an earlier factor
+        src = vec.reshape(-1, 1 << k, 1 << right)
+        out = np.empty_like(src)
+        for r, ((c, z), *rest) in enumerate(_atom_rows(atom)):
+            row = out[:, r]
+            np.multiply(src[:, c], z, out=row)
+            for c, z in rest:
+                row += z * src[:, c]
+        vec = out.reshape(-1)
+    if vec is None:
+        return dict(q.amps)
+    nonzero = np.flatnonzero(vec)
+    return dict(zip(nonzero.tolist(), vec[nonzero].tolist()))
+
+
+def _use_dense(g: GateExpr, q: QubitValue) -> bool:
+    """Whether apply_gate takes the dense pass.  The scatter's moves are
+    estimated from the support, which each factor multiplies by its column
+    fan-out up to 2**width."""
+    if not DENSE_MIN_WIDTH <= q.width <= DENSE_MAX_WIDTH:
+        return False
+    dim = 1 << q.width
+    support = len(q.amps)
+    moves = price = 0
+    for atom in g.atoms:
+        columns = _atom_columns(atom)
+        if columns is None:
+            continue
+        fan_out = max(map(len, columns))
+        moves += support * fan_out
+        support = min(support * fan_out, dim)
+        price += (_DENSE_ENTRY_MOVES * fan_out << atom.arity) + dim // _DENSE_AMPS_PER_MOVE
+    return moves > price
+
+
+def apply_gate(g: GateExpr, q: QubitValue) -> QubitValue:
+    """Apply the unitary of g to q: one pass over the amplitudes per
+    non-identity factor, dense or scatter as _use_dense chooses."""
+    if g.arity != q.width:
+        raise ArityMismatchError(
+            f"gate of arity {g.arity} applied to a width-{q.width} register")
+    entries = _dense(g, q) if _use_dense(g, q) else _scatter(g, q)
     return QubitValue(q.width, entries)
 
 
@@ -362,10 +470,6 @@ def _buckets(q: QubitValue,
         else:
             bucket.append((u, a))
     return idx, buckets
-
-
-def _probability(entries: list[tuple[int, complex]]) -> float:
-    return sum(abs(a) ** 2 for _, a in entries)
 
 
 def _branches(q: QubitValue, indices: frozenset[int] | set[int]
@@ -436,10 +540,6 @@ def _rank1(q: QubitValue, left_width: int,
     right row's columns the outer product is zero, so there the residual is
     the stored modulus itself.
     """
-    if not 0 < left_width < q.width:
-        raise ValueError(f"split width {left_width} not inside (0, {q.width})")
-    if not q.amps:
-        return None
     right_width = q.width - left_width
     n = len(q.amps)
     us, zs = zip(*q.amps)
@@ -466,31 +566,66 @@ def _rank1(q: QubitValue, left_width: int,
     return a_vec, b_cols, b_vec
 
 
+# The attribute that keeps a register's last rank-1 test: ((left_width, tol),
+# result).  Like the memos of qlam.syntax it is not a field, so equality,
+# hashing and repr never see it.
+_RANK1 = "_rank1_memo"
+
+
+def _split_parts(q: QubitValue, left_width: int, tol: float
+                 ) -> int | tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """How q splits with ``left_width`` wires on the left: the row (left
+    bits) that every stored amplitude shares, as an int; else _rank1's parts,
+    kept on q so that a test and the split after it share one run; None when
+    q is entangled across the cut (or holds no amplitude)."""
+    if not 0 < left_width < q.width:
+        raise ValueError(f"split width {left_width} not inside (0, {q.width})")
+    if not q.amps:
+        return None
+    shift = q.width - left_width
+    row = q.amps[0][0] >> shift
+    if q.amps[-1][0] >> shift == row:  # indices are sorted: one row holds them all
+        return row
+    key = (left_width, tol)
+    memo = getattr(q, _RANK1, None)
+    if memo is None or memo[0] != key:
+        memo = (key, _rank1(q, left_width, tol))
+        object.__setattr__(q, _RANK1, memo)
+    return memo[1]
+
+
 def is_product(q: QubitValue, left_width: int, tol: float = EPS_NORM) -> bool:
     """Whether factor_split(q, left_width, tol) succeeds, decided without
     building either factor."""
-    return _rank1(q, left_width, tol) is not None
+    return _split_parts(q, left_width, tol) is not None
 
 
 def factor_split(q: QubitValue, left_width: int,
                  tol: float = EPS_NORM) -> tuple[QubitValue, QubitValue] | None:
     """Split q into a product a (x) b with a of ``left_width`` wires.
 
-    Returns None when q is entangled across the cut.  Both factors are unit
-    norm and the left factor's lowest-index amplitude is made real positive,
-    pushing any global phase into the right factor.
+    Returns None when q is entangled across the cut.  The left factor is unit
+    norm and its lowest-index amplitude is made real positive, pushing any
+    global phase (and q's norm) into the right factor.  A register whose
+    stored amplitudes share one row r splits exactly: |r> with amplitude 1,
+    and the stored amplitudes with their left bits dropped.
     """
-    parts = _rank1(q, left_width, tol)
+    parts = _split_parts(q, left_width, tol)
     if parts is None:
         return None
+    right_width = q.width - left_width
+    if isinstance(parts, int):
+        mask = (1 << right_width) - 1
+        return (basis_state(left_width, parts),
+                _canonical(right_width, tuple((u & mask, a) for u, a in q.amps)))
     a_vec, b_cols, b_vec = parts
     na = np.linalg.norm(a_vec)
-    a_vec /= na
-    b_vec *= na
+    a_vec = a_vec / na
+    b_vec = b_vec * na
     first = np.flatnonzero(np.abs(a_vec) > EPS_ZERO)[0]
     phase = a_vec[first] / abs(a_vec[first])
     a_vec /= phase
     b_vec *= phase
     left = QubitValue(left_width, dict(enumerate(a_vec.tolist())))
-    right = QubitValue(q.width - left_width, dict(zip(b_cols.tolist(), b_vec.tolist())))
+    right = QubitValue(right_width, dict(zip(b_cols.tolist(), b_vec.tolist())))
     return left, right

@@ -20,9 +20,10 @@ takes a register apart, and only product states split.
 Alpha-equivalence reads a second memo kept the same way: a term's shape
 (nodes in preorder, bound variables as binder levels) and its registers,
 from one iterative walk.  ``alpha_eq`` compares shapes, then amplitudes
-within a tolerance.  ``shape_key``, the shape plus each register's support,
-is a hash key that alpha-equivalent terms share, or None when an amplitude
-is too close to the support threshold to place (compare with every term).
+within a tolerance.  ``shape_key``, the shape plus each register's support
+(kept on the register, the same way), is a hash key that alpha-equivalent
+terms share, or None when an amplitude is too close to the support
+threshold to place (compare with every term).
 """
 
 from __future__ import annotations
@@ -216,10 +217,11 @@ def term_size(t: Term) -> int:
 
 _EMPTY: frozenset[str] = frozenset()
 
-# Names of the instance attributes that hold a node's free-variable memo and
-# a term's shape memo.
+# Names of the instance attributes that hold a node's free-variable memo, a
+# term's shape memo and a register's key-support memo.
 _FREE = "_free_vars"
 _SHAPE = "_shape"
+_SUPPORT = "_key_support_memo"
 
 
 @functools.lru_cache(maxsize=1024)
@@ -395,6 +397,29 @@ def alpha_eq(a: Term, b: Term, tol: float = AMP_TOL) -> bool:
         amps_close(x, y, tol) for x, y in zip(registers_a, registers_b))
 
 
+def _key_support(q: QubitValue, band: float) -> tuple[int, ...] | None:
+    """The indices of q whose amplitude modulus exceeds KEY_AMP_THRESHOLD,
+    or None when one lies within ``band`` of it.  Kept on the register the
+    way free_vars keeps its set on a node, so a register shared by the terms
+    of successive steps is read once."""
+    memo = getattr(q, _SUPPORT, None)
+    if memo is None or memo[0] != band:
+        memo = (band, _support_above_threshold(q, band))
+        object.__setattr__(q, _SUPPORT, memo)
+    return memo[1]
+
+
+def _support_above_threshold(q: QubitValue, band: float) -> tuple[int, ...] | None:
+    support = []
+    for u, a in q.amps:
+        modulus = abs(a)
+        if not abs(modulus - KEY_AMP_THRESHOLD) > band:
+            return None
+        if modulus > KEY_AMP_THRESHOLD:
+            support.append(u)
+    return tuple(support)
+
+
 def shape_key(t: Term, tol: float = AMP_TOL) -> tuple | None:
     """A hashable key such that ``alpha_eq(a, b, tol)`` implies
     ``shape_key(a, tol) == shape_key(b, tol)``, or None.
@@ -410,17 +435,8 @@ def shape_key(t: Term, tol: float = AMP_TOL) -> tuple | None:
     if not band < KEY_AMP_THRESHOLD:
         band = math.inf  # an absent index (modulus 0) is inside the band too
     shape, registers = _shape(t)
-    supports = []
-    for q in registers:
-        support = []
-        for u, a in q.amps:
-            modulus = abs(a)
-            if not abs(modulus - KEY_AMP_THRESHOLD) > band:
-                return None
-            if modulus > KEY_AMP_THRESHOLD:
-                support.append(u)
-        supports.append(tuple(support))
-    return shape, tuple(supports)
+    supports = tuple(_key_support(q, band) for q in registers)
+    return None if None in supports else (shape, supports)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,7 @@ def measure_per_word(q: QubitValue, indices) -> list[MeasurementOutcome]:
     outcomes = []
     for w in range(1 << len(idx)):
         keep = coincidence_set(w, q.width, indices)
-        p = sum(abs(a) ** 2 for u, a in q.amps if u in keep)
+        p = sum(m * m for m in (abs(a) for u, a in q.amps if u in keep))
         if p <= EPS_ZERO:
             continue
         scale = 1.0 / math.sqrt(p)

@@ -1,17 +1,23 @@
-"""The one-pass sparse kernels of ``qlam.quantum`` against the dense and
-per-word reference implementations in ``kernel_oracles``."""
+"""The one-pass kernels of ``qlam.quantum`` against the dense and per-word
+reference implementations in ``kernel_oracles``."""
 
 import math
+import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import qlam.quantum as quantum
 from qlam.quantum import (
     BUILTIN_GATES,
+    DENSE_MAX_WIDTH,
+    DENSE_MIN_WIDTH,
     EPS_NORM,
     EPS_ZERO,
     MAX_WIDTH,
+    GateAtom,
     GateExpr,
     QubitValue,
     RegisterWidthError,
@@ -27,6 +33,8 @@ from qlam.quantum import (
     tensor,
     uniform_state,
 )
+
+from qlam.syntax import QubitConst, shape_key
 
 from kernel_oracles import apply_gate_dense, factor_split_dense, measure_per_word
 
@@ -94,12 +102,94 @@ def test_register_width_limit():
 # apply_gate
 
 
+@st.composite
+def unitary_atom(draw, arity: int):
+    """A random unitary on ``arity`` wires with complex entries and dense
+    columns (the QR factor of a complex Gaussian matrix), or for arity 0 a
+    phase [[z]] with |z| = 1."""
+    if arity == 0:
+        z = draw(st.sampled_from([-1, 1j, complex(math.cos(0.3), math.sin(0.3))]))
+        return GateAtom("P", ((z,),))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = 1 << arity
+    qr, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    u = qr * (np.diag(r) / np.abs(np.diag(r)))
+    return GateAtom("U", tuple(tuple(complex(z) for z in row) for row in u))
+
+
+def _both_passes(g: GateExpr, q: QubitValue) -> list[QubitValue]:
+    """apply_gate, then its scatter and its dense pass each forced."""
+    return [apply_gate(g, q), QubitValue(q.width, quantum._scatter(g, q)),
+            QubitValue(q.width, quantum._dense(g, q))]
+
+
 @given(st.data())
 def test_apply_gate_matches_dense_oracle(data):
-    """Bit-identical amplitudes to the per-bucket matrix product."""
-    q = data.draw(register())
+    """Bit-identical amplitudes to the per-bucket matrix product, through
+    apply_gate and through each of its passes whichever it would choose:
+    with builtin gates every output sums at most two terms, so the order of
+    the sum does not show."""
+    q = data.draw(register(max_width=10))
     g = data.draw(builtin_gate(q.width))
-    assert apply_gate(g, q) == apply_gate_dense(g, q)
+    want = apply_gate_dense(g, q)
+    assert _both_passes(g, q) == [want] * 3
+
+
+@given(st.data())
+@settings(max_examples=60)
+def test_apply_gate_matches_dense_oracle_on_any_unitary(data):
+    """Random unitaries with complex entries, dense columns and 0-arity
+    phases: both passes agree with the oracle within 1e-12 (a sum of more
+    than two terms may round differently in another order)."""
+    q = data.draw(register(max_width=7))
+    atoms = []
+    left = q.width
+    while left:
+        atoms.append(data.draw(unitary_atom(data.draw(st.integers(1, min(2, left))))))
+        left -= atoms[-1].arity
+    for _ in range(data.draw(st.integers(0, 2))):
+        atoms.insert(data.draw(st.integers(0, len(atoms))), data.draw(unitary_atom(0)))
+    g = GateExpr(tuple(atoms))
+    want = apply_gate_dense(g, q)
+    for got in _both_passes(g, q):
+        assert amps_close(got, want, 1e-12)
+
+
+def test_apply_gate_chooses_by_size():
+    """Dense where the scatter would make many moves; the scatter on narrow
+    registers, on sparse work and above DENSE_MAX_WIDTH."""
+    wide = DENSE_MAX_WIDTH - 4
+    assert quantum._use_dense(gate(*["H"] * wide), basis_state(wide, 0))
+    assert quantum._use_dense(gate(*["X"] * wide), uniform_state(wide))
+    assert not quantum._use_dense(gate("H", *["I"] * (wide - 1)), basis_state(wide, 0))
+    assert not quantum._use_dense(gate(*["X"] * wide), basis_state(wide, 3))
+    narrow = DENSE_MIN_WIDTH - 1
+    assert not quantum._use_dense(gate(*["H"] * narrow), uniform_state(narrow))
+    dense3 = GateAtom("U", tuple(tuple(complex(z) for z in row)
+                                 for row in np.linalg.qr(np.ones((8, 8)) + np.eye(8))[0]))
+    assert not quantum._use_dense(GateExpr((dense3,)), uniform_state(narrow))
+    over = DENSE_MAX_WIDTH + 1
+    assert not quantum._use_dense(gate(*["H"] * over), basis_state(over, 0))
+
+
+def test_apply_gate_on_a_sparse_60_wire_register(tmp_path, capsys):
+    """H on wire 1 of a 60-wire basis state stays on the scatter: two
+    amplitudes, through apply_gate and through `qlam run`."""
+    from qlam.cli import main
+
+    width = 60
+    start = time.perf_counter()
+    got = apply_gate(gate("H", *["I"] * (width - 1)), basis_state(width, 5))
+    assert time.perf_counter() - start < 1.0
+    assert got.support() == {5, (1 << (width - 1)) | 5}
+    path = tmp_path / "wide.qlam"
+    path.write_text(f"main = ({'*'.join(['H'] + ['I'] * (width - 1))}) !|{'0' * width}>;\n")
+    start = time.perf_counter()
+    code = main(["run", str(path)])
+    assert time.perf_counter() - start < 1.0
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("!|") == 2
 
 
 def test_apply_gate_drops_what_a_factor_cancels():
@@ -136,6 +226,13 @@ def test_outcome_count_leaves_out_zero_probability_words():
     assert outcome_count(uniform_state(3), {1, 3}) == 4
 
 
+def test_measure_past_the_float_range():
+    """A squared modulus past the float range is inf, not OverflowError."""
+    q = QubitValue(2, {0: 1e200, 3: 1.0})
+    assert outcome_count(q, {1}) == 2
+    assert [(o.outcome, o.probability) for o in measure(q, {1})] == [(0, math.inf), (1, 1.0)]
+
+
 # ---------------------------------------------------------------------------
 # factor_split
 
@@ -166,11 +263,14 @@ def test_factor_split_matches_dense_oracle_on_products(a, b):
     _same_split(q, a.width)
 
 
-@given(register(max_width=3), register(max_width=4), st.data())
+@given(st.one_of(st.text("01", min_size=1, max_size=3).map(ket), register(max_width=3)),
+       register(max_width=4), st.data())
 @settings(max_examples=100)
 def test_factor_split_matches_dense_oracle_near_tolerance(a, b, data):
     """A product moved by a residual of about EPS_NORM at one basis index,
-    stored or not, splits or not exactly as the dense oracle decides."""
+    stored or not, splits or not exactly as the dense oracle decides.  With
+    a ket on the left the product is one row: a nudge on that row keeps it
+    one row, a nudge off it falls back to the rank-1 test."""
     q = tensor(a, b)
     u = data.draw(st.integers(0, (1 << q.width) - 1))
     size = EPS_NORM * data.draw(st.sampled_from([0.5, 0.9, 0.999, 1.0, 1.001, 1.1, 2.0]))
@@ -178,6 +278,21 @@ def test_factor_split_matches_dense_oracle_near_tolerance(a, b, data):
     nudged = QubitValue(q.width, list(q.amps) + [(u, size * complex(math.cos(angle),
                                                                     math.sin(angle)))])
     _same_split(nudged, a.width)
+
+
+def test_one_row_register_splits_exactly(monkeypatch):
+    """Stored amplitudes that share their left bits r split into |r> with
+    amplitude exactly 1 and the stored amplitudes unchanged, without the
+    rank-1 test."""
+    monkeypatch.setattr(quantum, "_rank1", None)  # calling it would raise
+    amps = {0b10001: complex(0.6, 1e-17) / 3, 0b10110: 0.8 / 3 + 0j,
+            0b10111: complex(-2, 2 ** 0.5) / 3}
+    q = QubitValue(5, amps)
+    assert is_product(q, 2)
+    left, right = factor_split(q, 2)
+    assert left.amps == ((0b10, 1 + 0j),)
+    assert right.amps == tuple((u & 0b111, a) for u, a in q.amps)
+    assert right == QubitValue(3, {u & 0b111: a for u, a in amps.items()})
 
 
 def test_factor_split_of_a_wide_basis_state():
@@ -203,26 +318,47 @@ def test_factor_split_ignores_entries_below_tolerance():
 
 
 def test_step_at_matches_once(monkeypatch):
-    """step_at validates and contracts in one match: no head_rule call, and
-    a fired split runs the rank-1 test twice (the walk's and the contract's),
-    not three times."""
-    import qlam.quantum as quantum
+    """step_at validates and contracts in one match: no head_rule call.  A
+    one-row register splits without the rank-1 test; any other fired split
+    runs it once, for the walk's test and the contract's split together."""
     import qlam.reduction as reduction
     from qlam.parser import parse_term
 
-    term = parse_term("let a * b = !|0> * ((0.6,0)!|0> + (0.8,0)!|1>) in b")
     tests, splits = [], []
-    rank1, split = quantum._rank1, reduction.factor_split
+    rank1, split, head_rule = quantum._rank1, reduction.factor_split, reduction.head_rule
     monkeypatch.setattr(quantum, "_rank1", lambda *args: tests.append(args) or rank1(*args))
     monkeypatch.setattr(reduction, "factor_split",
                         lambda *args: splits.append(args) or split(*args))
-    redex = reduction.strategy_redex(term)
-    assert redex == ((), "split") and len(tests) == 1 and splits == []
 
     def no_head_rule(_t):
         raise AssertionError("step_at matched the redex twice")
 
-    monkeypatch.setattr(reduction, "head_rule", no_head_rule)
-    [step] = reduction.step_at(term, *redex)
-    assert len(tests) == 2 and len(splits) == 1
-    assert amps_close(step.target.value, QubitValue(1, {0: 0.6, 1: 0.8}), 1e-12)
+    for source, rank1_runs in [
+            ("let a * b = !|0> * ((0.6,0)!|0> + (0.8,0)!|1>) in b", 0),
+            ("let a * b = ((0.6,0)!|0> + (0.8,0)!|1>) * !|1> in a", 1)]:
+        term = parse_term(source)
+        tests.clear()
+        splits.clear()
+        monkeypatch.setattr(reduction, "head_rule", head_rule)
+        redex = reduction.strategy_redex(term)
+        assert redex == ((), "split") and len(tests) == rank1_runs and splits == []
+        monkeypatch.setattr(reduction, "head_rule", no_head_rule)
+        [step] = reduction.step_at(term, *redex)
+        assert len(tests) == rank1_runs and len(splits) == 1
+        assert amps_close(step.target.value, QubitValue(1, {0: 0.6, 1: 0.8}), 1e-12)
+
+
+@given(register(min_width=2))
+def test_register_memos_leave_equality_hash_and_repr(q):
+    """A register whose split and key support were computed still equals,
+    hashes and prints as a fresh copy, and splits the same again."""
+    copy = QubitValue(q.width, q.amps)
+    before = repr(q), hash(q)
+    first = factor_split(q, 1)
+    assert is_product(q, 1) == (first is not None)
+    shape_key(QubitConst(q))
+    assert vars(q)  # the memos are there
+    assert (repr(q), hash(q)) == before
+    assert q == copy and copy == q
+    assert hash(copy) == hash(q) and repr(copy) == repr(q)
+    assert factor_split(q, 1) == first == factor_split(copy, 1)
