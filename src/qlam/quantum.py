@@ -371,6 +371,7 @@ def _scatter(g: GateExpr, q: QubitValue) -> dict[int, complex]:
     return entries
 
 
+@np.errstate(all="ignore")  # non-finite amplitudes pass silently, as in the scatter
 def _dense(g: GateExpr, q: QubitValue) -> dict[int, complex]:
     """apply_gate's amplitudes by dense passes over a 2**width vector: per
     non-identity factor, each row of its block is the sum over the row's

@@ -172,6 +172,16 @@ def test_apply_gate_chooses_by_size():
     assert not quantum._use_dense(gate(*["H"] * over), basis_state(over, 0))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amps", [{0: complex(math.inf, 0), 3: 1.0}, {0: 1e308, 1: 1e308, 7: 1.0}])
+def test_apply_gate_passes_agree_past_the_float_range(amps):
+    """Amplitudes past the float range go through both passes the same way
+    and without a numpy warning."""
+    q = QubitValue(8, amps)
+    for g in (gate(*["H"] * 8), gate("H", *["I"] * 7)):
+        assert len({got.support() for got in _both_passes(g, q)}) == 1
+
+
 def test_apply_gate_on_a_sparse_60_wire_register(tmp_path, capsys):
     """H on wire 1 of a 60-wire basis state stays on the scatter: two
     amplitudes, through apply_gate and through `qlam run`."""
