@@ -33,17 +33,30 @@ Program files hold ``gate NAME = [[...]];`` declarations and definitions
 desugar to nested abstractions (a ``!arg`` parameter binds nonlinearly) and
 every use site is inlined.
 
+Tokens are flat.  ``_tokenize`` makes one ``finditer`` pass with a regex
+that consumes the whitespace and comments before each token, and fills
+three parallel lists: a tag (the text of a symbol or keyword, else the
+kind: ``name``, ``ket``, ``number``), the text, and the source offset.
+The lists end in an ``eof`` token, so looking one token ahead never runs
+off the end.  The grammar compares ``tags[i]`` directly and names a token
+by its index.  Line and column are worked out from the offset only when a
+ParseError or a strict-surface note needs them, by bisecting the offsets
+of the source's newlines (found once, at the first such need).  A
+carriage return counts as a column of its line.
+
 A parsed term may nest at most MAX_NESTING levels: the nodes on its
 longest path from the root to a leaf, counted on the term that is built
 (a ``let`` builds two, the application and the abstraction, and an inlined
 definition brings its own levels).  Each definition and ``main`` is
 measured once it is built, and a deeper one is a ParseError at its name.
-The parser's own recursion is bounded separately, by the constructs open
-at a token, so that parentheses or prefixes without end are a ParseError
-too.  Parsing raises Python's recursion limit to cover the parser and the
-term walkers that still recurse once per level (``check``, ``free_vars``,
-``substitute``, ``pretty``, ``term_size``, and the dataclass ``==``,
-``hash`` and ``repr``) on any term it accepts; it never lowers it.
+Heights are kept on the nodes (``syntax.height``), so a definition used
+many times is measured once.  The parser's own recursion is bounded
+separately, by the constructs open at a token, so that parentheses or
+prefixes without end are a ParseError too.  Parsing raises Python's
+recursion limit to cover the parser and the term walkers that still
+recurse once per level (``check``, ``free_vars``, ``substitute``,
+``term_size``, and the dataclass ``==``, ``hash`` and ``repr``) on any
+term it accepts; it never lowers it.
 
 The parser also collects *strict surface* notes: places where a register
 constant was written outside the normal form (unbanged kets, tensors over
@@ -55,6 +68,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .quantum import (
@@ -79,12 +93,13 @@ from .syntax import (
     QubitConst,
     Term,
     Var,
-    children,
     free_vars,
     fresh_name,
+    height,
 )
 
 KEYWORDS = {"let", "in", "if", "then", "else", "gate"}
+_SYMBOLS = frozenset("\\.!(){}[],;=*+")
 
 # Deepest a parsed term may nest, in nodes on its longest root-to-leaf path.
 # A chain of 300 lets nests 602 levels, one of 400 lets 802.
@@ -95,22 +110,34 @@ MAX_NESTING = 900
 # parser accepts parses again.
 _MAX_OPEN = 2 * MAX_NESTING
 # An open construct costs the parser at most two frames, and the recursive
-# term walkers (check, free_vars, substitute, pretty, term_size, and the
-# dataclass ==, hash and repr) take at most a few a level of the term;
-# Python's default limit of 1000 covers neither.
+# term walkers (check, free_vars, substitute, term_size, and the dataclass
+# ==, hash and repr) take at most a few a level of the term; Python's
+# default limit of 1000 covers neither.
 _RECURSION_LIMIT = 8 * MAX_NESTING
 
+# One match per token: the whitespace and comments before it, then the
+# token.  ``eof`` matches at the end of the source and ``bad`` at any
+# character that starts no token.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r\n]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:
+      (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
     | (?P<ket>\|[01]+>)
     | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
     | (?P<sym>[\\.!(){}\[\],;=*+])
+    | (?P<eof>\Z)
+    | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
+
+# A token's tag is its text for symbols and keywords; other tokens are
+# tagged with their kind (name, ket, number, eof).
+_TEXT_TAGS = {text: text for text in (*KEYWORDS, *_SYMBOLS)}
+# Tags that start a prim, and so continue an application.
+_PRIM_START = frozenset(("name", "ket", "!", "("))
 
 
 class ParseError(Exception):
@@ -123,36 +150,43 @@ class ParseError(Exception):
         super().__init__(f"{line}:{col}: {message}{suffix}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # number | ket | name | keyword | sym | eof
-    text: str
-    line: int
-    col: int
+def _newlines(source: str) -> list[int]:
+    """The offsets of the newlines of ``source``, in order."""
+    out = []
+    at = source.find("\n")
+    while at >= 0:
+        out.append(at)
+        at = source.find("\n", at + 1)
+    return out
 
 
-def _tokenize(source: str) -> list[Token]:
-    tokens = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", line, pos - line_start + 1)
+def _line_col(newlines: list[int], offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset``, given the newline offsets
+    of its source.  A carriage return is a column of its line."""
+    line = bisect_left(newlines, offset)
+    start = newlines[line - 1] + 1 if line else 0
+    return line + 1, offset - start + 1
+
+
+def _tokenize(source: str) -> tuple[list[str], list[str], list[int]]:
+    """The tags, texts and source offsets of the tokens of ``source``, as
+    parallel lists that end in one ``eof`` token."""
+    tags: list[str] = []
+    texts: list[str] = []
+    offsets: list[int] = []
+    for m in _TOKEN_RE.finditer(source):
         kind = m.lastgroup
-        text = m.group()
-        col = pos - line_start + 1
-        if kind == "ws":
-            nl = text.count("\n")
-            if nl:
-                line += nl
-                line_start = pos + text.rindex("\n") + 1
-        elif kind != "comment":
-            if kind == "name" and text in KEYWORDS:
-                kind = "keyword"
-            tokens.append(Token(kind, text, line, col))
-        pos = m.end()
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
-    return tokens
+        text = m[kind]
+        tags.append(_TEXT_TAGS.get(text, kind))
+        texts.append(text)
+        offsets.append(m.start(kind))
+        if kind == "eof":
+            break
+    if "bad" in tags:
+        i = tags.index("bad")
+        raise ParseError(f"unexpected character {texts[i]!r}",
+                         *_line_col(_newlines(source), offsets[i]))
+    return tags, texts, offsets
 
 
 @dataclass
@@ -167,51 +201,65 @@ class Program:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], gates: dict[str, GateAtom], defs: dict[str, Term]):
-        self.tokens = tokens
+    """The grammar over the token lists of one source.  ``i`` indexes the
+    current token; a token is named by its index wherever a position may be
+    needed, and turned into a line and column only for a ParseError or a
+    note."""
+
+    def __init__(self, source: str, gates: dict[str, GateAtom], defs: dict[str, Term]):
+        self.source = source
+        self.tags, self.texts, self.offsets = _tokenize(source)
         self.i = 0
         self.gates = gates
         self.defs = defs
         self.strict_notes: list[tuple[int, int, str]] = []
         self.depth = 0  # constructs open at the current token
+        # one constant per gate name, shared by its uses (gates are never
+        # redeclared, so an entry stays valid)
+        self.gate_consts: dict[str, GateConst] = {}
+        self.newlines: list[int] | None = None  # built at the first position asked for
         if sys.getrecursionlimit() < _RECURSION_LIMIT:
             sys.setrecursionlimit(_RECURSION_LIMIT)
 
-    # -- token plumbing
+    # -- positions and errors
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+    def line_col(self, i: int) -> tuple[int, int]:
+        if self.newlines is None:
+            self.newlines = _newlines(self.source)
+        return _line_col(self.newlines, self.offsets[i])
 
-    def next(self) -> Token:
-        tok = self.peek()
-        self.i += 1
-        return tok
+    def error(self, message: str, i: int, expected: frozenset[str] = frozenset()) -> ParseError:
+        return ParseError(message, *self.line_col(i), expected)
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
-
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        if not self.at(kind, text):
-            tok = self.peek()
-            want = text if text is not None else kind
-            raise ParseError(f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.col,
-                             frozenset((want,)))
-        return self.next()
+    def expect(self, tag: str) -> int:
+        """The index of the current token, which must have ``tag``; the
+        parser moves past it."""
+        i = self.i
+        found = self.tags[i]
+        if found != tag:
+            kind = "keyword" if found in KEYWORDS else "sym" if found in _SYMBOLS else found
+            raise self.error(f"unexpected {kind} {self.texts[i]!r}", i, frozenset((tag,)))
+        self.i = i + 1
+        return i
 
     def fail(self, message: str, expected: frozenset[str] = frozenset()):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col, expected)
+        raise self.error(message, self.i, expected)
 
-    def note(self, tok: Token, message: str) -> None:
-        self.strict_notes.append((tok.line, tok.col, message))
+    def note(self, i: int, message: str) -> None:
+        self.strict_notes.append((*self.line_col(i), message))
 
-    def open_level(self, tok: Token) -> None:
-        """Open one construct at ``tok``; a ParseError there past _MAX_OPEN.
-        Closing it lowers ``depth`` again."""
+    def open_level(self, i: int) -> None:
+        """Open one construct at token ``i``; a ParseError there past
+        _MAX_OPEN.  Closing it lowers ``depth`` again."""
         self.depth += 1
         if self.depth > _MAX_OPEN:
-            raise ParseError(f"source nested deeper than {_MAX_OPEN} levels", tok.line, tok.col)
+            raise self.error(f"source nested deeper than {_MAX_OPEN} levels", i)
+
+    def check_height(self, term: Term, i: int, above: int = 0) -> None:
+        """A ParseError at token ``i`` if ``term``, placed ``above`` levels
+        down, reaches deeper than MAX_NESTING."""
+        if height(term) + above > MAX_NESTING:
+            raise self.error(f"term nested deeper than {MAX_NESTING} levels", i)
 
     # -- term grammar
 
@@ -219,76 +267,80 @@ class _Parser:
         """term, with the sum, tensor and application loops run in this one
         frame, so that a parenthesis costs the parser two frames (this one
         and _prim's)."""
-        if self.at("sym", "\\"):
+        tags = self.tags
+        tag = tags[self.i]
+        if tag == "\\":
             return self._lambda()
-        if self.at("keyword", "let"):
+        if tag == "let":
             return self._let()
-        if self.at("keyword", "if"):
+        if tag == "if":
             return self._if()
         summands: list[Term] = []
-        summand_toks: list[Token] = []
+        summand_at: list[int] = []
+        factors: list[Term] = []
+        factor_at: list[int] = []
         while True:
-            factors: list[Term] = []
-            factor_toks: list[Token] = []
-            while True:
-                factor_toks.append(self.peek())
-                term = self._prim()
-                while self._starts_prim():
-                    term = App(term, self._prim())
-                factors.append(term)
-                if not self.at("sym", "*"):
-                    break
-                self.next()
-            summand_toks.append(factor_toks[0])
+            factor_at.append(self.i)
+            term = self._prim()
+            while tags[self.i] in _PRIM_START:
+                term = App(term, self._prim())
+            factors.append(term)
+            tag = tags[self.i]
+            if tag == "*":
+                self.i += 1
+                continue
+            summand_at.append(factor_at[0])
             summands.append(factors[0] if len(factors) == 1
-                            else self._fold_tensor(factors, factor_toks))
-            if not self.at("sym", "+"):
+                            else self._fold_tensor(factors, factor_at))
+            if tag != "+":
                 break
-            self.next()
+            self.i += 1
+            factors, factor_at = [], []
         if len(summands) == 1:
             return summands[0]
-        return _fold_sum(summands, summand_toks)
+        return self._fold_sum(summands, summand_at)
 
     def _binder_name(self) -> str:
-        tok = self.expect("name")
-        if tok.text in self.gates or tok.text in BUILTIN_GATES:
-            raise ParseError(f"{tok.text!r} names a gate and cannot be bound", tok.line, tok.col)
-        if tok.text in self.defs:
-            raise ParseError(f"{tok.text!r} names a definition and cannot be bound",
-                             tok.line, tok.col)
-        return tok.text
+        i = self.expect("name")
+        text = self.texts[i]
+        if text in self.gates or text in BUILTIN_GATES:
+            raise self.error(f"{text!r} names a gate and cannot be bound", i)
+        if text in self.defs:
+            raise self.error(f"{text!r} names a definition and cannot be bound", i)
+        return text
 
     def _lambda(self) -> Term:
-        self.open_level(self.expect("sym", "\\"))
-        nonlinear = False
-        if self.at("sym", "!"):
-            self.next()
-            nonlinear = True
+        self.open_level(self.i)
+        self.i += 1
+        nonlinear = self.tags[self.i] == "!"
+        if nonlinear:
+            self.i += 1
         name = self._binder_name()
-        self.expect("sym", ".")
+        self.expect(".")
         body = self.parse_term()
         self.depth -= 1
         return BangLam(name, body) if nonlinear else Lam(name, body)
 
     def _let(self) -> Term:
-        let_tok = self.expect("keyword", "let")
-        self.open_level(let_tok)
-        if self.at("sym", "!"):
-            self.next()
+        let_at = self.i
+        self.open_level(let_at)
+        self.i += 1
+        if self.tags[self.i] == "!":
+            self.i += 1
             name = self._binder_name()
-            self.expect("sym", "=")
+            self.expect("=")
             value = self.parse_term()
-            self.expect("keyword", "in")
+            self.expect("in")
             body = self.parse_term()
             self.depth -= 1
             return App(BangLam(name, body), value)
         names = [self._binder_name()]
-        while self.at("sym", "*"):
-            self.next()
+        while self.tags[self.i] == "*":
+            self.i += 1
             names.append(self._binder_name())
-        self.expect("sym", "=")
+        self.expect("=")
         value = self.parse_term()
-        self.expect("keyword", "in")
+        self.expect("in")
         body = self.parse_term()
         self.depth -= 1
         if len(names) == 1:
@@ -297,46 +349,43 @@ class _Parser:
             self.fail("duplicate names in destructuring pattern")
         # the desugaring recurses once a name and walks the body, which sits
         # under a split for each name but the last
-        _check_height(body, let_tok, len(names) - 1)
+        self.check_height(body, let_at, len(names) - 1)
         return _nest_splits(names, value, body)
 
     def _if(self) -> Term:
-        self.open_level(self.expect("keyword", "if"))
+        self.open_level(self.i)
+        self.i += 1
         cond = self.parse_term()
-        self.expect("keyword", "then")
+        self.expect("then")
         then = self.parse_term()
-        self.expect("keyword", "else")
+        self.expect("else")
         orelse = self.parse_term()
         self.depth -= 1
         return If(cond, then, orelse)
 
-    def _fold_tensor(self, items: list[Term], toks: list[Token]) -> Term:
+    def _fold_tensor(self, items: list[Term], at: list[int]) -> Term:
         if all(isinstance(it, GateConst) for it in items):
-            expr = items[0].gate
-            for it in items[1:]:
-                expr = expr.tensor(it.gate)
-            return GateConst(expr)
+            return GateConst(GateExpr(tuple(a for it in items for a in it.gate.atoms)))
         # Register tensor, possibly through gate applications (a gate applied
         # to part of a wider register contracts to the gate padded with I).
         peeled = []
-        for tok, item in zip(toks, items):
+        for i, item in zip(at, items):
             chain: list[GateExpr] = []
             t = item
             while isinstance(t, App) and isinstance(t.fun, GateConst):
                 chain.append(t.fun.gate)
                 t = t.arg
             if not isinstance(t, QubitConst):
-                raise ParseError(
+                raise self.error(
                     "tensor operands must be qubit constants or gate applications "
-                    "over them (variables cannot be tensored)", tok.line, tok.col)
+                    "over them (variables cannot be tensored)", i)
             width = t.value.width
             for g in reversed(chain):
                 if g.arity != width:
-                    raise ParseError(
-                        f"gate of arity {g.arity} applied to {width} wire(s) "
-                        "inside a tensor", tok.line, tok.col)
+                    raise self.error(
+                        f"gate of arity {g.arity} applied to {width} wire(s) inside a tensor", i)
             if chain or len(t.value.amps) > 1:
-                self.note(tok, "tensor over a non-base register expression")
+                self.note(i, "tensor over a non-base register expression")
             peeled.append((chain, t.value))
         base = peeled[0][1]
         for _, value in peeled[1:]:
@@ -352,120 +401,134 @@ class _Parser:
             term = App(GateConst(factors), term)
         return term
 
-    def _starts_prim(self) -> bool:
-        tok = self.peek()
-        if tok.kind in ("name", "ket"):
-            return True
-        return tok.kind == "sym" and tok.text in ("!", "(")
+    def _fold_sum(self, items: list[Term], at: list[int]) -> Term:
+        """The one register constant a '+' of register constants denotes."""
+        total: dict[int, complex] = {}
+        width = None
+        for i, item in zip(at, items):
+            if not isinstance(item, QubitConst):
+                raise self.error("'+' combines qubit constants only", i)
+            if width is None:
+                width = item.value.width
+            elif item.value.width != width:
+                raise self.error(
+                    f"superposition mixes widths {width} and {item.value.width}", i)
+            for u, a in item.value.amps:
+                total[u] = total.get(u, 0j) + a
+        return QubitConst(QubitValue(width, total))
 
     def _prim(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "sym" and tok.text == "(":
-            if self.peek(1).kind == "number":
-                return self._scalar()
-            self.open_level(self.next())
-            inner = self.parse_term()
-            self.expect("sym", ")")
-            self.depth -= 1
-            return inner
-        if tok.kind == "sym" and tok.text == "!":
-            self.next()
-            if self.at("ket"):
-                kt = self.next()
-                return QubitConst(ket(kt.text[1:-1]))
-            self.open_level(tok)
+        i = self.i
+        tags = self.tags
+        tag = tags[i]
+        if tag == "name":
+            text = self.texts[i]
+            if text == "M" and tags[i + 1] == "{":
+                return self._measurement()
+            self.i = i + 1
+            const = self.gate_consts.get(text)
+            if const is not None:
+                return const
+            atom = self.gates.get(text) or BUILTIN_GATES.get(text)
+            if atom is not None:
+                const = self.gate_consts[text] = GateConst(GateExpr((atom,)))
+                return const
+            definition = self.defs.get(text)
+            return Var(text) if definition is None else definition
+        if tag == "!":
+            if tags[i + 1] == "ket":
+                self.i = i + 2
+                return QubitConst(ket(self.texts[i + 1][1:-1]))
+            self.open_level(i)
+            self.i = i + 1
             inner = self._prim()
             self.depth -= 1
             if isinstance(inner, QubitConst):
-                self.note(tok, "bang on a non-base register expression")
+                self.note(i, "bang on a non-base register expression")
                 return inner
             return Bang(inner)
-        if tok.kind == "ket":
-            self.next()
-            self.note(tok, "base qubit written without '!'")
-            return QubitConst(ket(tok.text[1:-1]))
-        if tok.kind == "name":
-            if tok.text == "M" and self.peek(1).kind == "sym" and self.peek(1).text == "{":
-                return self._measurement()
-            self.next()
-            if tok.text in self.gates:
-                return GateConst(GateExpr((self.gates[tok.text],)))
-            if tok.text in BUILTIN_GATES:
-                return GateConst(GateExpr((BUILTIN_GATES[tok.text],)))
-            if tok.text in self.defs:
-                return self.defs[tok.text]
-            return Var(tok.text)
+        if tag == "(":
+            if tags[i + 1] == "number":
+                return self._scalar()
+            self.open_level(i)
+            self.i = i + 1
+            inner = self.parse_term()
+            self.expect(")")
+            self.depth -= 1
+            return inner
+        if tag == "ket":
+            self.i = i + 1
+            self.note(i, "base qubit written without '!'")
+            return QubitConst(ket(self.texts[i][1:-1]))
         self.fail("expected a term", frozenset(("term",)))
 
     def _scalar(self) -> Term:
-        open_tok = self.expect("sym", "(")
-        re_tok = self.expect("number")
-        self.expect("sym", ",")
-        im_tok = self.expect("number")
-        self.expect("sym", ")")
-        self.open_level(open_tok)
+        """A scalar prefix; the current tokens are '(' and a number."""
+        open_at = self.i
+        self.i += 2
+        self.expect(",")
+        im_at = self.expect("number")
+        self.expect(")")
+        self.open_level(open_at)
         operand = self._prim()
         self.depth -= 1
         if not isinstance(operand, QubitConst):
-            raise ParseError("scalar product applies to qubit constants only",
-                             open_tok.line, open_tok.col)
+            raise self.error("scalar product applies to qubit constants only", open_at)
         if len(operand.value.amps) != 1:
-            self.note(open_tok, "scalar over a non-base register expression")
-        z = complex(float(re_tok.text), float(im_tok.text))
+            self.note(open_at, "scalar over a non-base register expression")
+        z = complex(float(self.texts[open_at + 1]), float(self.texts[im_at]))
         scaled = {u: z * a for u, a in operand.value.amps}
         return QubitConst(QubitValue(operand.value.width, scaled))
 
     def _measurement(self) -> Term:
-        self.expect("name")  # the 'M'
-        self.expect("sym", "{")
-        tok = self.expect("number")
-        indices = [_parse_wire_index(tok)]
-        while self.at("sym", ","):
-            self.next()
-            tok = self.expect("number")
-            indices.append(_parse_wire_index(tok))
-        self.expect("sym", "}")
+        """A measurement; the current tokens are 'M' and '{'."""
+        self.i += 2
+        indices = [self._wire_index(self.expect("number"))]
+        while self.tags[self.i] == ",":
+            self.i += 1
+            indices.append(self._wire_index(self.expect("number")))
+        self.expect("}")
         return MeasConst(frozenset(indices))
 
+    def _wire_index(self, i: int) -> int:
+        text = self.texts[i]
+        try:
+            value = int(text)
+        except ValueError:
+            raise self.error(f"wire index must be an integer, got {text}", i)
+        if value < 1:
+            raise self.error(f"wire index must be >= 1, got {value}", i)
+        return value
 
-def _check_height(term: Term, tok: Token, above: int = 0) -> None:
-    """A ParseError at ``tok`` if ``term``, placed ``above`` levels down,
-    reaches deeper than MAX_NESTING.  Counts level by level, without
-    recursion, and stops at the first level past the limit."""
-    level, height = [term], above
-    while level:
-        height += 1
-        if height > MAX_NESTING:
-            raise ParseError(f"term nested deeper than {MAX_NESTING} levels", tok.line, tok.col)
-        level = [c for t in level for c in children(t)]
+    # -- gate matrices
 
+    def matrix(self) -> tuple[tuple[complex, ...], ...]:
+        self.expect("[")
+        rows = [self._matrix_row()]
+        while self.tags[self.i] == ",":
+            self.i += 1
+            rows.append(self._matrix_row())
+        self.expect("]")
+        return tuple(rows)
 
-def _fold_sum(items: list[Term], toks: list[Token]) -> Term:
-    """The one register constant a '+' of register constants denotes."""
-    total: dict[int, complex] = {}
-    width = None
-    for tok, item in zip(toks, items):
-        if not isinstance(item, QubitConst):
-            raise ParseError("'+' combines qubit constants only", tok.line, tok.col)
-        if width is None:
-            width = item.value.width
-        elif item.value.width != width:
-            raise ParseError(
-                f"superposition mixes widths {width} and {item.value.width}",
-                tok.line, tok.col)
-        for u, a in item.value.amps:
-            total[u] = total.get(u, 0j) + a
-    return QubitConst(QubitValue(width, total))
+    def _matrix_row(self) -> tuple[complex, ...]:
+        self.expect("[")
+        entries = [self._matrix_entry()]
+        while self.tags[self.i] == ",":
+            self.i += 1
+            entries.append(self._matrix_entry())
+        self.expect("]")
+        return tuple(entries)
 
-
-def _parse_wire_index(tok: Token) -> int:
-    try:
-        value = int(tok.text)
-    except ValueError:
-        raise ParseError(f"wire index must be an integer, got {tok.text}", tok.line, tok.col)
-    if value < 1:
-        raise ParseError(f"wire index must be >= 1, got {value}", tok.line, tok.col)
-    return value
+    def _matrix_entry(self) -> complex:
+        if self.tags[self.i] == "(":
+            self.i += 1
+            re_at = self.expect("number")
+            self.expect(",")
+            im_at = self.expect("number")
+            self.expect(")")
+            return complex(float(self.texts[re_at]), float(self.texts[im_at]))
+        return complex(float(self.texts[self.expect("number")]), 0.0)
 
 
 def _nest_splits(names: list[str], value: Term, body: Term) -> Term:
@@ -491,85 +554,53 @@ def parse_term(source: str, gates: dict[str, GateAtom] | None = None) -> Term:
 def parse_term_with_notes(source: str,
                           gates: dict[str, GateAtom] | None = None
                           ) -> tuple[Term, list[tuple[int, int, str]]]:
-    parser = _Parser(_tokenize(source), gates or {}, {})
-    first = parser.peek()
+    parser = _Parser(source, gates or {}, {})
     term = parser.parse_term()
     parser.expect("eof")
-    _check_height(term, first)
+    parser.check_height(term, 0)
     return term, parser.strict_notes
 
 
 def parse_program(source: str) -> Program:
     """Parse a program file: gate declarations and definitions; definitions
     are inlined into later bodies."""
-    tokens = _tokenize(source)
     gates: dict[str, GateAtom] = {}
     defs: dict[str, Term] = {}
     order: list[tuple[str, Term]] = []
-    parser = _Parser(tokens, gates, defs)
-    while not parser.at("eof"):
-        if parser.at("keyword", "gate"):
-            parser.next()
-            name_tok = parser.expect("name")
-            if name_tok.text in BUILTIN_GATES or name_tok.text in gates:
-                raise ParseError(f"gate {name_tok.text!r} is already defined",
-                                 name_tok.line, name_tok.col)
-            parser.expect("sym", "=")
-            matrix = _parse_matrix(parser)
-            parser.expect("sym", ";")
+    parser = _Parser(source, gates, defs)
+    tags, texts = parser.tags, parser.texts
+    while tags[parser.i] != "eof":
+        if tags[parser.i] == "gate":
+            parser.i += 1
+            name_at = parser.expect("name")
+            name = texts[name_at]
+            if name in BUILTIN_GATES or name in gates:
+                raise parser.error(f"gate {name!r} is already defined", name_at)
+            parser.expect("=")
+            matrix = parser.matrix()
+            parser.expect(";")
             try:
-                gates[name_tok.text] = GateAtom(name_tok.text, matrix)
+                gates[name] = GateAtom(name, matrix)
             except GateError as exc:
-                raise ParseError(str(exc), name_tok.line, name_tok.col) from exc
+                raise parser.error(str(exc), name_at) from exc
             continue
-        name_tok = parser.expect("name")
-        if name_tok.text in defs or name_tok.text in gates or name_tok.text in BUILTIN_GATES:
-            raise ParseError(f"{name_tok.text!r} is already defined", name_tok.line, name_tok.col)
+        name_at = parser.expect("name")
+        name = texts[name_at]
+        if name in defs or name in gates or name in BUILTIN_GATES:
+            raise parser.error(f"{name!r} is already defined", name_at)
         params: list[tuple[bool, str]] = []
-        while parser.at("name") or parser.at("sym", "!"):
-            nonlinear = parser.at("sym", "!")
+        while tags[parser.i] in ("name", "!"):
+            nonlinear = tags[parser.i] == "!"
             if nonlinear:
-                parser.next()
+                parser.i += 1
             params.append((nonlinear, parser._binder_name()))
-        parser.expect("sym", "=")
+        parser.expect("=")
         body = parser.parse_term()
-        parser.expect("sym", ";")
+        parser.expect(";")
         for nonlinear, p in reversed(params):
             body = BangLam(p, body) if nonlinear else Lam(p, body)
-        _check_height(body, name_tok)
-        defs[name_tok.text] = body
-        order.append((name_tok.text, body))
+        parser.check_height(body, name_at)
+        defs[name] = body
+        order.append((name, body))
     main = defs.get("main")
     return Program(gates=gates, defs=order, main=main, strict_notes=parser.strict_notes)
-
-
-def _parse_matrix(parser: _Parser) -> tuple[tuple[complex, ...], ...]:
-    parser.expect("sym", "[")
-    rows = [_parse_matrix_row(parser)]
-    while parser.at("sym", ","):
-        parser.next()
-        rows.append(_parse_matrix_row(parser))
-    parser.expect("sym", "]")
-    return tuple(rows)
-
-
-def _parse_matrix_row(parser: _Parser) -> tuple[complex, ...]:
-    parser.expect("sym", "[")
-    entries = [_parse_matrix_entry(parser)]
-    while parser.at("sym", ","):
-        parser.next()
-        entries.append(_parse_matrix_entry(parser))
-    parser.expect("sym", "]")
-    return tuple(entries)
-
-
-def _parse_matrix_entry(parser: _Parser) -> complex:
-    if parser.at("sym", "("):
-        parser.next()
-        re_tok = parser.expect("number")
-        parser.expect("sym", ",")
-        im_tok = parser.expect("number")
-        parser.expect("sym", ")")
-        return complex(float(re_tok.text), float(im_tok.text))
-    tok = parser.expect("number")
-    return complex(float(tok.text), 0.0)

@@ -15,7 +15,10 @@ scatter adds them in.  It is taken on registers of DENSE_MIN_WIDTH to
 DENSE_MAX_WIDTH wires, and there only when the scatter's moves (estimated
 from the support, grown by each factor's column fan-out) exceed the dense
 pass's price.  Narrower registers, and wider ones such as a sparse 60-wire
-register, stay on the scatter.
+register, stay on the scatter.  The amplitudes of either pass, and a
+measurement's post-states, go in index order to ``_from_sorted``, which
+keeps and normalizes them exactly as QubitValue does, without its merge
+and range check.
 
 Projective measurement of a wire set I follows the Born rule: outcome word w
 occurs with probability equal to the squared mass on the basis indices whose
@@ -293,6 +296,18 @@ def _canonical(width: int, amps: tuple[tuple[int, complex], ...]) -> QubitValue:
     return q
 
 
+def _from_sorted(width: int, pairs: list[tuple[int, complex]]) -> QubitValue:
+    """A register from pairs whose indices are distinct, sorted and in
+    range, with the amplitudes QubitValue would keep: each one as 0j + a
+    (which turns a -0.0 part into 0.0), those of modulus EPS_ZERO or less
+    dropped, and a modulus past the float range counted as inf."""
+    try:
+        amps = tuple((u, z) for u, a in pairs if abs(z := 0j + a) > EPS_ZERO)
+    except OverflowError:
+        amps = tuple((u, z) for u, a in pairs if _modulus(z := 0j + a) > EPS_ZERO)
+    return _canonical(width, amps)
+
+
 def basis_state(width: int, index: int) -> QubitValue:
     return QubitValue(width, ((index, 1 + 0j),))
 
@@ -372,11 +387,12 @@ def _scatter(g: GateExpr, q: QubitValue) -> dict[int, complex]:
 
 
 @np.errstate(all="ignore")  # non-finite amplitudes pass silently, as in the scatter
-def _dense(g: GateExpr, q: QubitValue) -> dict[int, complex]:
-    """apply_gate's amplitudes by dense passes over a 2**width vector: per
-    non-identity factor, each row of its block is the sum over the row's
-    nonzero entries in column order, as the scatter adds them; what a factor
-    cancels to EPS_ZERO or below is zeroed before the next one."""
+def _dense(g: GateExpr, q: QubitValue) -> list[tuple[int, complex]]:
+    """apply_gate's amplitudes by dense passes over a 2**width vector, as
+    (index, amplitude) pairs in index order: per non-identity factor, each
+    row of its block is the sum over the row's nonzero entries in column
+    order, as the scatter adds them; what a factor cancels to EPS_ZERO or
+    below is zeroed before the next one."""
     vec = None
     right = q.width
     for atom in g.atoms:
@@ -399,9 +415,9 @@ def _dense(g: GateExpr, q: QubitValue) -> dict[int, complex]:
                 row += z * src[:, c]
         vec = out.reshape(-1)
     if vec is None:
-        return dict(q.amps)
+        return list(q.amps)
     nonzero = np.flatnonzero(vec)
-    return dict(zip(nonzero.tolist(), vec[nonzero].tolist()))
+    return list(zip(nonzero.tolist(), vec[nonzero].tolist()))
 
 
 def _use_dense(g: GateExpr, q: QubitValue) -> bool:
@@ -430,8 +446,9 @@ def apply_gate(g: GateExpr, q: QubitValue) -> QubitValue:
     if g.arity != q.width:
         raise ArityMismatchError(
             f"gate of arity {g.arity} applied to a width-{q.width} register")
-    entries = _dense(g, q) if _use_dense(g, q) else _scatter(g, q)
-    return QubitValue(q.width, entries)
+    if _use_dense(g, q):
+        return _from_sorted(q.width, _dense(g, q))
+    return _from_sorted(q.width, sorted(_scatter(g, q).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +508,7 @@ def _outcome(q: QubitValue, idx: list[int], key: int, entries: list,
              p: float) -> MeasurementOutcome:
     """The branch of one bucket: its word and the renormalized post-state."""
     scale = 1.0 / math.sqrt(p)
-    post = QubitValue(q.width, {u: a * scale for u, a in entries})
+    post = _from_sorted(q.width, [(u, a * scale) for u, a in entries])
     word = 0
     for i in idx:
         word = (word << 1) | ((key >> (q.width - i)) & 1)
@@ -617,7 +634,7 @@ def factor_split(q: QubitValue, left_width: int,
     right_width = q.width - left_width
     if isinstance(parts, int):
         mask = (1 << right_width) - 1
-        return (basis_state(left_width, parts),
+        return (_canonical(left_width, ((parts, 1 + 0j),)),
                 _canonical(right_width, tuple((u & mask, a) for u, a in q.amps)))
     a_vec, b_cols, b_vec = parts
     na = np.linalg.norm(a_vec)

@@ -132,6 +132,7 @@ class LetTensor:
 Term = Union[Var, Lam, BangLam, App, Bang, GateConst, QubitConst, MeasConst, If, LetTensor]
 
 _CLOSED_LEAVES = frozenset((GateConst, QubitConst, MeasConst))
+_LEAVES = _CLOSED_LEAVES | {Var}
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +212,38 @@ def term_size(t: Term) -> int:
     return 1 + sum(term_size(c) for c in children(t))
 
 
+def height(t: Term) -> int:
+    """Nodes on the longest root-to-leaf path of t, computed once per node
+    and kept on it the way free_vars keeps its set, so a subterm shared by
+    many parents (an inlined definition) is walked once.  Iterative: a node
+    stays on the stack until each of its children has a height."""
+    if type(t) in _LEAVES:
+        return 1
+    out = getattr(t, _HEIGHT, None)
+    if out is not None:
+        return out
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        best = 0
+        pending = False
+        for c in children(node):
+            if type(c) in _LEAVES:
+                h = 1
+            else:
+                h = getattr(c, _HEIGHT, None)
+                if h is None:
+                    stack.append(c)
+                    pending = True
+                    continue
+            if h > best:
+                best = h
+        if not pending:
+            stack.pop()
+            object.__setattr__(node, _HEIGHT, best + 1)
+    return getattr(t, _HEIGHT)
+
+
 # ---------------------------------------------------------------------------
 # Variables
 
@@ -218,8 +251,9 @@ def term_size(t: Term) -> int:
 _EMPTY: frozenset[str] = frozenset()
 
 # Names of the instance attributes that hold a node's free-variable memo, a
-# term's shape memo and a register's key-support memo.
+# term's shape memo, a register's key-support memo and a node's height memo.
 _FREE = "_free_vars"
+_HEIGHT = "_height"
 _SHAPE = "_shape"
 _SUPPORT = "_key_support_memo"
 
@@ -483,50 +517,75 @@ def format_gate(g: GateExpr) -> tuple[str, bool]:
 
 def pretty(t: Term) -> str:
     """Canonical concrete syntax; parsing the result gives back an
-    alpha-equivalent term."""
-    return _pp(t)
+    alpha-equivalent term.  One walk over an explicit stack of pending
+    terms and text, so any depth prints; each register is formatted once,
+    for its text and whether that text is atomic."""
+    registers: dict[int, tuple[str, bool]] = {}
 
+    def register(q: QubitValue) -> tuple[str, bool]:
+        out = registers.get(id(q))
+        if out is None:
+            out = registers[id(q)] = format_qubit(q)
+        return out
 
-def _atomic(t: Term) -> bool:
-    match t:
-        case Var(_) | MeasConst(_):
+    def atomic(term: Term) -> bool:
+        """Whether term prints as an operand without parentheses."""
+        while type(term) is Bang:
+            term = term.body
+        cls = type(term)
+        if cls is Var or cls is MeasConst:
             return True
-        case GateConst(g):
-            return len(g.atoms) == 1
-        case QubitConst(q):
-            return format_qubit(q)[1]
-        case Bang(body):
-            return _atomic(body)
-        case _:
-            return False
+        if cls is GateConst:
+            return len(term.gate.atoms) == 1
+        if cls is QubitConst:
+            return register(term.value)[1]
+        return False
 
-
-def _pp_atom(t: Term) -> str:
-    text = _pp(t)
-    return text if _atomic(t) else f"({text})"
-
-
-def _pp(t: Term) -> str:
-    match t:
-        case Var(x):
-            return x
-        case Lam(x, body):
-            return f"\\{x}. {_pp(body)}"
-        case BangLam(x, body):
-            return f"\\!{x}. {_pp(body)}"
-        case App(fun, arg):
-            fun_text = _pp(fun) if isinstance(fun, App) or _atomic(fun) else f"({_pp(fun)})"
-            return f"{fun_text} {_pp_atom(arg)}"
-        case Bang(body):
-            return f"!{_pp_atom(body)}"
-        case GateConst(g):
-            return format_gate(g)[0]
-        case QubitConst(q):
-            return format_qubit(q)[0]
-        case MeasConst(indices):
-            return "M{" + ",".join(str(i) for i in sorted(indices)) + "}"
-        case If(c, a, b):
-            return f"if {_pp_atom(c)} then {_pp_atom(a)} else {_pp_atom(b)}"
-        case LetTensor(x, y, value, body):
-            return f"let {x} * {y} = {_pp_atom(value)} in {_pp(body)}"
-    raise TypeError(f"not a term: {t!r}")
+    out: list[str] = []
+    # a str is text to emit, a Term is printed as is, and a 1-tuple holds a
+    # term printed as an operand: in parentheses unless it is atomic
+    stack: list = [t]
+    while stack:
+        item = stack.pop()
+        cls = type(item)
+        if cls is str:
+            out.append(item)
+        elif cls is tuple:
+            term = item[0]
+            if atomic(term):
+                stack.append(term)
+            else:
+                stack += ")", term, "("
+        elif cls is Var:
+            out.append(item.name)
+        elif cls is Lam:
+            out.append(f"\\{item.var}. ")
+            stack.append(item.body)
+        elif cls is BangLam:
+            out.append(f"\\!{item.var}. ")
+            stack.append(item.body)
+        elif cls is App:
+            fun = item.fun
+            stack += (item.arg,), " "
+            if type(fun) is App or atomic(fun):
+                stack.append(fun)
+            else:
+                stack += ")", fun, "("
+        elif cls is Bang:
+            out.append("!")
+            stack.append((item.body,))
+        elif cls is GateConst:
+            out.append(format_gate(item.gate)[0])
+        elif cls is QubitConst:
+            out.append(register(item.value)[0])
+        elif cls is MeasConst:
+            out.append("M{" + ",".join(str(i) for i in sorted(item.indices)) + "}")
+        elif cls is If:
+            out.append("if ")
+            stack += (item.orelse,), " else ", (item.then,), " then ", (item.cond,)
+        elif cls is LetTensor:
+            out.append(f"let {item.left} * {item.right} = ")
+            stack += item.body, " in ", (item.value,)
+        else:
+            raise TypeError(f"not a term: {item!r}")
+    return "".join(out)

@@ -14,6 +14,10 @@ test oracles.
   per level, copying the binder environment at every binder.
 - ``shape_key_reference`` walks the term on every call and keys gates by
   their names.
+- ``pretty_reference`` is the recursive printer that ``qlam.syntax.pretty``
+  replaced with one explicit-stack walk: one Python frame or two per
+  level, and a register's text formatted once to decide whether it is
+  atomic and again to print it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from qlam.syntax import (
     Term,
     Var,
     children,
+    format_gate,
+    format_qubit,
     fresh_name,
     with_children,
 )
@@ -190,3 +196,52 @@ def shape_key_reference(t: Term, tol: float = AMP_TOL) -> tuple | None:
         else:
             raise TypeError(f"not a term: {term!r}")
     return tuple(out)
+
+
+def pretty_reference(t: Term) -> str:
+    return _pp(t)
+
+
+def _atomic(t: Term) -> bool:
+    match t:
+        case Var(_) | MeasConst(_):
+            return True
+        case GateConst(g):
+            return len(g.atoms) == 1
+        case QubitConst(q):
+            return format_qubit(q)[1]
+        case Bang(body):
+            return _atomic(body)
+        case _:
+            return False
+
+
+def _pp_atom(t: Term) -> str:
+    text = _pp(t)
+    return text if _atomic(t) else f"({text})"
+
+
+def _pp(t: Term) -> str:
+    match t:
+        case Var(x):
+            return x
+        case Lam(x, body):
+            return f"\\{x}. {_pp(body)}"
+        case BangLam(x, body):
+            return f"\\!{x}. {_pp(body)}"
+        case App(fun, arg):
+            fun_text = _pp(fun) if isinstance(fun, App) or _atomic(fun) else f"({_pp(fun)})"
+            return f"{fun_text} {_pp_atom(arg)}"
+        case Bang(body):
+            return f"!{_pp_atom(body)}"
+        case GateConst(g):
+            return format_gate(g)[0]
+        case QubitConst(q):
+            return format_qubit(q)[0]
+        case MeasConst(indices):
+            return "M{" + ",".join(str(i) for i in sorted(indices)) + "}"
+        case If(c, a, b):
+            return f"if {_pp_atom(c)} then {_pp_atom(a)} else {_pp_atom(b)}"
+        case LetTensor(x, y, value, body):
+            return f"let {x} * {y} = {_pp_atom(value)} in {_pp(body)}"
+    raise TypeError(f"not a term: {t!r}")

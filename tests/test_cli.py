@@ -419,6 +419,21 @@ def test_fmt_output_at_the_limit_parses_again(tmp_path, capsys, shape):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("flags", [[], ["--sample", "--seed", "0"], ["--json"]])
+def test_run_prints_a_normal_form_deeper_than_its_source(tmp_path, capsys, flags):
+    """Each of the 6 uses of f unfolds to 800 applications of H, so the
+    source nests about 800 levels and the normal form 4,800: it prints
+    without a traceback."""
+    f_chain = "f (" * 5 + "f y" + ")" * 5
+    h_chain = "H (" * 799 + "H x" + ")" * 799
+    path = tmp_path / "deep.qlam"
+    path.write_text(f"main = (\\!f. \\y. {f_chain}) !(\\x. {h_chain});\n")
+    code, out, err = run_cli(capsys, "run", *flags, str(path))
+    assert code == 0 and err == ""
+    normal_form = "\\y. " + "H (" * 4799 + "H y" + ")" * 4799
+    assert (json.dumps(normal_form) if "--json" in flags else normal_form) in out
+
+
 def test_run_400_let_chain(tmp_path, capsys):
     """Substitution recurses only along the path to an occurrence, so a long
     let-chain evaluates without exhausting the stack."""

@@ -83,6 +83,24 @@ def test_dict_and_pairs_build_the_same_register():
     assert math.copysign(1.0, from_dict.amps[1][1].real) == 1.0
 
 
+_AMPLITUDE_PARTS = st.one_of(st.floats(-1, 1, allow_nan=False), st.sampled_from(
+    [0.0, -0.0, 1e-13, -1e-12, 1e-12 * (1 + 2**-52), 1e308, -1.5e308, math.inf]))
+
+
+@given(st.integers(1, 6), st.data())
+def test_sorted_pairs_build_the_register_qubitvalue_builds(width, data):
+    """The kernels' constructor keeps, drops and sign-normalizes each
+    amplitude exactly as QubitValue does, bit for bit, including a modulus
+    past the float range."""
+    support = sorted(data.draw(st.sets(st.integers(0, (1 << width) - 1), max_size=8)))
+    pairs = [(u, complex(data.draw(_AMPLITUDE_PARTS), data.draw(_AMPLITUDE_PARTS)))
+             for u in support]
+    got = quantum._from_sorted(width, pairs)
+    want = QubitValue(width, pairs)
+    assert got.width == want.width
+    assert repr(got.amps) == repr(want.amps)
+
+
 def test_dict_register_keeps_the_range_check():
     with pytest.raises(ValueError, match="basis index 4 out of range for width 2"):
         QubitValue(2, {0: 1.0, 4: 0.0})

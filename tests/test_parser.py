@@ -192,6 +192,146 @@ def test_binder_cannot_shadow_gate():
 
 
 # ---------------------------------------------------------------------------
+# error and note pins: the exact text of each ParseError (message, line:col
+# and expected set) and the strict-surface notes, source by source
+
+
+PARSE_ERRORS = [
+    # unexpected characters, after a token, a newline and comments
+    ("program", "main = !|0> $;", "1:13: unexpected character '$'"),
+    ("program", "main = !|0>;\n  @", "2:3: unexpected character '@'"),
+    ("program", "# a comment\n# another ? one\n main = ~;", "3:9: unexpected character '~'"),
+    ("program", "main = !|0>; # trailing\n`", "2:1: unexpected character '`'"),
+    ("term", "|2>", "1:1: unexpected character '|'"),
+    # every expect site of the term grammar
+    ("term", r"\x x", "1:4: unexpected name 'x' (expected one of: .)"),
+    ("term", r"\ . x", "1:3: unexpected sym '.' (expected one of: name)"),
+    ("term", r"\!. x", "1:3: unexpected sym '.' (expected one of: name)"),
+    ("term", "let x y in x", "1:7: unexpected name 'y' (expected one of: =)"),
+    ("term", "let x = y x", "1:12: unexpected eof '' (expected one of: in)"),
+    ("term", "let !x y in x", "1:8: unexpected name 'y' (expected one of: =)"),
+    ("term", "let !x = y y", "1:13: unexpected eof '' (expected one of: in)"),
+    ("term", "let x * = v in x", "1:9: unexpected sym '=' (expected one of: name)"),
+    ("term", "if c a else b", "1:8: unexpected keyword 'else' (expected one of: then)"),
+    ("term", "if c then a b", "1:14: unexpected eof '' (expected one of: else)"),
+    ("term", "(a b", "1:5: unexpected eof '' (expected one of: ))"),
+    ("term", "(1,0 !|0>", "1:6: unexpected sym '!' (expected one of: ))"),
+    ("term", "(1,) !|0>", "1:4: unexpected sym ')' (expected one of: number)"),
+    ("term", "(1,0 x", "1:6: unexpected name 'x' (expected one of: ))"),
+    ("term", "M{}", "1:3: unexpected sym '}' (expected one of: number)"),
+    ("term", "M{1,}", "1:5: unexpected sym '}' (expected one of: number)"),
+    ("term", "M{1 2}", "1:5: unexpected number '2' (expected one of: })"),
+    ("term", "a )", "1:3: unexpected sym ')' (expected one of: eof)"),
+    ("term", "", "1:1: expected a term (expected one of: term)"),
+    # eof inside a let or a conditional
+    ("term", "let x = in x", "1:9: expected a term (expected one of: term)"),
+    ("term", "let x = y in", "1:13: expected a term (expected one of: term)"),
+    ("term", "let !x = y in\n", "2:1: expected a term (expected one of: term)"),
+    ("term", "if c then", "1:10: expected a term (expected one of: term)"),
+    # register expressions
+    ("term", r"\x. (\y. y * y) x",
+     "1:10: tensor operands must be qubit constants or gate applications over them "
+     "(variables cannot be tensored)"),
+    ("term", "x + y", "1:1: '+' combines qubit constants only"),
+    ("term", "!|0> + !|00>", "1:8: superposition mixes widths 1 and 2"),
+    ("term", r"(0.5,0)(\x. x)", "1:1: scalar product applies to qubit constants only"),
+    ("term", "(1,0) x", "1:1: scalar product applies to qubit constants only"),
+    ("term", "(cnot !|0>) * !|0>", "1:1: gate of arity 2 applied to 1 wire(s) inside a tensor"),
+    ("term", "!|0> * (H !|00>)", "1:8: gate of arity 1 applied to 2 wire(s) inside a tensor"),
+    # wire indices and binders
+    ("term", "M{0}", "1:3: wire index must be >= 1, got 0"),
+    ("term", "M{1.5}", "1:3: wire index must be an integer, got 1.5"),
+    ("term", "M{-2}", "1:3: wire index must be >= 1, got -2"),
+    ("term", r"\H. H", "1:2: 'H' names a gate and cannot be bound"),
+    ("term", "let cnot = x in x", "1:5: 'cnot' names a gate and cannot be bound"),
+    ("term", "let a * b * a = v in a", "1:23: duplicate names in destructuring pattern"),
+    # duplicate definitions and gates
+    ("program", "f = !|0>;\nf = !|1>;", "2:1: 'f' is already defined"),
+    ("program", "H = !|0>;", "1:1: 'H' is already defined"),
+    ("program", "gate H = [[1, 0], [0, 1]];", "1:6: gate 'H' is already defined"),
+    ("program", "gate S = [[1, 0], [0, 1]];\ngate S = [[1, 0], [0, 1]];",
+     "2:6: gate 'S' is already defined"),
+    ("program", "gate S = [[1, 0], [0, 1]];\nS = !|0>;", "2:1: 'S' is already defined"),
+    ("program", "f = \\x. x;\nmain = \\f. f;", "2:9: 'f' names a definition and cannot be bound"),
+    # gate declarations: matrices and every expect site
+    ("program", "gate B = [[1, 1], [0, 1]];\nmain = !|0>;", "1:6: gate B: matrix is not unitary"),
+    ("program", "gate B = [[1, 0, 0], [0, 1, 0], [0, 0, 1]];",
+     "1:6: gate B: dimension 3 is not a power of two"),
+    ("program", "gate B = [[1, 0], [0, 1, 0]];", "1:6: gate B: matrix must be square"),
+    ("program", "gate = [[1]];", "1:6: unexpected sym '=' (expected one of: name)"),
+    ("program", "gate B [[1]];", "1:8: unexpected sym '[' (expected one of: =)"),
+    ("program", "gate B = [[1]]", "1:15: unexpected eof '' (expected one of: ;)"),
+    ("program", "gate B = [1];", "1:11: unexpected number '1' (expected one of: [)"),
+    ("program", "gate B = [[1] [0]];", "1:15: unexpected sym '[' (expected one of: ])"),
+    ("program", "gate B = [[1, 0];", "1:17: unexpected sym ';' (expected one of: ])"),
+    ("program", "gate B = [[(1 0)]];", "1:15: unexpected number '0' (expected one of: ,)"),
+    ("program", "gate B = [[(1, x)]];", "1:16: unexpected name 'x' (expected one of: number)"),
+    ("program", "gate B = [[(1, 0]];", "1:17: unexpected sym ']' (expected one of: ))"),
+    ("program", "gate B = [[x]];", "1:12: unexpected name 'x' (expected one of: number)"),
+    # definitions
+    ("program", "main !|0>;", "1:7: unexpected ket '|0>' (expected one of: name)"),
+    ("program", "main = !|0>", "1:12: unexpected eof '' (expected one of: ;)"),
+    ("program", "= !|0>;", "1:1: unexpected sym '=' (expected one of: name)"),
+    ("program", "main = let x = !|0> in", "1:23: expected a term (expected one of: term)"),
+    ("program", "main =\n  let x = H !|0> in\n  let y = H x in",
+     "3:17: expected a term (expected one of: term)"),
+    ("program", "main = let x * y = !|00> in", "1:28: expected a term (expected one of: term)"),
+    # CRLF sources: a carriage return is a column of its line
+    ("program", "id x = x;\r\nmain = id !|0> $;\r\n", "2:16: unexpected character '$'"),
+    ("program", "main =\r\n  let x = H !|0> in\r\n  M{0} x;\r\n",
+     "3:5: wire index must be >= 1, got 0"),
+    ("program", "f = \\x. x;\r\n\r\nmain = (cnot !|0>) * !|1>;",
+     "3:8: gate of arity 2 applied to 1 wire(s) inside a tensor"),
+    ("program", "main = !|0>;\r\n  # note\r\n  @", "3:3: unexpected character '@'"),
+]
+
+
+@pytest.mark.parametrize("entry, source, message", PARSE_ERRORS,
+                         ids=[f"{entry}-{n}" for n, (entry, _, _) in enumerate(PARSE_ERRORS)])
+def test_parse_error_text(entry, source, message):
+    parse = parse_program if entry == "program" else parse_term
+    with pytest.raises(ParseError) as info:
+        parse(source)
+    assert str(info.value) == message
+
+
+STRICT_NOTES = [
+    ("|0>", [(1, 1, "base qubit written without '!'")]),
+    ("!|0> * ((0.6,0)!|0> + (0.8,0)!|1>)",
+     [(1, 8, "tensor over a non-base register expression")]),
+    ("!((0.6,0)!|0> + (0.8,0)!|1>)", [(1, 1, "bang on a non-base register expression")]),
+    ("(1,0)((0.6,0)!|0> + (0.8,0)!|1>)",
+     [(1, 1, "scalar over a non-base register expression")]),
+    ("(1,0)(0,1)!|0>", []),
+    ("(H !|0>) * !|1>", [(1, 1, "tensor over a non-base register expression")]),
+    ("(H |0>) * (X !|1>)",
+     [(1, 4, "base qubit written without '!'"),
+      (1, 1, "tensor over a non-base register expression"),
+      (1, 11, "tensor over a non-base register expression")]),
+    ("!|0> * |1>\r\n  + (0,0)|1> * !|1>",
+     [(1, 8, "base qubit written without '!'"), (2, 10, "base qubit written without '!'")]),
+    ("(0.6,0)!|0> + (0.8,0)!|1>", []),
+    ("!!|0>", [(1, 1, "bang on a non-base register expression")]),
+]
+
+
+@pytest.mark.parametrize("source, notes", STRICT_NOTES)
+def test_strict_notes_exact(source, notes):
+    assert parse_term_with_notes(source)[1] == notes
+
+
+def test_program_strict_notes_exact():
+    program = parse_program("main = |0>;\r\nf = (H !|0>) * !|1>;\n# c\n"
+                            "g = !|1> * !((0.6,0)!|0> + (0.8,0)!|1>);")
+    assert program.strict_notes == [
+        (1, 8, "base qubit written without '!'"),
+        (2, 5, "tensor over a non-base register expression"),
+        (4, 12, "bang on a non-base register expression"),
+        (4, 12, "tensor over a non-base register expression"),
+    ]
+
+
+# ---------------------------------------------------------------------------
 # strict-surface notes
 
 
@@ -338,3 +478,38 @@ def test_nesting_levels_close_with_their_construct():
     deep_def = "(" * _MAX_OPEN + "!|0>" + ")" * _MAX_OPEN
     program = parse_program("".join(f"d{i} = {deep_def};\n" for i in range(3)))
     assert len(program.defs) == 3
+
+
+def doubling_chain(n: int) -> str:
+    """Definitions d0 = \\x. x and d_i = d_{i-1} d_{i-1}: main's term spans
+    2**n applications but is n + 2 shared nodes, one per definition."""
+    lines = ["d0 = \\x. x;"] + [f"d{i} = d{i - 1} d{i - 1};" for i in range(1, n + 1)]
+    return "\n".join(lines + [f"main = d{n} !|0>;"]) + "\n"
+
+
+def test_shared_definitions_are_measured_once(monkeypatch):
+    """Each node's height is computed once, so a definition used twice by
+    each of the next ones is not walked again at every level."""
+    import qlam.parser
+    import qlam.syntax
+
+    calls = 0
+    children = qlam.syntax.children
+
+    def counted(t):
+        nonlocal calls
+        calls += 1
+        assert calls <= 10_000, "the height walk expands shared definitions"
+        return children(t)
+
+    monkeypatch.setattr(qlam.syntax, "children", counted)
+    monkeypatch.setattr(qlam.parser, "children", counted, raising=False)
+    program = parse_program(doubling_chain(40))
+    assert calls <= 4 * 42
+    assert term_height(program.defs[2][1]) == 4
+    calls = 0
+    # d_i nests i + 2 levels, so d_{MAX_NESTING - 1} is the first too deep
+    with pytest.raises(ParseError, match=f"term nested deeper than {MAX_NESTING} levels") as info:
+        parse_program(doubling_chain(MAX_NESTING))
+    assert (info.value.line, info.value.col) == (MAX_NESTING, 1)
+    assert calls <= 4 * MAX_NESTING

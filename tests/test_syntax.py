@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from qlam.ensemble import TermEnsemble, evaluate, min_ensemble
 from qlam.parser import parse_program, parse_term
-from qlam.quantum import PAULI_X, PAULI_Z, GateAtom, GateExpr, QubitValue
+from qlam.quantum import PAULI_X, PAULI_Z, GateAtom, GateExpr, QubitValue, gate, ket
 from qlam.syntax import (
     AMP_TOL,
     KEY_AMP_THRESHOLD,
@@ -15,6 +15,7 @@ from qlam.syntax import (
     Bang,
     BangLam,
     GateConst,
+    If,
     Lam,
     LetTensor,
     QubitConst,
@@ -35,12 +36,14 @@ from conftest import (
     let_chain,
     near_threshold_register,
     perturb_registers,
+    random_register,
     random_terms,
     rename_binders,
 )
 from syntax_oracles import (
     alpha_eq_reference,
     free_vars_reference,
+    pretty_reference,
     shape_key_reference,
     substitute_reference,
 )
@@ -332,9 +335,26 @@ def test_pretty_empty_register_parses_back(width):
     assert alpha_eq(parse_term(pretty(t)), t)
 
 
-@given(generated_term())
+@given(st.one_of(generated_term(), random_register().map(QubitConst)))
 def test_round_trip(t):
     assert alpha_eq(parse_term(pretty(t)), t)
+
+
+@given(st.one_of(generated_term(), random_register().map(QubitConst)))
+def test_pretty_matches_recursive_printer(t):
+    """Byte for byte, also under bangs the parser would have collapsed."""
+    for term in (t, Bang(t), App(Bang(Bang(t)), Bang(t))):
+        assert pretty(term) == pretty_reference(term)
+
+
+def test_pretty_prints_any_depth():
+    t = Var("y")
+    for _ in range(20_000):
+        t = App(GateConst(gate("H")), t)
+    t = Bang(Lam("y", If(t, Bang(Bang(QubitConst(ket("0")))), t)))
+    text = pretty(t)
+    assert text.startswith("!(\\y. if (H (H (")
+    assert text.count("H") == 40_000
 
 
 def test_round_trip_corpus_programs():
