@@ -502,7 +502,7 @@ class _Parser:
 
     # -- gate matrices
 
-    def matrix(self) -> tuple[tuple[complex, ...], ...]:
+    def _matrix(self) -> tuple[tuple[complex, ...], ...]:
         self.expect("[")
         rows = [self._matrix_row()]
         while self.tags[self.i] == ",":
@@ -577,7 +577,7 @@ def parse_program(source: str) -> Program:
             if name in BUILTIN_GATES or name in gates:
                 raise parser.error(f"gate {name!r} is already defined", name_at)
             parser.expect("=")
-            matrix = parser.matrix()
+            matrix = parser._matrix()
             parser.expect(";")
             try:
                 gates[name] = GateAtom(name, matrix)

@@ -503,6 +503,7 @@ def test_shared_definitions_are_measured_once(monkeypatch):
         return children(t)
 
     monkeypatch.setattr(qlam.syntax, "children", counted)
+    # and in case the parser walks the term with children imported by name
     monkeypatch.setattr(qlam.parser, "children", counted, raising=False)
     program = parse_program(doubling_chain(40))
     assert calls <= 4 * 42
