@@ -39,7 +39,6 @@ from .reduction import (
     RULESET_T,
     enumerate_redexes,
     step_at,
-    step_strategy,
 )
 from .ensemble import (
     TermEnsemble,

@@ -6,9 +6,10 @@ ensemble step every entry independently fires one enumerated redex or idles,
 and a branching rule fans an entry out into its weighted successors.  Mass
 is preserved by every such step.  ``det_step`` is that step, and the only
 one: ``evaluate`` iterates it under a redex chooser, canonicalizing after
-each step.  ``sample`` follows one entry instead, through
-``reduction.step_strategy``; it draws a measurement's outcome from the branch
-probabilities before any post-state is built, and builds only that one.
+each step.  ``sample`` follows one entry instead: it fires the redex
+``strategy_redex`` finds with ``step_at``, drawing a measurement's outcome
+from the branch probabilities before any post-state is built, and builds
+only that one.
 
 ``min_ensemble`` canonicalizes by merging alpha-equivalent entries
 (summing their probabilities); two ensembles are equivalent when their
@@ -31,9 +32,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
-from .syntax import AMP_TOL, Term, alpha_eq, pretty, shape_key
+from .syntax import Term, alpha_eq, pretty, shape_key
 from .reduction import (
-    RULE_ID,
     RULE_MEASURE,
     RULESET_ST,
     Position,
@@ -42,7 +42,6 @@ from .reduction import (
     enumerate_redexes,
     measurement_fits,
     step_at,
-    step_strategy,
     strategy_redex,
 )
 
@@ -130,7 +129,7 @@ class _Buckets:
         return heapq.merge(keyed, self.unkeyed)
 
 
-def min_ensemble(e: TermEnsemble, tol: float = AMP_TOL) -> TermEnsemble:
+def min_ensemble(e: TermEnsemble) -> TermEnsemble:
     """Merge alpha-equivalent entries, summing probabilities.  Idempotent,
     mass-preserving, and deterministic (first-occurrence order)."""
     if len(e.entries) == 1:
@@ -138,10 +137,10 @@ def min_ensemble(e: TermEnsemble, tol: float = AMP_TOL) -> TermEnsemble:
     groups: list[list] = []
     buckets = _Buckets()
     for term, p in e.entries:
-        key = shape_key(term, tol)
+        key = shape_key(term)
         for index in buckets.candidates(key, len(groups)):
             group = groups[index]
-            if alpha_eq(group[0], term, tol):
+            if alpha_eq(group[0], term):
                 group[1] += p
                 break
         else:
@@ -150,33 +149,31 @@ def min_ensemble(e: TermEnsemble, tol: float = AMP_TOL) -> TermEnsemble:
     return TermEnsemble(tuple((t, p) for t, p in groups))
 
 
-def equivalent(a: TermEnsemble, b: TermEnsemble,
-               tol: float = PROB_TOL, amp_tol: float = AMP_TOL) -> bool:
-    """Ensemble equivalence: equal canonical forms, probabilities within tol."""
-    return equivalent_canonical(min_ensemble(a, amp_tol), min_ensemble(b, amp_tol),
-                                tol, amp_tol)
+def equivalent(a: TermEnsemble, b: TermEnsemble) -> bool:
+    """Ensemble equivalence: equal canonical forms, probabilities within
+    PROB_TOL."""
+    return equivalent_canonical(min_ensemble(a), min_ensemble(b))
 
 
-def equivalent_canonical(ma: TermEnsemble, mb: TermEnsemble,
-                         tol: float = PROB_TOL, amp_tol: float = AMP_TOL) -> bool:
+def equivalent_canonical(ma: TermEnsemble, mb: TermEnsemble) -> bool:
     """``equivalent`` for two ensembles that are already min_ensemble output:
     match every entry of ma with the first unmatched alpha-equivalent entry of
-    mb whose probability is within tol."""
+    mb whose probability is within PROB_TOL."""
     if len(ma) != len(mb):
         return False
     if len(ma) == 1:
         # the common case in diamond checks: alpha_eq reads the two shapes,
         # and keys would add a support pass and a bucket table
         (term, p), (other, q) = ma.entries[0], mb.entries[0]
-        return abs(p - q) <= tol and alpha_eq(term, other, amp_tol)
+        return abs(p - q) <= PROB_TOL and alpha_eq(term, other)
     buckets = _Buckets()
     for index, (other, _) in enumerate(mb.entries):
-        buckets.add(shape_key(other, amp_tol), index)
+        buckets.add(shape_key(other), index)
     matched = [False] * len(mb)
     for term, p in ma.entries:
-        for index in buckets.candidates(shape_key(term, amp_tol), len(mb)):
+        for index in buckets.candidates(shape_key(term), len(mb)):
             other, q = mb.entries[index]
-            if not matched[index] and abs(p - q) <= tol and alpha_eq(term, other, amp_tol):
+            if not matched[index] and abs(p - q) <= PROB_TOL and alpha_eq(term, other):
                 matched[index] = True
                 break
         else:
@@ -218,18 +215,11 @@ def det_step(e: TermEnsemble, chooser: Chooser, cap: int = ENSEMBLE_CAP,
 
 
 def strategy_chooser(rules: RuleSet = RULESET_ST) -> Chooser:
-    """The deterministic evaluation strategy, restricted to ``rules``."""
-    if rules is RULESET_ST:
-        return strategy_redex
-
-    def choose(t: Term) -> tuple[Position, str] | None:
-        preferred = strategy_redex(t)
-        if preferred is not None and preferred[1] in rules:
-            return preferred
-        redexes = enumerate_redexes(t, rules)
-        return redexes[0] if redexes else None
-
-    return choose
+    """The deterministic evaluation strategy, which fires every rule: any
+    rule set but S+T is a ValueError."""
+    if rules is not RULESET_ST:
+        raise ValueError(f"the strategy chooser fires rule set S+T, not {rules.name}")
+    return strategy_redex
 
 
 def leftmost_chooser(rules: RuleSet) -> Chooser:
@@ -298,9 +288,10 @@ def sample(t: Term, seed: int, max_steps: int = 10_000,
 
     term = t
     for step_index in range(max_steps):
-        (chosen,) = step_strategy(term, choose)
-        if chosen.rule == RULE_ID:
+        redex = strategy_redex(term)
+        if redex is None:
             return term
+        (chosen,) = step_at(term, *redex, choose)
         if trace is not None:
             trace(step_index, 0, chosen)
         term = chosen.target

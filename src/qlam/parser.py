@@ -54,9 +54,9 @@ many times is measured once.  The parser's own recursion is bounded
 separately, by the constructs open at a token, so that parentheses or
 prefixes without end are a ParseError too.  Parsing raises Python's
 recursion limit to cover the parser and the term walkers that still
-recurse once per level (``check``, ``free_vars``, ``substitute``,
-``term_size``, and the dataclass ``==``, ``hash`` and ``repr``) on any
-term it accepts; it never lowers it.
+recurse once per level (``check``, ``free_vars``, ``substitute``, and
+the dataclass ``==``, ``hash`` and ``repr``) on any term it accepts; it
+never lowers it.
 
 The parser also collects *strict surface* notes: places where a register
 constant was written outside the normal form (unbanged kets, tensors over
@@ -110,9 +110,9 @@ MAX_NESTING = 900
 # parser accepts parses again.
 _MAX_OPEN = 2 * MAX_NESTING
 # An open construct costs the parser at most two frames, and the recursive
-# term walkers (check, free_vars, substitute, term_size, and the dataclass
-# ==, hash and repr) take at most a few a level of the term; Python's
-# default limit of 1000 covers neither.
+# term walkers (check, free_vars, substitute, and the dataclass ==, hash and
+# repr) take at most a few a level of the term; Python's default limit of
+# 1000 covers neither.
 _RECURSION_LIMIT = 8 * MAX_NESTING
 
 # One match per token: the whitespace and comments before it, then the
@@ -337,7 +337,11 @@ class _Parser:
         names = [self._binder_name()]
         while self.tags[self.i] == "*":
             self.i += 1
-            names.append(self._binder_name())
+            name_at = self.i
+            name = self._binder_name()
+            if name in names:
+                raise self.error("duplicate names in destructuring pattern", name_at)
+            names.append(name)
         self.expect("=")
         value = self.parse_term()
         self.expect("in")
@@ -345,8 +349,6 @@ class _Parser:
         self.depth -= 1
         if len(names) == 1:
             return App(Lam(names[0], body), value)
-        if len(set(names)) != len(names):
-            self.fail("duplicate names in destructuring pattern")
         # the desugaring recurses once a name and walks the body, which sits
         # under a split for each name but the last
         self.check_height(body, let_at, len(names) - 1)

@@ -35,11 +35,10 @@ splits off is one).  Any other register takes a rank-1 test over the stored
 amplitudes: the pivot's column gives a dense left vector of 2**left_width
 entries and its row a sparse right row.  Their outer product is compared
 with the stored amplitudes on the right row's columns; off those columns it
-is zero, so every stored amplitude there must itself be within the
-tolerance.  No 2**width array is built.  The test's result is kept on the
-register, so is_product and the factor_split after it run it once.  Basis
-indices are int64 in that test, which is what bounds register widths by
-MAX_WIDTH.
+is zero, so every stored amplitude there must itself be within EPS_NORM.  No
+2**width array is built.  The test's result is kept on the register, so
+is_product and the factor_split after it run it once.  Basis indices are
+int64 in that test, which is what bounds register widths by MAX_WIDTH.
 """
 
 from __future__ import annotations
@@ -254,36 +253,11 @@ class QubitValue:
                                    if _modulus(a) > EPS_ZERO))
         object.__setattr__(self, "amps", cleaned)
 
-    def amp(self, u: int) -> complex:
-        for v, a in self.amps:
-            if v == u:
-                return a
-        return 0j
-
-    def support(self) -> frozenset[int]:
-        return frozenset(u for u, _ in self.amps)
-
     def norm_sq(self) -> float:
         return _probability(self.amps)
 
-    def is_unit(self, tol: float = EPS_NORM) -> bool:
-        return abs(self.norm_sq() - 1.0) <= tol
-
-    def to_dense(self) -> np.ndarray:
-        vec = np.zeros(1 << self.width, dtype=complex)
-        for u, a in self.amps:
-            vec[u] = a
-        return vec
-
-    def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "amps": [[u, a.real, a.imag] for u, a in self.amps],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QubitValue":
-        return cls(data["width"], [(u, complex(re, im)) for u, re, im in data["amps"]])
+    def is_unit(self) -> bool:
+        return abs(self.norm_sq() - 1.0) <= EPS_NORM
 
 
 def _canonical(width: int, amps: tuple[tuple[int, complex], ...]) -> QubitValue:
@@ -546,10 +520,10 @@ def outcome_count(q: QubitValue, indices: frozenset[int] | set[int]) -> int:
 # Product splitting
 
 
-def _rank1(q: QubitValue, left_width: int,
-           tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _rank1(q: QubitValue, left_width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The rank-1 test behind factor_split: (left vector, right columns,
-    right row) with q = left (x) right within ``tol`` per basis index, or None.
+    right row) with q = left (x) right within EPS_NORM per basis index, or
+    None.
 
     Rows are the left ``left_width`` bits of a basis index, columns the rest.
     The pivot is the first amplitude of largest modulus; the left vector is
@@ -575,23 +549,23 @@ def _rank1(q: QubitValue, left_width: int,
     b_vec = amps[in_row] / amps[p]
     slot = np.minimum(np.searchsorted(b_cols, cols), len(b_cols) - 1)
     hit = b_cols[slot] == cols
-    if not hit.all() and mags[~hit].max() > tol:
+    if not hit.all() and mags[~hit].max() > EPS_NORM:
         return None
     stored = np.zeros((1 << left_width, len(b_cols)), dtype=complex)
     stored[rows[hit], slot[hit]] = amps[hit]
-    if np.abs(np.outer(a_vec, b_vec) - stored).max() > tol:
+    if np.abs(np.outer(a_vec, b_vec) - stored).max() > EPS_NORM:
         return None
     return a_vec, b_cols, b_vec
 
 
-# The attribute that keeps a register's last rank-1 test: ((left_width, tol),
+# The attribute that keeps a register's last rank-1 test: (left_width,
 # result).  Like the memos of qlam.syntax it is not a field, so equality,
 # hashing and repr never see it.
 _RANK1 = "_rank1_memo"
 
 
-def _split_parts(q: QubitValue, left_width: int, tol: float
-                 ) -> int | tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _split_parts(q: QubitValue,
+                 left_width: int) -> int | tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """How q splits with ``left_width`` wires on the left: the row (left
     bits) that every stored amplitude shares, as an int; else _rank1's parts,
     kept on q so that a test and the split after it share one run; None when
@@ -604,22 +578,20 @@ def _split_parts(q: QubitValue, left_width: int, tol: float
     row = q.amps[0][0] >> shift
     if q.amps[-1][0] >> shift == row:  # indices are sorted: one row holds them all
         return row
-    key = (left_width, tol)
     memo = getattr(q, _RANK1, None)
-    if memo is None or memo[0] != key:
-        memo = (key, _rank1(q, left_width, tol))
+    if memo is None or memo[0] != left_width:
+        memo = (left_width, _rank1(q, left_width))
         object.__setattr__(q, _RANK1, memo)
     return memo[1]
 
 
-def is_product(q: QubitValue, left_width: int, tol: float = EPS_NORM) -> bool:
-    """Whether factor_split(q, left_width, tol) succeeds, decided without
+def is_product(q: QubitValue, left_width: int) -> bool:
+    """Whether factor_split(q, left_width) succeeds, decided without
     building either factor."""
-    return _split_parts(q, left_width, tol) is not None
+    return _split_parts(q, left_width) is not None
 
 
-def factor_split(q: QubitValue, left_width: int,
-                 tol: float = EPS_NORM) -> tuple[QubitValue, QubitValue] | None:
+def factor_split(q: QubitValue, left_width: int) -> tuple[QubitValue, QubitValue] | None:
     """Split q into a product a (x) b with a of ``left_width`` wires.
 
     Returns None when q is entangled across the cut.  The left factor is unit
@@ -628,7 +600,7 @@ def factor_split(q: QubitValue, left_width: int,
     stored amplitudes share one row r splits exactly: |r> with amplitude 1,
     and the stored amplitudes with their left bits dropped.
     """
-    parts = _split_parts(q, left_width, tol)
+    parts = _split_parts(q, left_width)
     if parts is None:
         return None
     right_width = q.width - left_width

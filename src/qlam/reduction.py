@@ -32,8 +32,9 @@ nodes a head rule matches) not under a bang, first those in evaluation
 position in call-by-value postorder (function, argument, application;
 condition, if; split value, split), then the subtrees that pass sets aside
 (binder bodies, if arms, split bodies) in position order, each in preorder.
-strategy_redex fires its first hit, enumerate_redexes sorts every hit into
-preorder, is_normal_form looks for none and stuck_sites reads every node.
+strategy_redex fires its first hit (None means a normal form),
+enumerate_redexes sorts every hit into preorder and stuck_sites reads every
+node.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ RULE_SPLIT = "split"
 RULE_MEASURE = "M"
 RULE_IF0 = "if-0"
 RULE_IF1 = "if-1"
-RULE_ID = "Id"  # the idle step of ensemble reduction; never enumerated
 
 Position = tuple[int, ...]
 
@@ -261,10 +261,6 @@ def enumerate_redexes(t: Term, rules: RuleSet) -> list[tuple[Position, str]]:
                   if (rule := head_rule(term)) in rules)
 
 
-def is_normal_form(t: Term, rules: RuleSet = RULESET_ST) -> bool:
-    return not any(head_rule(term) in rules for _, term in _redex_sites(t))
-
-
 def stuck_sites(t: Term) -> list[tuple[Position, str]]:
     """Positions that look like redexes but can never fire as they stand:
     conditionals on superposed or non-register conditions, measurements of
@@ -295,12 +291,3 @@ def strategy_redex(t: Term) -> tuple[Position, str] | None:
         if rule is not None:
             return _position(link), rule
     return None
-
-
-def step_strategy(t: Term, choose: Choose | None = None) -> list[ProbStep]:
-    """One strategy step; a normal form idles as [(t, 1, Id)].  ``choose``
-    is step_at's."""
-    redex = strategy_redex(t)
-    if redex is None:
-        return [ProbStep(t, 1.0, RULE_ID, ())]
-    return step_at(t, *redex, choose)

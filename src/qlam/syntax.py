@@ -29,13 +29,12 @@ threshold to place (compare with every term).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Union
 
 from .quantum import GateExpr, QubitValue, amps_close
 
-# Default absolute tolerance for amplitude comparison inside alpha_eq.
+# Absolute tolerance for amplitude comparison inside alpha_eq.
 AMP_TOL = 1e-9
 
 # shape_key records the basis indices whose amplitude modulus exceeds this
@@ -43,6 +42,9 @@ AMP_TOL = 1e-9
 # only move an amplitude across it when the amplitude already lies within the
 # tolerance band around it, which is the case shape_key refuses to key.
 KEY_AMP_THRESHOLD = 1e-6
+# That band: twice AMP_TOL on each side of the threshold, a margin for float
+# rounding in amps_close.
+_KEY_BAND = 2 * AMP_TOL
 
 
 @dataclass(frozen=True)
@@ -198,20 +200,6 @@ def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
     return new
 
 
-def positions(t: Term) -> Iterator[tuple[int, ...]]:
-    """All positions in preorder (lexicographic)."""
-    stack = [((), t)]
-    while stack:
-        pos, term = stack.pop()
-        yield pos
-        for i, c in reversed(list(enumerate(children(term)))):
-            stack.append((pos + (i,), c))
-
-
-def term_size(t: Term) -> int:
-    return 1 + sum(term_size(c) for c in children(t))
-
-
 def height(t: Term) -> int:
     """Nodes on the longest root-to-leaf path of t, computed once per node
     and kept on it the way free_vars keeps its set, so a subterm shared by
@@ -256,6 +244,7 @@ _FREE = "_free_vars"
 _HEIGHT = "_height"
 _SHAPE = "_shape"
 _SUPPORT = "_key_support_memo"
+_UNSET = object()  # a memo not computed yet, where None is a result
 
 
 @functools.lru_cache(maxsize=1024)
@@ -419,57 +408,50 @@ def _shape(t: Term) -> tuple[tuple, tuple[QubitValue, ...]]:
     return memo
 
 
-def alpha_eq(a: Term, b: Term, tol: float = AMP_TOL) -> bool:
+def alpha_eq(a: Term, b: Term) -> bool:
     """Structural equality up to consistent renaming of bound variables.
 
-    Qubit constants compare amplitude-wise with absolute tolerance ``tol``
+    Qubit constants compare amplitude-wise with absolute tolerance AMP_TOL
     (they are already canonical: zero summands dropped, indices sorted).
     """
     shape_a, registers_a = _shape(a)
     shape_b, registers_b = _shape(b)
     return shape_a == shape_b and all(
-        amps_close(x, y, tol) for x, y in zip(registers_a, registers_b))
+        amps_close(x, y, AMP_TOL) for x, y in zip(registers_a, registers_b))
 
 
-def _key_support(q: QubitValue, band: float) -> tuple[int, ...] | None:
+def _key_support(q: QubitValue) -> tuple[int, ...] | None:
     """The indices of q whose amplitude modulus exceeds KEY_AMP_THRESHOLD,
-    or None when one lies within ``band`` of it.  Kept on the register the
+    or None when one lies within _KEY_BAND of it.  Kept on the register the
     way free_vars keeps its set on a node, so a register shared by the terms
     of successive steps is read once."""
-    memo = getattr(q, _SUPPORT, None)
-    if memo is None or memo[0] != band:
-        memo = (band, _support_above_threshold(q, band))
-        object.__setattr__(q, _SUPPORT, memo)
-    return memo[1]
+    support = getattr(q, _SUPPORT, _UNSET)
+    if support is _UNSET:
+        support = []
+        for u, a in q.amps:
+            modulus = abs(a)
+            if not abs(modulus - KEY_AMP_THRESHOLD) > _KEY_BAND:
+                support = None
+                break
+            if modulus > KEY_AMP_THRESHOLD:
+                support.append(u)
+        else:
+            support = tuple(support)
+        object.__setattr__(q, _SUPPORT, support)
+    return support
 
 
-def _support_above_threshold(q: QubitValue, band: float) -> tuple[int, ...] | None:
-    support = []
-    for u, a in q.amps:
-        modulus = abs(a)
-        if not abs(modulus - KEY_AMP_THRESHOLD) > band:
-            return None
-        if modulus > KEY_AMP_THRESHOLD:
-            support.append(u)
-    return tuple(support)
-
-
-def shape_key(t: Term, tol: float = AMP_TOL) -> tuple | None:
-    """A hashable key such that ``alpha_eq(a, b, tol)`` implies
-    ``shape_key(a, tol) == shape_key(b, tol)``, or None.
+def shape_key(t: Term) -> tuple | None:
+    """A hashable key such that ``alpha_eq(a, b)`` implies
+    ``shape_key(a) == shape_key(b)``, or None.
 
     The key is the term's shape (see _shape) plus, for each register, its
     support: the indices whose amplitude modulus exceeds KEY_AMP_THRESHOLD.
-    An amplitude within the tolerance band around the threshold could sit
-    on either side of it in a tolerance-close register, so the key is None
-    then (the band is twice ``tol`` wide on each side, a margin for float
-    rounding in amps_close).
+    An amplitude within _KEY_BAND of the threshold could sit on either side
+    of it in a tolerance-close register, so the key is None then.
     """
-    band = 2 * tol
-    if not band < KEY_AMP_THRESHOLD:
-        band = math.inf  # an absent index (modulus 0) is inside the band too
     shape, registers = _shape(t)
-    supports = tuple(_key_support(q, band) for q in registers)
+    supports = tuple(_key_support(q) for q in registers)
     return None if None in supports else (shape, supports)
 
 

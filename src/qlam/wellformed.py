@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .quantum import EPS_NORM
 from .syntax import (
     App,
     Bang,
@@ -118,7 +117,7 @@ def _walk(t: Term, env: dict[str, str], pos: Position,
                                    f"nonlinear term captures linear variable(s) {listed}"))
             return uses
         case QubitConst(q):
-            if not q.is_unit(EPS_NORM):
+            if not q.is_unit():
                 violations.append((pos, "superposition",
                                    f"register amplitudes have squared mass {q.norm_sq():.6g}, "
                                    "expected 1"))

@@ -6,8 +6,8 @@ kernels.  They are kept only as test oracles.
   outcome word; ``measure_per_word`` scans every amplitude once per word.
 - ``apply_gate_dense`` multiplies each factor's matrix into zero-padded
   buckets of the bits outside its wire block.
-- ``factor_split_dense`` reshapes the register into a dense
-  2**left_width x 2**right_width matrix, so it must only see narrow
+- ``factor_split_dense`` reshapes the register's ``densesim`` vector into
+  a dense 2**left_width x 2**right_width matrix, so it must only see narrow
   registers.
 """
 
@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from qlam.densesim import from_amplitudes
 from qlam.quantum import (
     EPS_NORM,
     EPS_ZERO,
@@ -114,20 +115,19 @@ def apply_gate_dense(g: GateExpr, q: QubitValue) -> QubitValue:
     return QubitValue(q.width, entries)
 
 
-def factor_split_dense(q: QubitValue, left_width: int,
-                       tol: float = EPS_NORM) -> tuple[QubitValue, QubitValue] | None:
+def factor_split_dense(q: QubitValue, left_width: int) -> tuple[QubitValue, QubitValue] | None:
     """factor_split on the dense 2**left_width x 2**right_width matrix."""
     if not 0 < left_width < q.width:
         raise ValueError(f"split width {left_width} not inside (0, {q.width})")
     right_width = q.width - left_width
-    mat = q.to_dense().reshape((1 << left_width, 1 << right_width))
+    mat = from_amplitudes(q.width, q.amps).vector.reshape((1 << left_width, 1 << right_width))
     i_star, j_star = np.unravel_index(np.argmax(np.abs(mat)), mat.shape)
     pivot = mat[i_star, j_star]
     if abs(pivot) <= EPS_ZERO:
         return None
     a_vec = mat[:, j_star].copy()
     b_vec = mat[i_star, :] / pivot
-    if np.max(np.abs(np.outer(a_vec, b_vec) - mat)) > tol:
+    if np.max(np.abs(np.outer(a_vec, b_vec) - mat)) > EPS_NORM:
         return None
     na = np.linalg.norm(a_vec)
     a_vec /= na

@@ -3,8 +3,8 @@ replaced with one iterative walk over the App, If and LetTensor nodes.
 They are kept only as test oracles.
 
 - ``preorder_reference`` visits every (position, subterm) not under a bang,
-  in preorder, and ``enumerate_redexes_reference``, ``is_normal_form_reference``
-  and ``stuck_sites_reference`` call ``head_rule`` on every node it visits.
+  in preorder, and ``enumerate_redexes_reference`` and
+  ``stuck_sites_reference`` call ``head_rule`` on every node it visits.
 - ``strategy_redex_reference`` is the recursive call-by-value walk, one
   Python frame per level, with its second, leftmost-outermost walk over the
   whole term when the first finds nothing.
@@ -40,10 +40,6 @@ def _preorder_redexes(t: Term, rules: RuleSet) -> Iterator[tuple[Position, str]]
 
 def enumerate_redexes_reference(t: Term, rules: RuleSet) -> list[tuple[Position, str]]:
     return list(_preorder_redexes(t, rules))
-
-
-def is_normal_form_reference(t: Term, rules: RuleSet = RULESET_ST) -> bool:
-    return next(_preorder_redexes(t, rules), None) is None
 
 
 def stuck_sites_reference(t: Term) -> list[tuple[Position, str]]:

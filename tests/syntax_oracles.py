@@ -14,6 +14,7 @@ test oracles.
   per level, copying the binder environment at every binder.
 - ``shape_key_reference`` walks the term on every call and keys gates by
   their names.
+- ``positions`` lists every position of a term, for tests that pick one.
 - ``pretty_reference`` is the recursive printer that ``qlam.syntax.pretty``
   replaced with one explicit-stack walk: one Python frame or two per
   level, and a register's text formatted once to decide whether it is
@@ -22,7 +23,7 @@ test oracles.
 
 from __future__ import annotations
 
-import math
+from typing import Iterator
 
 from qlam.quantum import amps_close
 from qlam.syntax import (
@@ -47,6 +48,16 @@ from qlam.syntax import (
 )
 
 _LEAVES = (Var, GateConst, QubitConst, MeasConst)
+
+
+def positions(t: Term) -> Iterator[tuple[int, ...]]:
+    """All positions of t in preorder (lexicographic)."""
+    stack = [((), t)]
+    while stack:
+        pos, term = stack.pop()
+        yield pos
+        for i, c in reversed(list(enumerate(children(term)))):
+            stack.append((pos + (i,), c))
 
 
 def free_vars_reference(t: Term) -> frozenset[str]:
@@ -105,7 +116,7 @@ def substitute_reference(body: Term, var: str, replacement: Term) -> Term:
     return go(body)
 
 
-def alpha_eq_reference(a: Term, b: Term, tol: float = AMP_TOL) -> bool:
+def alpha_eq_reference(a: Term, b: Term) -> bool:
     """Structural equality up to consistent renaming of bound variables."""
 
     def go(a: Term, b: Term, env_a: dict[str, int], env_b: dict[str, int], depth: int) -> bool:
@@ -126,7 +137,7 @@ def alpha_eq_reference(a: Term, b: Term, tol: float = AMP_TOL) -> bool:
             case GateConst(g1), GateConst(g2):
                 return g1 == g2
             case QubitConst(q1), QubitConst(q2):
-                return amps_close(q1, q2, tol)
+                return amps_close(q1, q2, AMP_TOL)
             case MeasConst(i1), MeasConst(i2):
                 return i1 == i2
             case If(c1, t1, e1), If(c2, t2, e2):
@@ -145,15 +156,13 @@ def alpha_eq_reference(a: Term, b: Term, tol: float = AMP_TOL) -> bool:
     return go(a, b, {}, {}, 0)
 
 
-def shape_key_reference(t: Term, tol: float = AMP_TOL) -> tuple | None:
+def shape_key_reference(t: Term) -> tuple | None:
     """The preorder sequence of node types with their payloads: bound
     variables as binder levels, free variables by name, gate names, measured
     wire sets, and each register's width and the indices whose amplitude
     modulus exceeds KEY_AMP_THRESHOLD; None when an amplitude lies within
-    twice ``tol`` of that threshold."""
-    band = 2 * tol
-    if not band < KEY_AMP_THRESHOLD:
-        band = math.inf  # an absent index (modulus 0) is inside the band too
+    twice AMP_TOL of that threshold."""
+    band = 2 * AMP_TOL
     out: list = []
     stack: list[tuple[Term, dict[str, int], int]] = [(t, {}, 0)]
     while stack:

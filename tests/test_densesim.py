@@ -55,4 +55,4 @@ def test_dense_agrees_with_sparse_measure(q, data):
     assert [o.outcome for o in sparse] == [w for w, _, _ in dense]
     for o, (_, p, post) in zip(sparse, dense):
         assert abs(o.probability - p) < 1e-9
-        assert np.abs(o.post.to_dense() - post.vector).max() < 1e-9
+        assert np.abs(ds.from_amplitudes(q.width, o.post.amps).vector - post.vector).max() < 1e-9

@@ -23,11 +23,10 @@ from qlam.ensemble import (
 )
 from qlam.parser import parse_term
 from qlam.reduction import (
-    RULE_ID,
     RULESET_ST,
     RULESET_T,
     enumerate_redexes,
-    step_strategy,
+    step_at,
     strategy_redex,
 )
 from qlam.quantum import QubitValue, gate, uniform_state
@@ -118,12 +117,12 @@ def test_equivalence_symmetric(a, b):
 # bucketed canonicalization against the pairwise scan
 
 
-def pairwise_min_ensemble(e, tol=AMP_TOL):
+def pairwise_min_ensemble(e):
     """Oracle: every entry against every earlier group, in creation order."""
     groups = []
     for term, p in e.entries:
         for group in groups:
-            if alpha_eq(group[0], term, tol):
+            if alpha_eq(group[0], term):
                 group[1] += p
                 break
         else:
@@ -131,16 +130,16 @@ def pairwise_min_ensemble(e, tol=AMP_TOL):
     return TermEnsemble(tuple((t, p) for t, p in groups))
 
 
-def pairwise_equivalent(a, b, tol=PROB_TOL, amp_tol=AMP_TOL):
+def pairwise_equivalent(a, b):
     """Oracle: canonicalize both sides pairwise, then match every entry of
     one against every remaining entry of the other."""
-    ma, mb = pairwise_min_ensemble(a, amp_tol), pairwise_min_ensemble(b, amp_tol)
+    ma, mb = pairwise_min_ensemble(a), pairwise_min_ensemble(b)
     if len(ma) != len(mb):
         return False
     remaining = list(mb.entries)
     for term, p in ma.entries:
         for i, (other, q) in enumerate(remaining):
-            if abs(p - q) <= tol and alpha_eq(term, other, amp_tol):
+            if abs(p - q) <= PROB_TOL and alpha_eq(term, other):
                 del remaining[i]
                 break
         else:
@@ -253,18 +252,15 @@ def test_min_ensemble_independent_of_entry_order(spec, rng):
 # determinized steps
 
 
-def test_restricted_strategy_falls_back_to_the_first_allowed_redex():
-    """Where the strategy's redex is outside the rule set, the restricted
-    chooser fires the first redex the rule set allows."""
-    t = parse_term(r"((\y. y) !|0>) (M{1} ((0.6,0)!|0> + (0.8,0)!|1>))")
-    assert strategy_redex(t) == ((0,), "beta")
-    assert strategy_chooser(RULESET_T)(t) == ((1,), "M")
-    assert strategy_chooser(RULESET_T)(t) == enumerate_redexes(t, RULESET_T)[0]
+def test_strategy_chooser_takes_only_the_full_rule_set():
+    assert strategy_chooser(RULESET_ST) is strategy_redex
+    with pytest.raises(ValueError, match="S\\+T, not T"):
+        strategy_chooser(RULESET_T)
 
 
 def test_det_step_measurement():
     e = singleton(parse_term(f"M{{1}} {BIASED}"))
-    got = det_step(e, strategy_chooser(RULESET_T))
+    got = det_step(e, leftmost_chooser(RULESET_T))
     assert [(pretty(t), pytest.approx(p, abs=1e-9)) for t, p in got.entries] == \
         [("!|0>", 0.36), ("!|1>", 0.64)]
 
@@ -278,7 +274,7 @@ def test_det_step_cap():
     e = singleton(parse_term(
         "M{1,2} ((0.5,0)!|00> + (0.5,0)!|01> + (0.5,0)!|10> + (0.5,0)!|11>)"))
     with pytest.raises(EnsembleCapError):
-        det_step(e, strategy_chooser(RULESET_T), cap=2)
+        det_step(e, leftmost_chooser(RULESET_T), cap=2)
 
 
 def test_det_step_cap_fails_before_any_post_state(monkeypatch):
@@ -414,9 +410,10 @@ def sample_all_branches(t, seed, max_steps=10_000, trace=None):
     rng = random.Random(seed)
     term = t
     for step_index in range(max_steps):
-        steps = step_strategy(term)
-        if steps[0].rule == RULE_ID:
+        redex = strategy_redex(term)
+        if redex is None:
             return term
+        steps = step_at(term, *redex)
         if len(steps) == 1:
             chosen = steps[0]
         else:
@@ -424,7 +421,7 @@ def sample_all_branches(t, seed, max_steps=10_000, trace=None):
         if trace is not None:
             trace(step_index, 0, chosen)
         term = chosen.target
-    if step_strategy(term)[0].rule == RULE_ID:
+    if strategy_redex(term) is None:
         return term
     raise StepLimitError(f"no normal form within {max_steps} steps")
 

@@ -197,7 +197,7 @@ def test_apply_gate_passes_agree_past_the_float_range(amps):
     and without a numpy warning."""
     q = QubitValue(8, amps)
     for g in (gate(*["H"] * 8), gate("H", *["I"] * 7)):
-        assert len({got.support() for got in _both_passes(g, q)}) == 1
+        assert len({tuple(dict(got.amps)) for got in _both_passes(g, q)}) == 1
 
 
 def test_apply_gate_on_a_sparse_60_wire_register(tmp_path, capsys):
@@ -209,7 +209,7 @@ def test_apply_gate_on_a_sparse_60_wire_register(tmp_path, capsys):
     start = time.perf_counter()
     got = apply_gate(gate("H", *["I"] * (width - 1)), basis_state(width, 5))
     assert time.perf_counter() - start < 1.0
-    assert got.support() == {5, (1 << (width - 1)) | 5}
+    assert [u for u, _ in got.amps] == [5, (1 << (width - 1)) | 5]
     path = tmp_path / "wide.qlam"
     path.write_text(f"main = ({'*'.join(['H'] + ['I'] * (width - 1))}) !|{'0' * width}>;\n")
     start = time.perf_counter()
@@ -226,7 +226,8 @@ def test_apply_gate_drops_what_a_factor_cancels():
     q = QubitValue(2, {0: 0.5, 1: 0.5, 2: 0.5 + 1e-13, 3: -0.5})
     got = apply_gate(gate("H", "H"), q)
     assert got == apply_gate_dense(gate("H", "H"), q)
-    assert got.amp(2) == -got.amp(3)
+    amps = dict(got.amps)
+    assert amps.get(2, 0j) == -amps.get(3, 0j)
 
 
 def test_apply_gate_skips_identity_factors():
@@ -273,7 +274,7 @@ def _same_split(q: QubitValue, left_width: int) -> None:
     if want is not None:
         for mine, ref in zip(got, want):
             assert mine.width == ref.width
-            assert mine.support() == ref.support()
+            assert dict(mine.amps).keys() == dict(ref.amps).keys()
             assert amps_close(mine, ref, 1e-12)
 
 

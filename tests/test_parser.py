@@ -136,7 +136,7 @@ def test_nested_contraction():
 def test_duplicate_amplitudes_merge():
     got = parse_term(f"({S2:.17g},0)!|0> + ({S2:.17g},0)!|0>")
     assert isinstance(got, QubitConst)
-    assert abs(got.value.amp(0) - 2 * S2) < 1e-12
+    assert abs(dict(got.value.amps).get(0, 0j) - 2 * S2) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ PARSE_ERRORS = [
     ("term", "M{-2}", "1:3: wire index must be >= 1, got -2"),
     ("term", r"\H. H", "1:2: 'H' names a gate and cannot be bound"),
     ("term", "let cnot = x in x", "1:5: 'cnot' names a gate and cannot be bound"),
-    ("term", "let a * b * a = v in a", "1:23: duplicate names in destructuring pattern"),
+    ("term", "let a * b * a = v in a", "1:13: duplicate names in destructuring pattern"),
     # duplicate definitions and gates
     ("program", "f = !|0>;\nf = !|1>;", "2:1: 'f' is already defined"),
     ("program", "H = !|0>;", "1:1: 'H' is already defined"),
@@ -293,6 +293,14 @@ def test_parse_error_text(entry, source, message):
     with pytest.raises(ParseError) as info:
         parse(source)
     assert str(info.value) == message
+
+
+def test_duplicate_destructuring_name_is_reported_where_it_is_written():
+    """At the repeated name, before the value is read: the value here would
+    be a parse error of its own."""
+    with pytest.raises(ParseError) as info:
+        parse_program("main =\n  let a * b *\n    c * b = ( in a;")
+    assert str(info.value) == "3:9: duplicate names in destructuring pattern"
 
 
 STRICT_NOTES = [

@@ -16,9 +16,7 @@ from qlam.reduction import (
     StuckMeasurementError,
     enumerate_redexes,
     head_rule,
-    is_normal_form,
     step_at,
-    step_strategy,
     strategy_redex,
     stuck_sites,
 )
@@ -39,7 +37,6 @@ from qlam.syntax import (
 from conftest import generated_term, random_register
 from reduction_oracles import (
     enumerate_redexes_reference,
-    is_normal_form_reference,
     preorder_reference,
     strategy_redex_reference,
     stuck_sites_reference,
@@ -222,11 +219,6 @@ def test_measurement_steps_commute_with_context(q, ctx):
 # deterministic strategy
 
 
-def test_strategy_idles_on_normal_form():
-    steps = step_strategy(parse_term("!|0>"))
-    assert len(steps) == 1 and steps[0].rule == "Id" and steps[0].probability == 1.0
-
-
 def test_strategy_reduces_argument_first():
     t = parse_term(r"(\x. x) ((\y. y) !|0>)")
     assert strategy_redex(t) == ((1,), "beta")
@@ -248,9 +240,9 @@ def test_strategy_does_not_enter_bang():
 
 
 def test_normal_form_detection():
-    assert is_normal_form(parse_term("!|0>"))
-    assert is_normal_form(parse_term(f"if {BIASED} then a else b"))
-    assert not is_normal_form(parse_term(r"(\x. x) !|0>"))
+    assert strategy_redex(parse_term("!|0>")) is None
+    assert strategy_redex(parse_term(f"if {BIASED} then a else b")) is None
+    assert strategy_redex(parse_term(r"(\x. x) !|0>")) is not None
 
 
 def test_rule_sets_are_disjoint_and_cover():
@@ -275,15 +267,14 @@ def _assert_walk_agrees(t):
     assert strategy_redex(t) == strategy_redex_reference(t)
     for rules in (RULESET_S, RULESET_T, RULESET_ST):
         assert enumerate_redexes(t, rules) == enumerate_redexes_reference(t, rules)
-        assert is_normal_form(t, rules) == is_normal_form_reference(t, rules)
     assert stuck_sites(t) == stuck_sites_reference(t)
 
 
 @given(generated_term(max_size=14))
 def test_redex_walk_agrees_with_reference(t):
-    """strategy_redex (fallback included), enumerate_redexes, is_normal_form
-    and stuck_sites answer as the recursive call-by-value walk and the
-    preorder walk did, on generated terms and every one-step successor."""
+    """strategy_redex (fallback included), enumerate_redexes and stuck_sites
+    answer as the recursive call-by-value walk and the preorder walk did, on
+    generated terms and every one-step successor."""
     for u in _with_successors(t):
         _assert_walk_agrees(u)
 
@@ -326,9 +317,8 @@ def test_redex_walk_and_step_on_a_deep_chain():
     for _ in range(depth):
         t = App(h, t)
     deepest = (1,) * (depth - 1)
-    [step] = step_strategy(t)
+    [step] = step_at(t, *strategy_redex(t))
     assert (step.rule, step.position) == ("U", deepest)
     assert len(subterm_at(step.target, deepest).value.amps) == 2
     assert enumerate_redexes(t, RULESET_ST) == [(deepest, "U")]
-    assert not is_normal_form(t)
     assert stuck_sites(t) == []

@@ -18,13 +18,13 @@ from qlam.syntax import (
     QubitConst,
     Var,
     alpha_eq,
-    positions,
     replace_at,
 )
 from qlam.quantum import QubitValue
 from qlam.wellformed import check
 
 from conftest import generated_term, rename_binders
+from syntax_oracles import positions
 from wellformed_oracles import check_reference
 
 S2 = f"{1 / math.sqrt(2):.17g}"
@@ -161,10 +161,10 @@ def test_mixed_tensor_canonicalized_then_accepted():
 
 
 def test_is_normalized_values():
-    assert QubitValue(1, ((0, 1),)).is_unit(1e-9)
-    assert QubitValue(1, ((0, 1 / math.sqrt(2)), (1, 1 / math.sqrt(2)))).is_unit(1e-9)
-    assert QubitValue(1, ((0, 0.6), (1, 0.8j))).is_unit(1e-9)
-    assert not QubitValue(1, ((0, 0.6), (1, 0.9))).is_unit(1e-9)
+    assert QubitValue(1, ((0, 1),)).is_unit()
+    assert QubitValue(1, ((0, 1 / math.sqrt(2)), (1, 1 / math.sqrt(2)))).is_unit()
+    assert QubitValue(1, ((0, 0.6), (1, 0.8j))).is_unit()
+    assert not QubitValue(1, ((0, 0.6), (1, 0.9))).is_unit()
 
 
 # ---------------------------------------------------------------------------
