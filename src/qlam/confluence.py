@@ -183,9 +183,7 @@ class _Gen:
                 Lam(x, Var(x)),
             ])
             return Bang(inner)
-        width = self.rng.randint(1, self.max_width)
-        return App(MeasConst(_random_indices(self.rng, width)),
-                   QubitConst(_random_register(self.rng, width)))
+        return self.measurement_app()
 
     def measurement_app(self) -> Term:
         width = self.rng.randint(1, self.max_width)

@@ -7,9 +7,11 @@ and a branching rule fans an entry out into its weighted successors.  Mass
 is preserved by every such step.  ``det_step`` is that step, and the only
 one: ``evaluate`` iterates it under a redex chooser, canonicalizing after
 each step.  ``sample`` follows one entry instead: it fires the redex
-``strategy_redex`` finds with ``step_at``, drawing a measurement's outcome
-from the branch probabilities before any post-state is built, and builds
-only that one.
+``strategy_redex`` finds with ``step_at``.  Both decide how a measurement
+fans out through the ``pick`` that ``step_at`` hands to
+``quantum.measure``, which sees the branch probabilities before any
+post-state is built: ``det_step`` builds every branch unless they would
+pass its cap, and ``sample`` draws one branch and builds only that one.
 
 ``min_ensemble`` canonicalizes by merging alpha-equivalent entries
 (summing their probabilities); two ensembles are equivalent when their
@@ -34,13 +36,11 @@ from typing import Callable, Iterable, Literal
 
 from .syntax import Term, alpha_eq, pretty, shape_key
 from .reduction import (
-    RULE_MEASURE,
     RULESET_ST,
     Position,
     ProbStep,
     RuleSet,
     enumerate_redexes,
-    measurement_fits,
     step_at,
     strategy_redex,
 )
@@ -195,6 +195,12 @@ def det_step(e: TermEnsemble, chooser: Chooser, cap: int = ENSEMBLE_CAP,
     ``cap`` entries, and before a measurement that would pass the cap
     builds any post-state."""
     out: list[tuple[Term, float]] = []
+
+    def within_cap(ps: list[float]) -> range:
+        if len(ps) > cap - len(out):
+            raise EnsembleCapError(f"ensemble exceeded {cap} entries")
+        return range(len(ps))
+
     fired = False
     for entry_index, (term, p) in enumerate(e.entries):
         choice = chooser(term)
@@ -202,10 +208,7 @@ def det_step(e: TermEnsemble, chooser: Chooser, cap: int = ENSEMBLE_CAP,
             out.append((term, p))
         else:
             fired = True
-            position, rule = choice
-            if rule == RULE_MEASURE and not measurement_fits(term, position, cap - len(out)):
-                raise EnsembleCapError(f"ensemble exceeded {cap} entries")
-            for step in step_at(term, position, rule):
+            for step in step_at(term, *choice, within_cap):
                 out.append((step.target, p * step.probability))
                 if trace is not None:
                     trace(entry_index, step)
@@ -283,15 +286,16 @@ def sample(t: Term, seed: int, max_steps: int = 10_000,
     term is not normal after ``max_steps`` steps."""
     rng = random.Random(seed)
 
-    def choose(weights: list[float]) -> int:
-        return rng.choices(range(len(weights)), weights=weights)[0]
+    def draw_one(ps: list[float]) -> list[int]:
+        """One branch index with Born weights; a lone branch costs no draw."""
+        return [0] if len(ps) == 1 else rng.choices(range(len(ps)), weights=ps)
 
     term = t
     for step_index in range(max_steps):
         redex = strategy_redex(term)
         if redex is None:
             return term
-        (chosen,) = step_at(term, *redex, choose)
+        (chosen,) = step_at(term, *redex, draw_one)
         if trace is not None:
             trace(step_index, 0, chosen)
         term = chosen.target

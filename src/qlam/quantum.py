@@ -15,18 +15,22 @@ scatter adds them in.  It is taken on registers of DENSE_MIN_WIDTH to
 DENSE_MAX_WIDTH wires, and there only when the scatter's moves (estimated
 from the support, grown by each factor's column fan-out) exceed the dense
 pass's price.  Narrower registers, and wider ones such as a sparse 60-wire
-register, stay on the scatter.  The amplitudes of either pass, and a
-measurement's post-states, go in index order to ``_from_sorted``, which
-keeps and normalizes them exactly as QubitValue does, without its merge
-and range check.
+register, stay on the scatter.
+
+Which amplitudes a register keeps is decided in one place, ``_kept``.
+QubitValue merges and range-checks its input first; the kernels, whose
+pairs are already distinct and in index order (the amplitudes of either
+gate pass, a measurement's post-states, a tensor product and a rank-1
+split's factors), go to ``_from_sorted``, which applies only ``_kept``.
 
 Projective measurement of a wire set I follows the Born rule: outcome word w
 occurs with probability equal to the squared mass on the basis indices whose
 bits at the wires of I spell w, and the surviving amplitudes are renormalized
 by 1/sqrt(p_w).  measure buckets the stored amplitudes by their bits at I in
-one pass in index order, so every branch costs only its own support.
-measure_one takes the same buckets and probabilities, lets a caller pick one
-branch, and builds only that branch's post-state.
+one pass in index order, so every branch costs only its own support.  A
+caller's ``pick`` sees the branch probabilities before any post-state is
+built and names the branches to build: a sampler draws one, and an ensemble
+step can refuse a fan-out past its cap.
 
 factor_split splits a register whose stored amplitudes all share their left
 bits r exactly and without numpy: |r> with amplitude 1, and the stored
@@ -46,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -210,15 +214,35 @@ def _modulus(a: complex) -> float:
         return math.inf
 
 
+def _kept(pairs: list[tuple[int, complex]]) -> tuple[tuple[int, complex], ...]:
+    """The pairs whose amplitudes a register keeps, in the given order: each
+    amplitude as 0j + a (which turns a -0.0 part into 0.0), those of modulus
+    EPS_ZERO or less dropped, and a modulus past the float range counted as
+    inf."""
+    try:
+        return tuple((u, z) for u, a in pairs if abs(z := 0j + a) > EPS_ZERO)
+    except OverflowError:
+        return tuple((u, z) for u, a in pairs if _modulus(z := 0j + a) > EPS_ZERO)
+
+
+def _check_width(width: int) -> None:
+    if width < 1:
+        raise ValueError(f"register width must be >= 1, got {width}")
+    if width > MAX_WIDTH:
+        raise RegisterWidthError(
+            f"register width {width} exceeds the maximum of {MAX_WIDTH} wires")
+
+
 @dataclass(frozen=True)
 class QubitValue:
     """Canonical sparse superposition over a ``width``-wire register.
 
-    ``amps`` holds (basis index, amplitude) pairs sorted by index; duplicate
-    indices are merged and entries with modulus <= EPS_ZERO are dropped at
-    construction, so zero-amplitude summands never survive.  Normalization is
-    not enforced here (the well-formedness checker reports it); every value
-    produced by tensor/apply_gate/measure is unit norm.
+    ``amps`` is given as (basis index, amplitude) pairs or as a dict, and
+    holds the pairs sorted by index; duplicate indices are merged and the
+    amplitudes ``_kept`` drops are gone at construction, so zero-amplitude
+    summands never survive.  Normalization is not enforced here (the
+    well-formedness checker reports it); every value produced by
+    tensor/apply_gate/measure is unit norm.
     """
 
     width: int
@@ -226,32 +250,15 @@ class QubitValue:
 
     def __post_init__(self) -> None:
         width = self.width
-        if width < 1:
-            raise ValueError(f"register width must be >= 1, got {width}")
-        if width > MAX_WIDTH:
-            raise RegisterWidthError(
-                f"register width {width} exceeds the maximum of {MAX_WIDTH} wires")
+        _check_width(width)
         dim = 1 << width
-        if isinstance(self.amps, Mapping):
-            # distinct keys: nothing to merge
-            amps = self.amps
-            if amps and not (0 <= min(amps) and max(amps) < dim):
-                u = next(u for u in amps if not 0 <= u < dim)
+        amps = self.amps
+        merged: dict[int, complex] = {}
+        for u, a in (amps.items() if isinstance(amps, dict) else amps):
+            if not 0 <= u < dim:
                 raise ValueError(f"basis index {u} out of range for width {width}")
-            merged = {u: 0j + complex(a) for u, a in amps.items()}
-        else:
-            merged = {}
-            for u, a in self.amps:
-                if not 0 <= u < dim:
-                    raise ValueError(f"basis index {u} out of range for width {width}")
-                merged[u] = merged.get(u, 0j) + complex(a)
-        try:
-            cleaned = tuple(sorted((u, a) for u, a in merged.items() if abs(a) > EPS_ZERO))
-        except OverflowError:
-            # a modulus past the float range is inf, so its amplitude is kept
-            cleaned = tuple(sorted((u, a) for u, a in merged.items()
-                                   if _modulus(a) > EPS_ZERO))
-        object.__setattr__(self, "amps", cleaned)
+            merged[u] = merged.get(u, 0j) + complex(a)
+        object.__setattr__(self, "amps", _kept(sorted(merged.items())))
 
     def norm_sq(self) -> float:
         return _probability(self.amps)
@@ -272,14 +279,9 @@ def _canonical(width: int, amps: tuple[tuple[int, complex], ...]) -> QubitValue:
 
 def _from_sorted(width: int, pairs: list[tuple[int, complex]]) -> QubitValue:
     """A register from pairs whose indices are distinct, sorted and in
-    range, with the amplitudes QubitValue would keep: each one as 0j + a
-    (which turns a -0.0 part into 0.0), those of modulus EPS_ZERO or less
-    dropped, and a modulus past the float range counted as inf."""
-    try:
-        amps = tuple((u, z) for u, a in pairs if abs(z := 0j + a) > EPS_ZERO)
-    except OverflowError:
-        amps = tuple((u, z) for u, a in pairs if _modulus(z := 0j + a) > EPS_ZERO)
-    return _canonical(width, amps)
+    range: the register QubitValue builds from them, without its merge and
+    range check."""
+    return _canonical(width, _kept(pairs))
 
 
 def basis_state(width: int, index: int) -> QubitValue:
@@ -327,11 +329,9 @@ def amps_close(a: QubitValue, b: QubitValue, tol: float) -> bool:
 def tensor(a: QubitValue, b: QubitValue) -> QubitValue:
     """Kronecker product; a occupies the left (more significant) wires."""
     width = a.width + b.width
-    out: dict[int, complex] = {}
-    for ua, za in a.amps:
-        for ub, zb in b.amps:
-            out[(ua << b.width) | ub] = za * zb
-    return QubitValue(width, out)
+    _check_width(width)
+    return _from_sorted(width, [((ua << b.width) | ub, za * zb)
+                                for ua, za in a.amps for ub, zb in b.amps])
 
 
 def _scatter(g: GateExpr, q: QubitValue) -> dict[int, complex]:
@@ -439,11 +439,24 @@ class MeasurementOutcome:
     post: QubitValue
 
 
-def _buckets(q: QubitValue,
-             indices: frozenset[int] | set[int]) -> tuple[list[int], dict[int, list]]:
-    """The sorted measured wires, and the (index, amplitude) pairs of q
-    bucketed by their bits at those wires, in one pass in index order.  A
-    bucket's key is ``u & mask``, so sorted keys are in outcome-word order."""
+# Gets a measurement's branch probabilities, in outcome-word order, and
+# returns the indices of the branches to build.
+Pick = Callable[[list[float]], Iterable[int]]
+
+
+def measure(q: QubitValue, indices: frozenset[int] | set[int],
+            pick: Pick | None = None) -> list[MeasurementOutcome]:
+    """The measurement branches of the wires in ``indices`` with nonzero
+    probability, in increasing outcome-word order: all of them, or the ones
+    at the indices ``pick`` returns, whose post-states alone are built.
+
+    Probabilities sum to 1 (within EPS_NORM) for a unit-norm register; each
+    post-state is unit norm.  Branches with p <= EPS_ZERO are omitted since
+    their post-state (a division by sqrt(p)) is undefined.  The stored
+    amplitudes are bucketed by their bits at the measured wires in one pass
+    in index order; a bucket's key is ``u & mask``, so sorted keys are in
+    outcome-word order.
+    """
     idx = sorted(indices)
     if not idx:
         raise IndexOutOfRangeError("measured index set must be nonempty")
@@ -461,59 +474,23 @@ def _buckets(q: QubitValue,
             buckets[key] = [(u, a)]
         else:
             bucket.append((u, a))
-    return idx, buckets
-
-
-def _branches(q: QubitValue, indices: frozenset[int] | set[int]
-              ) -> tuple[list[int], list[tuple[int, list, float]]]:
-    """The sorted measured wires, and (bucket key, entries, probability) for
-    every outcome with probability above EPS_ZERO, in outcome-word order."""
-    idx, buckets = _buckets(q, indices)
     branches = []
     for key in sorted(buckets):
         entries = buckets[key]
         p = _probability(entries)
         if p > EPS_ZERO:
             branches.append((key, entries, p))
-    return idx, branches
-
-
-def _outcome(q: QubitValue, idx: list[int], key: int, entries: list,
-             p: float) -> MeasurementOutcome:
-    """The branch of one bucket: its word and the renormalized post-state."""
-    scale = 1.0 / math.sqrt(p)
-    post = _from_sorted(q.width, [(u, a * scale) for u, a in entries])
-    word = 0
-    for i in idx:
-        word = (word << 1) | ((key >> (q.width - i)) & 1)
-    return MeasurementOutcome(word, p, post)
-
-
-def measure(q: QubitValue, indices: frozenset[int] | set[int]) -> list[MeasurementOutcome]:
-    """All measurement branches of the wires in ``indices`` with nonzero
-    probability, in increasing outcome-word order.
-
-    Probabilities sum to 1 (within EPS_NORM) for a unit-norm register; each
-    post-state is unit norm.  Branches with p <= EPS_ZERO are omitted since
-    their post-state (a division by sqrt(p)) is undefined.
-    """
-    idx, branches = _branches(q, indices)
-    return [_outcome(q, idx, *branch) for branch in branches]
-
-
-def measure_one(q: QubitValue, indices: frozenset[int] | set[int],
-                choose: Callable[[list[float]], int]) -> MeasurementOutcome:
-    """The branch of ``measure(q, indices)`` at the index ``choose`` picks
-    from the branch probabilities (in outcome-word order); only that branch's
-    post-state is built.  A single branch is returned without asking."""
-    idx, branches = _branches(q, indices)
-    pick = 0 if len(branches) == 1 else choose([p for _, _, p in branches])
-    return _outcome(q, idx, *branches[pick])
-
-
-def outcome_count(q: QubitValue, indices: frozenset[int] | set[int]) -> int:
-    """len(measure(q, indices)), counted without building any post-state."""
-    return len(_branches(q, indices)[1])
+    if pick is not None:
+        branches = [branches[i] for i in pick([p for _, _, p in branches])]
+    out = []
+    for key, entries, p in branches:
+        scale = 1.0 / math.sqrt(p)
+        word = 0
+        for i in idx:
+            word = (word << 1) | ((key >> (q.width - i)) & 1)
+        post = _from_sorted(q.width, [(u, a * scale) for u, a in entries])
+        out.append(MeasurementOutcome(word, p, post))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +593,5 @@ def factor_split(q: QubitValue, left_width: int) -> tuple[QubitValue, QubitValue
     phase = a_vec[first] / abs(a_vec[first])
     a_vec /= phase
     b_vec *= phase
-    left = QubitValue(left_width, dict(enumerate(a_vec.tolist())))
-    right = QubitValue(right_width, dict(zip(b_cols.tolist(), b_vec.tolist())))
-    return left, right
+    return (_from_sorted(left_width, list(enumerate(a_vec.tolist()))),
+            _from_sorted(right_width, list(zip(b_cols.tolist(), b_vec.tolist()))))

@@ -40,17 +40,16 @@ node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .quantum import (
     EPS_NORM,
+    Pick,
     QubitValue,
     apply_gate,
     factor_split,
     is_product,
     measure,
-    measure_one,
-    outcome_count,
 )
 from .syntax import (
     App,
@@ -79,9 +78,6 @@ RULE_IF0 = "if-0"
 RULE_IF1 = "if-1"
 
 Position = tuple[int, ...]
-
-# Picks one measurement branch by index from the branch probabilities.
-Choose = Callable[[list[float]], int]
 
 
 class NoRedexError(ValueError):
@@ -152,11 +148,11 @@ def head_rule(t: Term) -> str | None:
     return None
 
 
-def _contract(t: Term, rule: str, choose: Choose | None) -> list[tuple[Term, float]] | None:
+def _contract(t: Term, rule: str, pick: Pick | None) -> list[tuple[Term, float]] | None:
     """Successors of the head redex t under rule, with probabilities; None
     when rule does not match at the root of t.  The guards are head_rule's,
-    so one match both validates and contracts.  With ``choose``, (M) yields
-    only the branch it picks."""
+    so one match both validates and contracts.  (M) yields the branches
+    ``pick`` names (see quantum.measure)."""
     match t, rule:
         case App(Lam(x, body), arg), "beta":
             return [(substitute(body, x, arg), 1.0)]
@@ -167,8 +163,7 @@ def _contract(t: Term, rule: str, choose: Choose | None) -> list[tuple[Term, flo
         case App(GateConst(g), QubitConst(q)), "U" if g.arity == q.width:
             return [(QubitConst(apply_gate(g, q)), 1.0)]
         case App(MeasConst(idx), QubitConst(q)), "M" if idx and max(idx) <= q.width:
-            outcomes = measure(q, idx) if choose is None else [measure_one(q, idx, choose)]
-            return [(QubitConst(o.post), o.probability) for o in outcomes]
+            return [(QubitConst(o.post), o.probability) for o in measure(q, idx, pick)]
         case If(QubitConst(q), a, _), "if-0" if _is_base_bit(q, 0):
             return [(a, 1.0)]
         case If(QubitConst(q), _, b), "if-1" if _is_base_bit(q, 1):
@@ -184,17 +179,18 @@ def _contract(t: Term, rule: str, choose: Choose | None) -> list[tuple[Term, flo
 
 
 def step_at(t: Term, position: Position, rule: str,
-            choose: Choose | None = None) -> list[ProbStep]:
-    """Fire ``rule`` at ``position``; the returned steps' probabilities sum
-    to 1.  Raises NoRedexError when the rule does not match there, and the
-    sharper StuckMeasurementError when (M) meets a non-constant operand.
+            pick: Pick | None = None) -> list[ProbStep]:
+    """Fire ``rule`` at ``position``; without ``pick`` the returned steps'
+    probabilities sum to 1.  Raises NoRedexError when the rule does not
+    match there, and the sharper StuckMeasurementError when (M) meets a
+    non-constant operand.
 
-    With ``choose``, a measurement builds only the one branch ``choose``
-    picks by index from the branch probabilities (in outcome-word order),
-    and that step keeps its Born probability; it is not asked when there is
-    one branch.  No other rule branches, so none of them asks it."""
+    A measurement hands ``pick`` its branch probabilities (in outcome-word
+    order) and builds only the branches at the indices it returns, each
+    step keeping its Born probability; ``pick`` may also raise, and then no
+    post-state is built.  No other rule branches, so none of them asks it."""
     sub = subterm_at(t, position)
-    contracted = _contract(sub, rule, choose)
+    contracted = _contract(sub, rule, pick)
     if contracted is None:
         if rule == RULE_MEASURE and isinstance(sub, App) and \
                 isinstance(sub.fun, MeasConst) and not isinstance(sub.arg, QubitConst):
@@ -203,17 +199,6 @@ def step_at(t: Term, position: Position, rule: str,
         raise NoRedexError(f"rule {rule} does not match at {position}")
     return [ProbStep(replace_at(t, position, target), p, rule, position)
             for target, p in contracted]
-
-
-def measurement_fits(t: Term, position: Position, room: int) -> bool:
-    """Whether (M) at ``position`` yields at most ``room`` steps, decided
-    without building any post-state.  The outcome words are counted in a
-    pass over the register only when neither 2**|I| nor the register's
-    support size already fits.  True when (M) does not match there."""
-    match subterm_at(t, position):
-        case App(MeasConst(idx), QubitConst(q)) if idx and max(idx) <= q.width:
-            return min(1 << len(idx), len(q.amps)) <= room or outcome_count(q, idx) <= room
-    return True
 
 
 def _position(link: tuple) -> Position:

@@ -32,7 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import Union
 
-from .quantum import GateExpr, QubitValue, amps_close
+from .quantum import GateExpr, QubitValue, _modulus, amps_close
 
 # Absolute tolerance for amplitude comparison inside alpha_eq.
 AMP_TOL = 1e-9
@@ -421,15 +421,15 @@ def alpha_eq(a: Term, b: Term) -> bool:
 
 
 def _key_support(q: QubitValue) -> tuple[int, ...] | None:
-    """The indices of q whose amplitude modulus exceeds KEY_AMP_THRESHOLD,
-    or None when one lies within _KEY_BAND of it.  Kept on the register the
-    way free_vars keeps its set on a node, so a register shared by the terms
-    of successive steps is read once."""
+    """The indices of q whose amplitude modulus (inf past the float range)
+    exceeds KEY_AMP_THRESHOLD, or None when one lies within _KEY_BAND of
+    it.  Kept on the register the way free_vars keeps its set on a node, so
+    a register shared by the terms of successive steps is read once."""
     support = getattr(q, _SUPPORT, _UNSET)
     if support is _UNSET:
         support = []
         for u, a in q.amps:
-            modulus = abs(a)
+            modulus = _modulus(a)
             if not abs(modulus - KEY_AMP_THRESHOLD) > _KEY_BAND:
                 support = None
                 break
@@ -493,8 +493,8 @@ def format_qubit(q: QubitValue) -> tuple[str, bool]:
     return " + ".join(parts), False
 
 
-def format_gate(g: GateExpr) -> tuple[str, bool]:
-    return "*".join(g.names), len(g.atoms) == 1
+def format_gate(g: GateExpr) -> str:
+    return "*".join(g.names)
 
 
 def pretty(t: Term) -> str:
@@ -557,7 +557,7 @@ def pretty(t: Term) -> str:
             out.append("!")
             stack.append((item.body,))
         elif cls is GateConst:
-            out.append(format_gate(item.gate)[0])
+            out.append(format_gate(item.gate))
         elif cls is QubitConst:
             out.append(register(item.value)[0])
         elif cls is MeasConst:

@@ -244,7 +244,7 @@ def _pp(t: Term) -> str:
         case Bang(body):
             return f"!{_pp_atom(body)}"
         case GateConst(g):
-            return format_gate(g)[0]
+            return format_gate(g)
         case QubitConst(q):
             return format_qubit(q)[0]
         case MeasConst(indices):

@@ -29,7 +29,7 @@ from qlam.reduction import (
     step_at,
     strategy_redex,
 )
-from qlam.quantum import QubitValue, gate, uniform_state
+from qlam.quantum import QubitValue, gate, measure, uniform_state
 from qlam.syntax import (
     AMP_TOL,
     App,
@@ -369,6 +369,17 @@ def test_sample_single_branch():
 def test_sample_deterministic_per_seed():
     t = parse_term(f"M{{1}} {BIASED}")
     assert sample(t, seed=11) == sample(t, seed=11)
+
+
+def test_sample_draws_only_at_two_or_more_branches():
+    """A one-branch measurement costs no draw: the seed's first draw goes to
+    the two-branch measurement after it."""
+    t = parse_term(f"M{{1}} (M{{2}} ({BIASED} * !|0>))")
+    (first,) = measure(t.arg.arg.value, {2})
+    ps = [o.probability for o in measure(first.post, {1})]
+    for seed in range(40):
+        (word,) = random.Random(seed).choices(range(2), weights=ps)
+        assert pretty(sample(t, seed)) == f"!|{word}0>"
 
 
 def test_sample_step_limit():

@@ -29,7 +29,6 @@ from qlam.quantum import (
     is_product,
     ket,
     measure,
-    outcome_count,
     tensor,
     uniform_state,
 )
@@ -243,22 +242,40 @@ def test_apply_gate_skips_identity_factors():
 def test_measure_matches_per_word_oracle(q, data):
     """Identical outcome words, probabilities and post amplitudes."""
     indices = data.draw(st.sets(st.integers(1, q.width), min_size=1))
-    got = measure(q, indices)
-    assert got == measure_per_word(q, indices)
-    assert outcome_count(q, indices) == len(got)
+    assert measure(q, indices) == measure_per_word(q, indices)
 
 
-def test_outcome_count_leaves_out_zero_probability_words():
+@given(register(), st.data())
+def test_measure_builds_the_branches_pick_returns(q, data):
+    """pick sees every branch probability, in outcome-word order, and
+    measure returns the branches at the indices it returns, in its order."""
+    indices = data.draw(st.sets(st.integers(1, q.width), min_size=1))
+    every = measure(q, indices)
+    chosen = data.draw(st.lists(st.integers(0, len(every) - 1), max_size=4))
+    seen = []
+    got = measure(q, indices, lambda ps: seen.append(ps) or chosen)
+    assert seen == [[o.probability for o in every]]
+    assert got == [every[i] for i in chosen]
+
+
+def test_measure_builds_no_branch_pick_leaves_out(monkeypatch):
+    built = []
+    monkeypatch.setattr(quantum, "MeasurementOutcome", lambda *args: built.append(args[0]))
+    measure(uniform_state(4), {1, 2, 3}, lambda ps: ())
+    assert built == []
+    measure(uniform_state(4), {1, 2, 3}, lambda ps: [5, 2])
+    assert built == [5, 2]
+
+
+def test_measure_leaves_out_zero_probability_words():
     q = QubitValue(2, {0: 1.0, 3: 1e-7})
     assert [o.outcome for o in measure(q, {1})] == [0]
-    assert outcome_count(q, {1}) == 1
-    assert outcome_count(uniform_state(3), {1, 3}) == 4
+    assert len(measure(uniform_state(3), {1, 3})) == 4
 
 
 def test_measure_past_the_float_range():
     """A squared modulus past the float range is inf, not OverflowError."""
     q = QubitValue(2, {0: 1e200, 3: 1.0})
-    assert outcome_count(q, {1}) == 2
     assert [(o.outcome, o.probability) for o in measure(q, {1})] == [(0, math.inf), (1, 1.0)]
 
 

@@ -135,6 +135,19 @@ def test_shape_key_none_near_threshold():
     assert shape_key(above) != shape_key(below)
 
 
+def test_shape_key_past_the_float_range():
+    """An amplitude modulus past the float range counts as inf: the key is
+    that of an alpha-equivalent copy, and min_ensemble merges the two."""
+    def term(x):
+        return Lam(x, App(Var(x), QubitConst(QubitValue(1, {0: complex(1e308, 1.5e308)}))))
+
+    a, b = term("x"), term("y")
+    assert alpha_eq(a, b)
+    assert shape_key(a) is not None
+    assert shape_key(a) == shape_key(b)
+    assert min_ensemble(TermEnsemble(((a, 0.5), (b, 0.5)))).entries == ((a, 1.0),)
+
+
 @given(generated_term(), st.integers(0, 2**32 - 1), st.floats(0.0, 1.5))
 def test_shape_key_agrees_with_alpha_eq(t, seed, scale):
     """Alpha-equivalent copies (renamed binders, registers moved by up to
