@@ -50,22 +50,17 @@ def _checked_report(program: Program, strict: bool) -> tuple[WfReport, Term | No
     target = program.main
     if target is None:
         if not program.defs:
-            report = WfReport(False, [((), "program", "no definitions in file")])
-            return report, None
+            return WfReport([((), "program", "no definitions in file")]), None
         # no main: check every definition body
-        verdict = True
-        violations = []
+        report = WfReport()
         for name, term in program.defs:
-            rep = check(term)
-            verdict &= rep.verdict
-            violations.extend(((pos, rule, f"{name}: {msg}") for pos, rule, msg in rep.violations))
-        report = WfReport(verdict, violations)
+            report.violations.extend((pos, rule, f"{name}: {msg}")
+                                     for pos, rule, msg in check(term).violations)
     else:
         report = check(target)
     if strict:
         for line, col, msg in program.strict_notes:
             report.violations.append(((), "strict-surface", f"{line}:{col}: {msg}"))
-        report.verdict = not report.violations
     return report, target
 
 

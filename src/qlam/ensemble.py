@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Literal
 from .syntax import Term, alpha_eq, pretty, shape_key
 from .reduction import (
     RULESET_ST,
+    RULESETS,
     Position,
     ProbStep,
     RuleSet,
@@ -220,8 +221,9 @@ def det_step(e: TermEnsemble, chooser: Chooser, cap: int = ENSEMBLE_CAP,
 def strategy_chooser(rules: RuleSet = RULESET_ST) -> Chooser:
     """The deterministic evaluation strategy, which fires every rule: any
     rule set but S+T is a ValueError."""
-    if rules is not RULESET_ST:
-        raise ValueError(f"the strategy chooser fires rule set S+T, not {rules.name}")
+    if rules != RULESET_ST:
+        name = next((n for n, r in RULESETS.items() if r == rules), sorted(rules))
+        raise ValueError(f"the strategy chooser fires rule set S+T, not {name}")
     return strategy_redex
 
 

@@ -70,6 +70,7 @@ import re
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .quantum import (
     BUILTIN_GATES,
@@ -325,17 +326,11 @@ class _Parser:
         let_at = self.i
         self.open_level(let_at)
         self.i += 1
-        if self.tags[self.i] == "!":
+        nonlinear = self.tags[self.i] == "!"
+        if nonlinear:
             self.i += 1
-            name = self._binder_name()
-            self.expect("=")
-            value = self.parse_term()
-            self.expect("in")
-            body = self.parse_term()
-            self.depth -= 1
-            return App(BangLam(name, body), value)
         names = [self._binder_name()]
-        while self.tags[self.i] == "*":
+        while not nonlinear and self.tags[self.i] == "*":
             self.i += 1
             name_at = self.i
             name = self._binder_name()
@@ -348,7 +343,7 @@ class _Parser:
         body = self.parse_term()
         self.depth -= 1
         if len(names) == 1:
-            return App(Lam(names[0], body), value)
+            return App((BangLam if nonlinear else Lam)(names[0], body), value)
         # the desugaring recurses once a name and walks the body, which sits
         # under a split for each name but the last
         self.check_height(body, let_at, len(names) - 1)
@@ -485,14 +480,10 @@ class _Parser:
     def _measurement(self) -> Term:
         """A measurement; the current tokens are 'M' and '{'."""
         self.i += 2
-        indices = [self._wire_index(self.expect("number"))]
-        while self.tags[self.i] == ",":
-            self.i += 1
-            indices.append(self._wire_index(self.expect("number")))
-        self.expect("}")
-        return MeasConst(frozenset(indices))
+        return MeasConst(frozenset(self._items(self._wire_index, "}")))
 
-    def _wire_index(self, i: int) -> int:
+    def _wire_index(self) -> int:
+        i = self.expect("number")
         text = self.texts[i]
         try:
             value = int(text)
@@ -502,25 +493,24 @@ class _Parser:
             raise self.error(f"wire index must be >= 1, got {value}", i)
         return value
 
+    def _items(self, item: Callable[[], object], close: str) -> list:
+        """item (',' item)* close"""
+        items = [item()]
+        while self.tags[self.i] == ",":
+            self.i += 1
+            items.append(item())
+        self.expect(close)
+        return items
+
     # -- gate matrices
 
     def _matrix(self) -> tuple[tuple[complex, ...], ...]:
         self.expect("[")
-        rows = [self._matrix_row()]
-        while self.tags[self.i] == ",":
-            self.i += 1
-            rows.append(self._matrix_row())
-        self.expect("]")
-        return tuple(rows)
+        return tuple(self._items(self._matrix_row, "]"))
 
     def _matrix_row(self) -> tuple[complex, ...]:
         self.expect("[")
-        entries = [self._matrix_entry()]
-        while self.tags[self.i] == ",":
-            self.i += 1
-            entries.append(self._matrix_entry())
-        self.expect("]")
-        return tuple(entries)
+        return tuple(self._items(self._matrix_entry, "]"))
 
     def _matrix_entry(self) -> complex:
         if self.tags[self.i] == "(":

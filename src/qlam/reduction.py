@@ -84,10 +84,6 @@ class NoRedexError(ValueError):
     """The requested rule does not match at the given position."""
 
 
-class StuckMeasurementError(NoRedexError):
-    """(M) was requested where the operand is not a register constant."""
-
-
 @dataclass(frozen=True)
 class ProbStep:
     """One probabilistic successor: the full rewritten term, the branch
@@ -99,19 +95,12 @@ class ProbStep:
     position: Position
 
 
-@dataclass(frozen=True)
-class RuleSet:
-    name: str
-    members: frozenset[str]
+RuleSet = frozenset[str]
 
-    def __contains__(self, rule: str) -> bool:
-        return rule in self.members
-
-
-RULESET_S = RuleSet("S", frozenset({RULE_BETA, RULE_BANG_BETA1, RULE_BANG_BETA2,
-                                    RULE_UNITARY, RULE_SPLIT}))
-RULESET_T = RuleSet("T", frozenset({RULE_MEASURE, RULE_IF0, RULE_IF1}))
-RULESET_ST = RuleSet("S+T", RULESET_S.members | RULESET_T.members)
+RULESET_S: RuleSet = frozenset({RULE_BETA, RULE_BANG_BETA1, RULE_BANG_BETA2,
+                                RULE_UNITARY, RULE_SPLIT})
+RULESET_T: RuleSet = frozenset({RULE_MEASURE, RULE_IF0, RULE_IF1})
+RULESET_ST: RuleSet = RULESET_S | RULESET_T
 
 RULESETS = {"S": RULESET_S, "T": RULESET_T, "S+T": RULESET_ST}
 
@@ -154,12 +143,11 @@ def _contract(t: Term, rule: str, pick: Pick | None) -> list[tuple[Term, float]]
     so one match both validates and contracts.  (M) yields the branches
     ``pick`` names (see quantum.measure)."""
     match t, rule:
-        case App(Lam(x, body), arg), "beta":
+        case ((App(Lam(x, body), arg), "beta")
+              | (App(BangLam(x, body), QubitConst() as arg), "!beta2")):
             return [(substitute(body, x, arg), 1.0)]
         case App(BangLam(x, body), Bang(payload)), "!beta1":
             return [(substitute(body, x, payload), 1.0)]
-        case App(BangLam(x, body), QubitConst(_) as q), "!beta2":
-            return [(substitute(body, x, q), 1.0)]
         case App(GateConst(g), QubitConst(q)), "U" if g.arity == q.width:
             return [(QubitConst(apply_gate(g, q)), 1.0)]
         case App(MeasConst(idx), QubitConst(q)), "M" if idx and max(idx) <= q.width:
@@ -182,8 +170,8 @@ def step_at(t: Term, position: Position, rule: str,
             pick: Pick | None = None) -> list[ProbStep]:
     """Fire ``rule`` at ``position``; without ``pick`` the returned steps'
     probabilities sum to 1.  Raises NoRedexError when the rule does not
-    match there, and the sharper StuckMeasurementError when (M) meets a
-    non-constant operand.
+    match there, with a sharper message when (M) meets a non-constant
+    operand.
 
     A measurement hands ``pick`` its branch probabilities (in outcome-word
     order) and builds only the branches at the indices it returns, each
@@ -192,11 +180,10 @@ def step_at(t: Term, position: Position, rule: str,
     sub = subterm_at(t, position)
     contracted = _contract(sub, rule, pick)
     if contracted is None:
-        if rule == RULE_MEASURE and isinstance(sub, App) and \
-                isinstance(sub.fun, MeasConst) and not isinstance(sub.arg, QubitConst):
-            raise StuckMeasurementError(
-                f"measurement operand at {position} is not a register constant")
-        raise NoRedexError(f"rule {rule} does not match at {position}")
+        stuck = rule == RULE_MEASURE and isinstance(sub, App) and \
+            isinstance(sub.fun, MeasConst) and not isinstance(sub.arg, QubitConst)
+        raise NoRedexError(f"measurement operand at {position} is not a register constant"
+                           if stuck else f"rule {rule} does not match at {position}")
     return [ProbStep(replace_at(t, position, target), p, rule, position)
             for target, p in contracted]
 

@@ -328,15 +328,12 @@ def substitute(body: Term, var: str, replacement: Term) -> Term:
                 new_value = go(value)
                 if var in (x, y) or var not in free_vars(inner):
                     return LetTensor(x, y, new_value, inner)
-                if x in rep_free:
-                    x2 = fresh_name(x, rep_free | free_vars(inner) | {y})
-                    inner = substitute(inner, x, Var(x2))
-                    x = x2
-                if y in rep_free:
-                    y2 = fresh_name(y, rep_free | free_vars(inner) | {x})
-                    inner = substitute(inner, y, Var(y2))
-                    y = y2
-                return LetTensor(x, y, new_value, go(inner))
+                names = [x, y]
+                for k, name in enumerate(names):
+                    if name in rep_free:
+                        names[k] = fresh_name(name, rep_free | free_vars(inner) | {names[1 - k]})
+                        inner = substitute(inner, name, Var(names[k]))
+                return LetTensor(*names, new_value, go(inner))
             case _:
                 return with_children(t, tuple(go(c) for c in children(t)))
 
@@ -475,22 +472,23 @@ def format_amplitude(z: complex) -> str:
     return f"({_fmt_float(z.real)},{_fmt_float(z.imag)})"
 
 
-def format_qubit(q: QubitValue) -> tuple[str, bool]:
-    """Render a register constant; the flag says whether the text is atomic
-    (a single banged ket needing no parentheses).  A register with no
-    amplitudes prints as a zero-scaled ket of its width, which parses back
-    to it."""
+def _is_ket(q: QubitValue) -> bool:
+    """Whether q prints as one banged ket, needing no parentheses."""
+    return len(q.amps) == 1 and format_amplitude(q.amps[0][1]) == "(1,0)"
+
+
+def format_qubit(q: QubitValue) -> str:
+    """Render a register constant.  A register with no amplitudes prints as
+    a zero-scaled ket of its width, which parses back to it."""
     if not q.amps:
-        return f"(0,0)!|{'0' * q.width}>", False
-    if len(q.amps) == 1:
-        u, a = q.amps[0]
-        if format_amplitude(a) == "(1,0)":
-            return f"!|{format(u, f'0{q.width}b')}>", True
+        return f"(0,0)!|{'0' * q.width}>"
+    if _is_ket(q):
+        return f"!|{format(q.amps[0][0], f'0{q.width}b')}>"
     parts = []
     for u, a in q.amps:
         bits = format(u, f"0{q.width}b")
         parts.append(f"{format_amplitude(a)}!|{bits}>")
-    return " + ".join(parts), False
+    return " + ".join(parts)
 
 
 def format_gate(g: GateExpr) -> str:
@@ -500,15 +498,7 @@ def format_gate(g: GateExpr) -> str:
 def pretty(t: Term) -> str:
     """Canonical concrete syntax; parsing the result gives back an
     alpha-equivalent term.  One walk over an explicit stack of pending
-    terms and text, so any depth prints; each register is formatted once,
-    for its text and whether that text is atomic."""
-    registers: dict[int, tuple[str, bool]] = {}
-
-    def register(q: QubitValue) -> tuple[str, bool]:
-        out = registers.get(id(q))
-        if out is None:
-            out = registers[id(q)] = format_qubit(q)
-        return out
+    terms and text, so any depth prints."""
 
     def atomic(term: Term) -> bool:
         """Whether term prints as an operand without parentheses."""
@@ -520,7 +510,7 @@ def pretty(t: Term) -> str:
         if cls is GateConst:
             return len(term.gate.atoms) == 1
         if cls is QubitConst:
-            return register(term.value)[1]
+            return _is_ket(term.value)
         return False
 
     out: list[str] = []
@@ -559,7 +549,7 @@ def pretty(t: Term) -> str:
         elif cls is GateConst:
             out.append(format_gate(item.gate))
         elif cls is QubitConst:
-            out.append(register(item.value)[0])
+            out.append(format_qubit(item.value))
         elif cls is MeasConst:
             out.append("M{" + ",".join(str(i) for i in sorted(item.indices)) + "}")
         elif cls is If:

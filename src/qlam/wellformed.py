@@ -58,11 +58,12 @@ Violation = tuple[Position, str, str]  # (position, rule name, message)
 
 @dataclass
 class WfReport:
-    verdict: bool
     violations: list[Violation] = field(default_factory=list)
 
     def __bool__(self) -> bool:
-        return self.verdict
+        return not self.violations
+
+    verdict = property(__bool__)
 
 
 # Argument shapes that may still reduce to a duplicable value.
@@ -77,7 +78,7 @@ def check(t: Term) -> WfReport:
         if n > 1:
             violations.append(((), "linear",
                                f"free variable {name!r} used {n} times"))
-    return WfReport(not violations, violations)
+    return WfReport(violations)
 
 
 def _linear_names(uses: Counter, env: dict[str, str]) -> str:

@@ -218,7 +218,7 @@ def _atomic(t: Term) -> bool:
         case GateConst(g):
             return len(g.atoms) == 1
         case QubitConst(q):
-            return format_qubit(q)[1]
+            return format_qubit(q).startswith("!")
         case Bang(body):
             return _atomic(body)
         case _:
@@ -246,7 +246,7 @@ def _pp(t: Term) -> str:
         case GateConst(g):
             return format_gate(g)
         case QubitConst(q):
-            return format_qubit(q)[0]
+            return format_qubit(q)
         case MeasConst(indices):
             return "M{" + ",".join(str(i) for i in sorted(indices)) + "}"
         case If(c, a, b):

@@ -44,7 +44,7 @@ def check_reference(t: Term) -> WfReport:
         if n > 1:
             violations.append(((), "linear",
                                f"free variable {name!r} used {n} times"))
-    return WfReport(not violations, violations)
+    return WfReport(violations)
 
 
 class _Ids:
