@@ -22,12 +22,18 @@ from .ensemble import (
 from .parser import ParseError, Program, parse_program
 from .quantum import RegisterWidthError
 from .reduction import RULESET_ST, ProbStep, stuck_sites
-from .syntax import Term, format_amplitude, format_position, pretty
+from .syntax import Term, format_amplitude, format_position, pretty, rename_bound
 from .wellformed import WfReport, check
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+
+def _error(message: object, code: int = EXIT_USAGE) -> int:
+    """Print ``error: message`` on stderr and return the exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 class ProgramFileError(Exception):
@@ -105,44 +111,35 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             seed = int(env_seed)
         except ValueError:
-            print(f"error: QLAM_SEED must be an integer, not {env_seed!r}", file=sys.stderr)
-            return EXIT_USAGE
+            return _error(f"QLAM_SEED must be an integer, not {env_seed!r}")
     if args.max_steps < 1:
-        print("error: max_steps must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        return _error("max_steps must be >= 1")
     if args.sample and seed is None:
-        print("error: sample mode requires a seed (pass --seed or set QLAM_SEED)",
-              file=sys.stderr)
-        return EXIT_USAGE
+        return _error("sample mode requires a seed (pass --seed or set QLAM_SEED)")
     program = _load_program(args.file)
     report, target = _checked_report(program, args.strict_wf)
     if target is None:
-        print("error: program has no main", file=sys.stderr)
-        return EXIT_USAGE
+        return _error("program has no main")
     if not report.verdict:
         _print_report(report, args.json)
         return EXIT_FAIL
 
     trace = (lambda _i, _j, step: _trace_printer(step)) if args.trace else None
 
-    if args.sample:
-        try:
+    try:
+        if args.sample:
             result = sample(target, seed, max_steps=args.max_steps, trace=trace)
-        except StepLimitError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
+        else:
+            chooser = NAMED_CHOOSERS[args.strategy](RULESET_ST)
+            res = evaluate(target, max_steps=args.max_steps, chooser=chooser, trace=trace)
+    except (StepLimitError, EnsembleCapError) as exc:
+        return _error(exc, EXIT_FAIL)
+    if args.sample:
         if args.json:
             print(json.dumps({"term": pretty(result), "seed": seed}, indent=2))
         else:
             print(pretty(result))
         return EXIT_OK
-
-    chooser = NAMED_CHOOSERS[args.strategy](RULESET_ST)
-    try:
-        res = evaluate(target, max_steps=args.max_steps, chooser=chooser, trace=trace)
-    except EnsembleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
     if args.json:
         print(json.dumps(res.ensemble.to_json(res.status), indent=2))
     else:
@@ -160,15 +157,13 @@ def _cmd_confluence(args: argparse.Namespace) -> int:
         config = GenConfig(max_size=args.max_size, max_width=args.max_width,
                            seed=args.seed, count=args.count)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc)
     if args.pairs:
         pairs = []
         for chunk in args.pairs.split(","):
             left, _, right = chunk.partition(":")
             if left not in ("S", "T") or right not in ("S", "T"):
-                print(f"error: bad rule-set pair {chunk!r} (use S:T etc.)", file=sys.stderr)
-                return EXIT_USAGE
+                return _error(f"bad rule-set pair {chunk!r} (use S:T etc.)")
             pairs.append((left, right))
         required = set(range(len(pairs)))
     else:
@@ -199,8 +194,11 @@ def _cmd_fmt(args: argparse.Namespace) -> int:
         rows = ",\n             ".join(
             "[" + ", ".join(format_amplitude(z) for z in row) + "]" for row in atom.matrix)
         chunks.append(f"gate {name} = [{rows}];")
+    # a binder named like a gate or an earlier definition would not parse back
+    taken = set(program.gates)
     for name, term in program.defs:
-        chunks.append(f"{name} = {pretty(term)};")
+        chunks.append(f"{name} = {pretty(rename_bound(term, taken))};")
+        taken.add(name)
     print("\n\n".join(chunks))
     return EXIT_OK
 
@@ -266,8 +264,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (OSError, ProgramFileError, RegisterWidthError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc)
 
 
 if __name__ == "__main__":

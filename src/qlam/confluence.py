@@ -27,7 +27,7 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .quantum import BUILTIN_GATES, GateExpr, QubitValue, tensor as qtensor
 from .parser import parse_term
@@ -391,6 +391,8 @@ def check_diamond_ensemble(tau: TermEnsemble, rules_a: RuleSet, rules_b: RuleSet
     redexes_b, count_b = (redexes_a, count_a) if same else _redexes(tau, rules_b)
     if count_a * count_b > pair_cap:
         raise BudgetExceededError("move-pair space exceeds the pair budget")
+    if max(count_a, count_b) > max(join_cap, 1):  # the idle moves' join lists
+        raise BudgetExceededError("one-step successor space exceeds the join budget")
     moves_a = _moves(tau, redexes_a)
     moves_b = moves_a if same else _moves(tau, redexes_b)
     # Successors of every A-move under B and of every B-move under A.  The
@@ -398,8 +400,6 @@ def check_diamond_ensemble(tau: TermEnsemble, rules_a: RuleSet, rules_b: RuleSet
     # side's moves, and it is paired only when that side can fire.
     joins_a = [_successors(mu, rules_b, join_cap) for _, mu in moves_a[:-1]]
     joins_b = joins_a if same else [_successors(nu, rules_a, join_cap) for _, nu in moves_b[:-1]]
-    if (joins_b and len(moves_b) > join_cap) or (joins_a and len(moves_a) > join_cap):
-        raise BudgetExceededError("one-step successor space exceeds the join budget")
     canon_b = [min_ensemble(nu) for _, nu in moves_b]
     canon_a = canon_b if same else [min_ensemble(mu) for _, mu in moves_a]
     joins_a, joins_b = joins_a + [canon_b], joins_b + [canon_a]
@@ -447,12 +447,7 @@ class SuiteSummary:
 
     def to_json(self) -> dict:
         return {
-            "config": {
-                "count": self.config.count,
-                "max_size": self.config.max_size,
-                "max_width": self.config.max_width,
-                "seed": self.config.seed,
-            },
+            "config": dict(sorted(asdict(self.config).items())),
             "results": [
                 {
                     "pair": f"{r.rules_a}:{r.rules_b}",

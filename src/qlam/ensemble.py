@@ -227,20 +227,17 @@ def strategy_chooser(rules: RuleSet = RULESET_ST) -> Chooser:
     return strategy_redex
 
 
-def leftmost_chooser(rules: RuleSet) -> Chooser:
+def _end_chooser(end: int, rules: RuleSet) -> Chooser:
+    """Fires the first (end 0) or the last (end -1) of a term's redexes."""
     def choose(t: Term) -> tuple[Position, str] | None:
         redexes = enumerate_redexes(t, rules)
-        return redexes[0] if redexes else None
+        return redexes[end] if redexes else None
 
     return choose
 
 
-def rightmost_chooser(rules: RuleSet) -> Chooser:
-    def choose(t: Term) -> tuple[Position, str] | None:
-        redexes = enumerate_redexes(t, rules)
-        return redexes[-1] if redexes else None
-
-    return choose
+leftmost_chooser = functools.partial(_end_chooser, 0)
+rightmost_chooser = functools.partial(_end_chooser, -1)
 
 
 NAMED_CHOOSERS: dict[str, Callable[[RuleSet], Chooser]] = {

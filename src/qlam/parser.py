@@ -66,11 +66,12 @@ sums or scalars, nested scalars).  Lenient checking ignores them; the CLI's
 
 from __future__ import annotations
 
+import cmath
 import re
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from .quantum import (
     BUILTIN_GATES,
@@ -153,12 +154,7 @@ class ParseError(Exception):
 
 def _newlines(source: str) -> list[int]:
     """The offsets of the newlines of ``source``, in order."""
-    out = []
-    at = source.find("\n")
-    while at >= 0:
-        out.append(at)
-        at = source.find("\n", at + 1)
-    return out
+    return [m.start() for m in re.finditer("\n", source)]
 
 
 def _line_col(newlines: list[int], offset: int) -> tuple[int, int]:
@@ -243,8 +239,12 @@ class _Parser:
         self.i = i + 1
         return i
 
-    def fail(self, message: str, expected: frozenset[str] = frozenset()):
-        raise self.error(message, self.i, expected)
+    def accept(self, tag: str) -> bool:
+        """Whether the current token has ``tag``; the parser moves past it if so."""
+        if self.tags[self.i] != tag:
+            return False
+        self.i += 1
+        return True
 
     def note(self, i: int, message: str) -> None:
         self.strict_notes.append((*self.line_col(i), message))
@@ -255,6 +255,11 @@ class _Parser:
         self.depth += 1
         if self.depth > _MAX_OPEN:
             raise self.error(f"source nested deeper than {_MAX_OPEN} levels", i)
+
+    def check_finite(self, amps: Iterable[complex], i: int) -> None:
+        """A ParseError at token ``i`` if an amplitude has an infinite or NaN part."""
+        if not all(map(cmath.isfinite, amps)):
+            raise self.error("amplitude overflows the float range", i)
 
     def check_height(self, term: Term, i: int, above: int = 0) -> None:
         """A ParseError at token ``i`` if ``term``, placed ``above`` levels
@@ -313,9 +318,7 @@ class _Parser:
     def _lambda(self) -> Term:
         self.open_level(self.i)
         self.i += 1
-        nonlinear = self.tags[self.i] == "!"
-        if nonlinear:
-            self.i += 1
+        nonlinear = self.accept("!")
         name = self._binder_name()
         self.expect(".")
         body = self.parse_term()
@@ -326,12 +329,9 @@ class _Parser:
         let_at = self.i
         self.open_level(let_at)
         self.i += 1
-        nonlinear = self.tags[self.i] == "!"
-        if nonlinear:
-            self.i += 1
+        nonlinear = self.accept("!")
         names = [self._binder_name()]
-        while not nonlinear and self.tags[self.i] == "*":
-            self.i += 1
+        while not nonlinear and self.accept("*"):
             name_at = self.i
             name = self._binder_name()
             if name in names:
@@ -385,8 +385,9 @@ class _Parser:
                 self.note(i, "tensor over a non-base register expression")
             peeled.append((chain, t.value))
         base = peeled[0][1]
-        for _, value in peeled[1:]:
+        for i, (_, value) in zip(at[1:], peeled[1:]):
             base = qtensor(base, value)
+            self.check_finite((a for _, a in base.amps), i)
         term: Term = QubitConst(base)
         depth = max(len(chain) for chain, _ in peeled)
         for layer in range(1, depth + 1):
@@ -412,6 +413,7 @@ class _Parser:
                     f"superposition mixes widths {width} and {item.value.width}", i)
             for u, a in item.value.amps:
                 total[u] = total.get(u, 0j) + a
+            self.check_finite((total[u] for u, _ in item.value.amps), i)
         return QubitConst(QubitValue(width, total))
 
     def _prim(self) -> Term:
@@ -457,7 +459,7 @@ class _Parser:
             self.i = i + 1
             self.note(i, "base qubit written without '!'")
             return QubitConst(ket(self.texts[i][1:-1]))
-        self.fail("expected a term", frozenset(("term",)))
+        raise self.error("expected a term", i, frozenset(("term",)))
 
     def _scalar(self) -> Term:
         """A scalar prefix; the current tokens are '(' and a number."""
@@ -475,6 +477,7 @@ class _Parser:
             self.note(open_at, "scalar over a non-base register expression")
         z = complex(float(self.texts[open_at + 1]), float(self.texts[im_at]))
         scaled = {u: z * a for u, a in operand.value.amps}
+        self.check_finite(scaled.values(), open_at)
         return QubitConst(QubitValue(operand.value.width, scaled))
 
     def _measurement(self) -> Term:
@@ -496,8 +499,7 @@ class _Parser:
     def _items(self, item: Callable[[], object], close: str) -> list:
         """item (',' item)* close"""
         items = [item()]
-        while self.tags[self.i] == ",":
-            self.i += 1
+        while self.accept(","):
             items.append(item())
         self.expect(close)
         return items
@@ -513,8 +515,7 @@ class _Parser:
         return tuple(self._items(self._matrix_entry, "]"))
 
     def _matrix_entry(self) -> complex:
-        if self.tags[self.i] == "(":
-            self.i += 1
+        if self.accept("("):
             re_at = self.expect("number")
             self.expect(",")
             im_at = self.expect("number")
@@ -539,8 +540,7 @@ def _nest_splits(names: list[str], value: Term, body: Term) -> Term:
 
 def parse_term(source: str, gates: dict[str, GateAtom] | None = None) -> Term:
     """Parse one term; desugared per the module grammar."""
-    term, _ = parse_term_with_notes(source, gates)
-    return term
+    return parse_term_with_notes(source, gates)[0]
 
 
 def parse_term_with_notes(source: str,
@@ -562,8 +562,7 @@ def parse_program(source: str) -> Program:
     parser = _Parser(source, gates, defs)
     tags, texts = parser.tags, parser.texts
     while tags[parser.i] != "eof":
-        if tags[parser.i] == "gate":
-            parser.i += 1
+        if parser.accept("gate"):
             name_at = parser.expect("name")
             name = texts[name_at]
             if name in BUILTIN_GATES or name in gates:
@@ -582,10 +581,7 @@ def parse_program(source: str) -> Program:
             raise parser.error(f"{name!r} is already defined", name_at)
         params: list[tuple[bool, str]] = []
         while tags[parser.i] in ("name", "!"):
-            nonlinear = tags[parser.i] == "!"
-            if nonlinear:
-                parser.i += 1
-            params.append((nonlinear, parser._binder_name()))
+            params.append((parser.accept("!"), parser._binder_name()))
         parser.expect("=")
         body = parser.parse_term()
         parser.expect(";")

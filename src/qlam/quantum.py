@@ -93,6 +93,10 @@ class GateError(ValueError):
     """A gate matrix is not a square power-of-two unitary."""
 
 
+class ZeroMassError(ValueError):
+    """A measured register has no branch of probability above EPS_ZERO."""
+
+
 # ---------------------------------------------------------------------------
 # Gates
 
@@ -308,22 +312,25 @@ def amps_close(a: QubitValue, b: QubitValue, tol: float) -> bool:
         return False
     xs, ys = a.amps, b.amps
     i = j = 0
-    while i < len(xs) and j < len(ys):
-        u, za = xs[i]
-        v, zb = ys[j]
-        if u == v:
-            diff = za - zb
-            i += 1
-            j += 1
-        elif u < v:
-            diff = za
-            i += 1
-        else:
-            diff = zb
-            j += 1
-        if abs(diff) > tol:
-            return False
-    return all(not abs(z) > tol for _, z in xs[i:] + ys[j:])
+    try:
+        while i < len(xs) and j < len(ys):
+            u, za = xs[i]
+            v, zb = ys[j]
+            if u == v:
+                diff = za - zb
+                i += 1
+                j += 1
+            elif u < v:
+                diff = za
+                i += 1
+            else:
+                diff = zb
+                j += 1
+            if abs(diff) > tol:
+                return False
+        return all(not abs(z) > tol for _, z in xs[i:] + ys[j:])
+    except OverflowError:  # a difference past the float range exceeds tol
+        return False
 
 
 def tensor(a: QubitValue, b: QubitValue) -> QubitValue:
@@ -350,7 +357,7 @@ def _scatter(g: GateExpr, q: QubitValue) -> dict[int, complex]:
         moves = [tuple((r << right, z) for r, z in col) for col in columns]
         new: dict[int, complex] = {}
         for u, a in entries.items():
-            if abs(a) <= EPS_ZERO:  # cancelled in an earlier factor
+            if _modulus(a) <= EPS_ZERO:  # cancelled in an earlier factor
                 continue
             base = u & outside
             for offset, z in moves[(u >> right) & block]:
@@ -452,10 +459,11 @@ def measure(q: QubitValue, indices: frozenset[int] | set[int],
 
     Probabilities sum to 1 (within EPS_NORM) for a unit-norm register; each
     post-state is unit norm.  Branches with p <= EPS_ZERO are omitted since
-    their post-state (a division by sqrt(p)) is undefined.  The stored
-    amplitudes are bucketed by their bits at the measured wires in one pass
-    in index order; a bucket's key is ``u & mask``, so sorted keys are in
-    outcome-word order.
+    their post-state (a division by sqrt(p)) is undefined; if none is left,
+    ZeroMassError is raised before ``pick`` is asked.  The amplitudes are
+    bucketed by their bits at the measured wires in one pass in index
+    order; a bucket's key is ``u & mask``, so sorted keys are in outcome-word
+    order.
     """
     idx = sorted(indices)
     if not idx:
@@ -480,6 +488,8 @@ def measure(q: QubitValue, indices: frozenset[int] | set[int],
         p = _probability(entries)
         if p > EPS_ZERO:
             branches.append((key, entries, p))
+    if not branches:
+        raise ZeroMassError(f"every branch of wires {idx} has probability <= {EPS_ZERO}")
     if pick is not None:
         branches = [branches[i] for i in pick([p for _, _, p in branches])]
     out = []

@@ -46,6 +46,7 @@ from .quantum import (
     EPS_NORM,
     Pick,
     QubitValue,
+    _modulus,
     apply_gate,
     factor_split,
     is_product,
@@ -110,7 +111,7 @@ def _is_base_bit(q: QubitValue, bit: int) -> bool:
     if q.width != 1 or len(q.amps) != 1:
         return False
     u, a = q.amps[0]
-    return u == bit and abs(a - 1.0) <= EPS_NORM
+    return u == bit and _modulus(a - 1.0) <= EPS_NORM
 
 
 def head_rule(t: Term) -> str | None:

@@ -164,10 +164,8 @@ def children(t: Term) -> tuple[Term, ...]:
 
 def with_children(t: Term, new: tuple[Term, ...]) -> Term:
     match t:
-        case Lam(v, _):
-            return Lam(v, new[0])
-        case BangLam(v, _):
-            return BangLam(v, new[0])
+        case Lam(v, _) | BangLam(v, _):
+            return type(t)(v, new[0])
         case Bang(_):
             return bang(new[0])
         case App(_, _):
@@ -306,6 +304,16 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return name
 
 
+def _apart(names: list[str], body: Term, clash: frozenset[str] | set[str]) -> Term:
+    """Rename each of the binders ``names`` of body that is in ``clash`` to a
+    fresh name, in ``names`` and in body, and return body."""
+    for k, name in enumerate(names):
+        if name in clash:
+            names[k] = fresh_name(name, clash | free_vars(body) | {*names} - {name})
+            body = substitute(body, name, Var(names[k]))
+    return body
+
+
 def substitute(body: Term, var: str, replacement: Term) -> Term:
     """Capture-avoiding substitution body[replacement/var].  A subterm in
     which ``var`` is not free is returned as the same object, so only the
@@ -319,25 +327,34 @@ def substitute(body: Term, var: str, replacement: Term) -> Term:
             case Var(_):
                 return replacement
             case Lam(x, inner) | BangLam(x, inner):
-                if x in rep_free:
-                    x2 = fresh_name(x, rep_free | free_vars(inner))
-                    inner = substitute(inner, x, Var(x2))
-                    x = x2
-                return type(t)(x, go(inner))
+                names = [x]
+                inner = _apart(names, inner, rep_free)
+                return type(t)(*names, go(inner))
             case LetTensor(x, y, value, inner):
                 new_value = go(value)
                 if var in (x, y) or var not in free_vars(inner):
                     return LetTensor(x, y, new_value, inner)
                 names = [x, y]
-                for k, name in enumerate(names):
-                    if name in rep_free:
-                        names[k] = fresh_name(name, rep_free | free_vars(inner) | {names[1 - k]})
-                        inner = substitute(inner, name, Var(names[k]))
+                inner = _apart(names, inner, rep_free)
                 return LetTensor(*names, new_value, go(inner))
             case _:
                 return with_children(t, tuple(go(c) for c in children(t)))
 
     return go(body)
+
+
+def rename_bound(t: Term, taken: frozenset[str] | set[str]) -> Term:
+    """An alpha-equivalent t in which no binder is named in ``taken``."""
+    match t:
+        case Lam(x, body) | BangLam(x, body):
+            names = [x]
+            body = _apart(names, body, taken)
+            return type(t)(*names, rename_bound(body, taken))
+        case LetTensor(x, y, value, body):
+            names = [x, y]
+            body = _apart(names, body, taken)
+            return LetTensor(*names, rename_bound(value, taken), rename_bound(body, taken))
+    return with_children(t, tuple(rename_bound(c, taken) for c in children(t)))
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ def test_fmt_output_reparses(capsys):
         assert reparsed.defs
 
 
-@pytest.mark.parametrize("source", ["(0,0)!|0>", "(1e400,0)!|0> + (-1e400,0)!|0>"])
+@pytest.mark.parametrize("source", ["(0,0)!|0>", "(1e-7,0)(1e-7,0)!|0>"])
 def test_fmt_empty_register_reparses(tmp_path, capsys, source):
     f = tmp_path / "empty.qlam"
     f.write_text(f"main = {source};\n")

@@ -129,6 +129,19 @@ def test_join_budget_counts_the_idle_move():
     assert report.ok and report.pairs_checked == 2
 
 
+def test_idle_join_budget_fails_before_any_successor_list(monkeypatch):
+    """The idle move's join list is the other side's moves, so its budget is
+    known from the move counts: no successor list is built first."""
+    calls = []
+    successors = confluence._successors
+    monkeypatch.setattr(confluence, "_successors",
+                        lambda *args: calls.append(args) or successors(*args))
+    t = parse_term(f"(M{{1}} {HALF}) (M{{1}} {HALF})")
+    with pytest.raises(BudgetExceededError, match="join budget"):
+        check_diamond(t, RULESET_S, RULESET_T, join_cap=2)
+    assert calls == []
+
+
 def test_diamond_detects_genuine_failure():
     """A non-confluent ad-hoc shape must be reported, not smoothed over: a
     linear variable duplicated into both conditional arms (rejected by the

@@ -26,16 +26,27 @@ from qlam.reduction import (
     RULESET_ST,
     RULESET_T,
     enumerate_redexes,
+    head_rule,
     step_at,
     strategy_redex,
 )
-from qlam.quantum import QubitValue, gate, measure, uniform_state
+from qlam.quantum import (
+    QubitValue,
+    ZeroMassError,
+    amps_close,
+    apply_gate,
+    gate,
+    ket,
+    measure,
+    uniform_state,
+)
 from qlam.syntax import (
     AMP_TOL,
     App,
     Bang,
     BangLam,
     GateConst,
+    If,
     Lam,
     MeasConst,
     QubitConst,
@@ -489,3 +500,38 @@ def test_sample_builds_only_the_drawn_branch(monkeypatch):
     result = sample(t, seed=0)
     assert len(built) == 1
     assert result == QubitConst(QubitValue(n, {built[0]: 1.0}))
+
+
+# ---------------------------------------------------------------------------
+# registers at the edge of the float range
+
+
+def test_zero_mass_measurement_is_a_named_error():
+    """Every branch at or below EPS_ZERO: measure raises before asking pick,
+    and sample and evaluate raise the same error."""
+    source = "M{1} (1e-7,0)!|0>"
+    asked = []
+    with pytest.raises(ZeroMassError):
+        measure(parse_term(source).arg.value, {1}, asked.append)
+    assert asked == []
+    with pytest.raises(ZeroMassError):
+        sample(parse_term(source), 0)
+    with pytest.raises(ZeroMassError):
+        evaluate(parse_term(source))
+
+
+HUGE = QubitValue(1, {0: complex(1e308, 1.5e308)})
+
+
+def test_modulus_past_the_float_range_raises_no_overflow():
+    """A modulus past the float range counts as inf wherever a register is
+    compared, scattered or tested for a base bit."""
+    assert not amps_close(HUGE, ket("0"), AMP_TOL)
+    assert not alpha_eq(QubitConst(HUGE), QubitConst(ket("0")))
+    ens = TermEnsemble(((QubitConst(HUGE), 0.5), (QubitConst(ket("0")), 0.5)))
+    assert min_ensemble(ens) == ens
+    flipped = QubitValue(1, {1: complex(1e308, 1.5e308)})
+    assert apply_gate(gate("X"), HUGE) == flipped
+    result = evaluate(App(GateConst(gate("X")), QubitConst(HUGE)))
+    assert result.ensemble.entries == ((QubitConst(flipped), 1.0),)
+    assert head_rule(If(QubitConst(HUGE), Var("a"), Var("b"))) is None

@@ -303,6 +303,34 @@ def test_duplicate_destructuring_name_is_reported_where_it_is_written():
     assert str(info.value) == "3:9: duplicate names in destructuring pattern"
 
 
+# Where an amplitude with an infinite or NaN part arises: at the literal or
+# scalar product, the summand, or the tensor factor.
+NON_FINITE = [
+    ("(1e309,0)!|0>", 1),
+    ("(1e400,0)!|0> + (-1e400,0)!|0>", 1),
+    ("(1e308,1e308)(1e308,1e308)!|0>", 1),
+    ("(1,0)((1e308,1e308)(1e308,1e308)!|0>)", 7),
+    ("(1e308,0)!|0> + (1e308,0)!|0>", 17),
+    ("!|1> + (1e308,0)!|0> + (1e308,0)!|0>", 24),
+    ("(1e200,0)!|0> * (1e200,0)!|1>", 17),
+    ("!|0> * (1e200,0)!|0> * (H (1e200,0)!|1>)", 24),
+]
+
+
+@pytest.mark.parametrize("source, col", NON_FINITE)
+def test_non_finite_amplitude_is_a_parse_error(source, col):
+    with pytest.raises(ParseError) as info:
+        parse_term(source)
+    assert str(info.value) == f"1:{col}: amplitude overflows the float range"
+
+
+def test_modulus_past_the_float_range_still_parses():
+    """Finite parts whose modulus overflows are kept (as inf mass), so check
+    can report them."""
+    (u, a), = parse_term("(1e308,1.5e308)!|0>").value.amps
+    assert (u, a) == (0, complex(1e308, 1.5e308))
+
+
 STRICT_NOTES = [
     ("|0>", [(1, 1, "base qubit written without '!'")]),
     ("!|0> * ((0.6,0)!|0> + (0.8,0)!|1>)",
