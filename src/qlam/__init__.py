@@ -11,7 +11,6 @@ from .quantum import (
     ket,
     measure,
     tensor,
-    uniform_state,
 )
 from .syntax import (
     App,

@@ -17,11 +17,22 @@ from the support, grown by each factor's column fan-out) exceed the dense
 pass's price.  Narrower registers, and wider ones such as a sparse 60-wire
 register, stay on the scatter.
 
-Which amplitudes a register keeps is decided in one place, ``_kept``.
-QubitValue merges and range-checks its input first; the kernels, whose
-pairs are already distinct and in index order (the amplitudes of either
-gate pass, a measurement's post-states, a tensor product and a rank-1
-split's factors), go to ``_from_sorted``, which applies only ``_kept``.
+Which amplitudes a register keeps is decided by ``_kept``, in the same pass
+that finds the register's key support: the indices whose amplitude modulus
+exceeds KEY_AMP_THRESHOLD, or None when one lies within _KEY_BAND of it
+(qlam.syntax.shape_key hashes terms by it).  QubitValue merges and
+range-checks its input first; the kernels whose pairs are already distinct
+and in index order (the scatter pass, a measurement's post-states, a
+tensor product and a rank-1 split's factors) go to ``_from_sorted``, which
+applies only ``_kept``.  Both keep the support on the register.  The dense
+gate pass applies the same rule in numpy, ``_kept_vector``, before its
+amplitudes leave numpy.  It takes moduli with np.hypot of the parts, which
+rounds as Python's abs does; np.abs can differ in the last bit, and at
+EPS_ZERO that would make the two passes keep different amplitudes.  The
+exact split hands its right factor the parent's support with the left bits
+masked off, since its amplitudes are the parent's, and its left factor |r>
+the support (r,).  Any other register reads its support once, in
+``_key_support``.
 
 Projective measurement of a wire set I follows the Born rule: outcome word w
 occurs with probability equal to the squared mass on the basis indices whose
@@ -47,6 +58,7 @@ int64 in that test, which is what bounds register widths by MAX_WIDTH.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,6 +72,18 @@ EPS_ZERO = 1e-12
 EPS_NORM = 1e-9
 # Tolerance for U @ U.conj().T == identity.
 UNITARY_TOL = 1e-9
+# Absolute tolerance per basis index when two terms' registers are compared
+# (qlam.syntax.alpha_eq).
+AMP_TOL = 1e-9
+# A register's key support is the indices whose amplitude modulus exceeds
+# this threshold.  It sits far above AMP_TOL, so a tolerance-close
+# perturbation can only move an amplitude across it when the amplitude
+# already lies within the tolerance band around it, where no support is
+# given.
+KEY_AMP_THRESHOLD = 1e-6
+# That band: twice AMP_TOL on each side of the threshold, a margin for float
+# rounding in amps_close.
+_KEY_BAND = 2 * AMP_TOL
 # Widest register: every basis index must fit the int64 indices of the
 # sparse split.
 MAX_WIDTH = 63
@@ -116,9 +140,13 @@ class GateAtom:
         if 1 << arity != n:
             raise GateError(f"gate {self.name}: dimension {n} is not a power of two")
         mat = tuple(tuple(complex(z) for z in row) for row in self.matrix)
+        if not all(cmath.isfinite(z) for row in mat for z in row):
+            raise GateError(f"gate {self.name}: matrix entry is not finite")
         object.__setattr__(self, "matrix", mat)
         u = np.array(mat, dtype=complex)
-        if not np.allclose(u @ u.conj().T, np.eye(n), atol=UNITARY_TOL, rtol=0.0):
+        with np.errstate(all="ignore"):  # a product past the float range is not close
+            unitary = np.allclose(u @ u.conj().T, np.eye(n), atol=UNITARY_TOL, rtol=0.0)
+        if not unitary:
             raise GateError(f"gate {self.name}: matrix is not unitary")
 
     @property
@@ -218,15 +246,41 @@ def _modulus(a: complex) -> float:
         return math.inf
 
 
-def _kept(pairs: list[tuple[int, complex]]) -> tuple[tuple[int, complex], ...]:
-    """The pairs whose amplitudes a register keeps, in the given order: each
-    amplitude as 0j + a (which turns a -0.0 part into 0.0), those of modulus
-    EPS_ZERO or less dropped, and a modulus past the float range counted as
-    inf."""
-    try:
-        return tuple((u, z) for u, a in pairs if abs(z := 0j + a) > EPS_ZERO)
-    except OverflowError:
-        return tuple((u, z) for u, a in pairs if _modulus(z := 0j + a) > EPS_ZERO)
+# The attribute that keeps a register's key support (see _key_support).
+# Like the memos of qlam.syntax it is not a field, so equality, hashing and
+# repr never see it.
+_SUPPORT = "_key_support_memo"
+_UNSET = object()  # a memo not computed yet, where None is a result
+
+
+def _kept(pairs: Iterable[tuple[int, complex]]
+          ) -> tuple[tuple[tuple[int, complex], ...], tuple[int, ...] | None]:
+    """The pairs whose amplitudes a register keeps, in the given order, and
+    the key support of the register they make, from one pass.
+
+    Each amplitude is kept as 0j + a (which turns a -0.0 part into 0.0),
+    unless its modulus (inf past the float range) is EPS_ZERO or less.  The
+    support is the indices of the kept amplitudes whose modulus exceeds
+    KEY_AMP_THRESHOLD, or None when one lies within _KEY_BAND of it: d > B
+    or d < -B is abs(d) > B for d = modulus - KEY_AMP_THRESHOLD.
+    """
+    kept = []
+    support: list[int] | None = []
+    for u, a in pairs:
+        z = 0j + a
+        try:
+            m = abs(z)
+        except OverflowError:
+            m = math.inf
+        if m > EPS_ZERO:
+            kept.append((u, z))
+            if support is not None:
+                d = m - KEY_AMP_THRESHOLD
+                if d > _KEY_BAND:
+                    support.append(u)
+                elif not d < -_KEY_BAND:
+                    support = None
+    return tuple(kept), None if support is None else tuple(support)
 
 
 def _check_width(width: int) -> None:
@@ -244,7 +298,8 @@ class QubitValue:
     ``amps`` is given as (basis index, amplitude) pairs or as a dict, and
     holds the pairs sorted by index; duplicate indices are merged and the
     amplitudes ``_kept`` drops are gone at construction, so zero-amplitude
-    summands never survive.  Normalization is not enforced here (the
+    summands never survive.  The key support ``_kept`` finds is kept on the
+    register (see _key_support).  Normalization is not enforced here (the
     well-formedness checker reports it); every value produced by
     tensor/apply_gate/measure is unit norm.
     """
@@ -262,7 +317,9 @@ class QubitValue:
             if not 0 <= u < dim:
                 raise ValueError(f"basis index {u} out of range for width {width}")
             merged[u] = merged.get(u, 0j) + complex(a)
-        object.__setattr__(self, "amps", _kept(sorted(merged.items())))
+        amps, support = _kept(sorted(merged.items()))
+        object.__setattr__(self, "amps", amps)
+        object.__setattr__(self, _SUPPORT, support)
 
     def norm_sq(self) -> float:
         return _probability(self.amps)
@@ -271,21 +328,38 @@ class QubitValue:
         return abs(self.norm_sq() - 1.0) <= EPS_NORM
 
 
-def _canonical(width: int, amps: tuple[tuple[int, complex], ...]) -> QubitValue:
+def _canonical(width: int, amps: tuple[tuple[int, complex], ...],
+               support: tuple[int, ...] | None | object = _UNSET) -> QubitValue:
     """A register from pairs that are canonical already (indices distinct,
     sorted and in range; complex amplitudes of modulus above EPS_ZERO),
-    built without canonicalizing them again."""
+    built without canonicalizing them again, with its key support if the
+    caller knows it."""
     q = object.__new__(QubitValue)
     object.__setattr__(q, "width", width)
     object.__setattr__(q, "amps", amps)
+    if support is not _UNSET:
+        object.__setattr__(q, _SUPPORT, support)
     return q
 
 
-def _from_sorted(width: int, pairs: list[tuple[int, complex]]) -> QubitValue:
+def _from_sorted(width: int, pairs: Iterable[tuple[int, complex]]) -> QubitValue:
     """A register from pairs whose indices are distinct, sorted and in
-    range: the register QubitValue builds from them, without its merge and
-    range check."""
-    return _canonical(width, _kept(pairs))
+    range: the register QubitValue builds from them, key support included,
+    without its merge and range check."""
+    return _canonical(width, *_kept(pairs))
+
+
+def _key_support(q: QubitValue) -> tuple[int, ...] | None:
+    """The key support of q (see _kept), kept on the register.  Every
+    register built by QubitValue or _from_sorted has it from its one pass,
+    and factor_split's exact split hands the right factor its share of its
+    parent's; any other register (a dense gate pass's, one built by
+    _canonical) is read once here."""
+    support = getattr(q, _SUPPORT, _UNSET)
+    if support is _UNSET:
+        support = _kept(q.amps)[1]
+        object.__setattr__(q, _SUPPORT, support)
+    return support
 
 
 def basis_state(width: int, index: int) -> QubitValue:
@@ -297,11 +371,6 @@ def ket(bits: str) -> QubitValue:
     if not bits or any(b not in "01" for b in bits):
         raise ValueError(f"invalid bit string {bits!r}")
     return basis_state(len(bits), int(bits, 2))
-
-
-def uniform_state(width: int) -> QubitValue:
-    a = complex(1.0 / math.sqrt(1 << width))
-    return QubitValue(width, tuple((u, a) for u in range(1 << width)))
 
 
 def amps_close(a: QubitValue, b: QubitValue, tol: float) -> bool:
@@ -367,13 +436,25 @@ def _scatter(g: GateExpr, q: QubitValue) -> dict[int, complex]:
     return entries
 
 
+@np.errstate(all="ignore")
+def _kept_vector(vec: np.ndarray) -> tuple[tuple[int, complex], ...]:
+    """The (index, amplitude) pairs _kept keeps of a complex vector, found
+    in numpy: 0j is added to every entry, and the moduli are np.hypot of the
+    parts, which rounds as abs does, inf past the float range and NaN
+    included (np.abs may differ in the last bit)."""
+    vec = vec + 0j
+    keep = np.flatnonzero(np.hypot(vec.real, vec.imag) > EPS_ZERO)
+    return tuple(zip(keep.tolist(), vec[keep].tolist()))
+
+
 @np.errstate(all="ignore")  # non-finite amplitudes pass silently, as in the scatter
-def _dense(g: GateExpr, q: QubitValue) -> list[tuple[int, complex]]:
+def _dense(g: GateExpr, q: QubitValue) -> tuple[tuple[int, complex], ...]:
     """apply_gate's amplitudes by dense passes over a 2**width vector, as
     (index, amplitude) pairs in index order: per non-identity factor, each
     row of its block is the sum over the row's nonzero entries in column
     order, as the scatter adds them; what a factor cancels to EPS_ZERO or
-    below is zeroed before the next one."""
+    below is zeroed before the next one, the moduli taken as in
+    _kept_vector.  The result is the pairs _kept_vector keeps."""
     vec = None
     right = q.width
     for atom in g.atoms:
@@ -386,7 +467,7 @@ def _dense(g: GateExpr, q: QubitValue) -> list[tuple[int, complex]]:
             vec = np.zeros(1 << q.width, dtype=complex)
             vec[list(us)] = zs
         else:
-            vec[np.abs(vec) <= EPS_ZERO] = 0  # cancelled in an earlier factor
+            vec[np.hypot(vec.real, vec.imag) <= EPS_ZERO] = 0  # cancelled in an earlier factor
         src = vec.reshape(-1, 1 << k, 1 << right)
         out = np.empty_like(src)
         for r, ((c, z), *rest) in enumerate(_atom_rows(atom)):
@@ -396,9 +477,8 @@ def _dense(g: GateExpr, q: QubitValue) -> list[tuple[int, complex]]:
                 row += z * src[:, c]
         vec = out.reshape(-1)
     if vec is None:
-        return list(q.amps)
-    nonzero = np.flatnonzero(vec)
-    return list(zip(nonzero.tolist(), vec[nonzero].tolist()))
+        return q.amps
+    return _kept_vector(vec)
 
 
 def _use_dense(g: GateExpr, q: QubitValue) -> bool:
@@ -428,7 +508,7 @@ def apply_gate(g: GateExpr, q: QubitValue) -> QubitValue:
         raise ArityMismatchError(
             f"gate of arity {g.arity} applied to a width-{q.width} register")
     if _use_dense(g, q):
-        return _from_sorted(q.width, _dense(g, q))
+        return _canonical(q.width, _dense(g, q))
     return _from_sorted(q.width, sorted(_scatter(g, q).items()))
 
 
@@ -509,15 +589,17 @@ def measure(q: QubitValue, indices: frozenset[int] | set[int],
 
 def _rank1(q: QubitValue, left_width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The rank-1 test behind factor_split: (left vector, right columns,
-    right row) with q = left (x) right within EPS_NORM per basis index, or
-    None.
+    right row) with q = left (x) right within EPS_NORM per basis index and
+    the left vector of unit norm, or None.
 
     Rows are the left ``left_width`` bits of a basis index, columns the rest.
     The pivot is the first amplitude of largest modulus; the left vector is
     its column (dense, 2**left_width entries) and the right row is its row
     divided by the pivot (sparse: the stored columns only).  Outside the
     right row's columns the outer product is zero, so there the residual is
-    the stored modulus itself.
+    the stored modulus itself.  A residual that is NaN, or a left vector
+    whose norm is past the float range, fails the test: amplitudes that
+    large cannot be split in floats.
     """
     right_width = q.width - left_width
     n = len(q.amps)
@@ -540,9 +622,10 @@ def _rank1(q: QubitValue, left_width: int) -> tuple[np.ndarray, np.ndarray, np.n
         return None
     stored = np.zeros((1 << left_width, len(b_cols)), dtype=complex)
     stored[rows[hit], slot[hit]] = amps[hit]
-    if np.abs(np.outer(a_vec, b_vec) - stored).max() > EPS_NORM:
+    na = np.linalg.norm(a_vec)
+    if not (np.abs(np.outer(a_vec, b_vec) - stored).max() <= EPS_NORM and np.isfinite(na)):
         return None
-    return a_vec, b_cols, b_vec
+    return a_vec / na, b_cols, b_vec * na
 
 
 # The attribute that keeps a register's last rank-1 test: (left_width,
@@ -593,15 +676,15 @@ def factor_split(q: QubitValue, left_width: int) -> tuple[QubitValue, QubitValue
     right_width = q.width - left_width
     if isinstance(parts, int):
         mask = (1 << right_width) - 1
-        return (_canonical(left_width, ((parts, 1 + 0j),)),
-                _canonical(right_width, tuple((u & mask, a) for u, a in q.amps)))
+        support = getattr(q, _SUPPORT, _UNSET)
+        if support is not None and support is not _UNSET:
+            support = tuple(u & mask for u in support)  # q's amplitudes: q's support, masked
+        return (_canonical(left_width, ((parts, 1 + 0j),), (parts,)),
+                _canonical(right_width, tuple([(u & mask, a) for u, a in q.amps]), support))
     a_vec, b_cols, b_vec = parts
-    na = np.linalg.norm(a_vec)
-    a_vec = a_vec / na
-    b_vec = b_vec * na
-    first = np.flatnonzero(np.abs(a_vec) > EPS_ZERO)[0]
+    first = np.flatnonzero(np.hypot(a_vec.real, a_vec.imag) > EPS_ZERO)[0]
     phase = a_vec[first] / abs(a_vec[first])
-    a_vec /= phase
-    b_vec *= phase
+    a_vec = a_vec / phase  # not in place: the arrays are kept on q
+    b_vec = b_vec * phase
     return (_from_sorted(left_width, list(enumerate(a_vec.tolist()))),
             _from_sorted(right_width, list(zip(b_cols.tolist(), b_vec.tolist()))))

@@ -116,54 +116,74 @@ def _is_base_bit(q: QubitValue, bit: int) -> bool:
 
 def head_rule(t: Term) -> str | None:
     """The head rule firing at the root of t, if any.  At most one matches."""
-    match t:
-        case App(Lam(_, _), _):
+    cls = type(t)
+    if cls is App:
+        fun, arg = t.fun, t.arg
+        f, a = type(fun), type(arg)
+        if f is Lam:
             return RULE_BETA
-        case App(BangLam(_, _), Bang(_)):
-            return RULE_BANG_BETA1
-        case App(BangLam(_, _), QubitConst(_)):
-            return RULE_BANG_BETA2
-        case App(GateConst(g), QubitConst(q)) if g.arity == q.width:
-            return RULE_UNITARY
-        case App(MeasConst(idx), QubitConst(q)) if idx and max(idx) <= q.width:
-            return RULE_MEASURE
-        case If(QubitConst(q), _, _):
+        if f is BangLam:
+            return RULE_BANG_BETA1 if a is Bang else RULE_BANG_BETA2 if a is QubitConst else None
+        if a is QubitConst:
+            width = arg.value.width
+            if f is GateConst:
+                return RULE_UNITARY if fun.gate.arity == width else None
+            if f is MeasConst:
+                idx = fun.indices
+                return RULE_MEASURE if idx and max(idx) <= width else None
+        return None
+    if cls is If:
+        if type(t.cond) is QubitConst:
+            q = t.cond.value
             if _is_base_bit(q, 0):
                 return RULE_IF0
             if _is_base_bit(q, 1):
                 return RULE_IF1
-            return None
-        case LetTensor(_, _, QubitConst(q), _) if q.width >= 2:
-            return RULE_SPLIT if is_product(q, 1) else None
+        return None
+    if cls is LetTensor and type(t.value) is QubitConst:
+        q = t.value.value
+        return RULE_SPLIT if q.width >= 2 and is_product(q, 1) else None
     return None
 
 
 def _contract(t: Term, rule: str, pick: Pick | None) -> list[tuple[Term, float]] | None:
     """Successors of the head redex t under rule, with probabilities; None
     when rule does not match at the root of t.  The guards are head_rule's,
-    so one match both validates and contracts.  (M) yields the branches
-    ``pick`` names (see quantum.measure)."""
-    match t, rule:
-        case ((App(Lam(x, body), arg), "beta")
-              | (App(BangLam(x, body), QubitConst() as arg), "!beta2")):
-            return [(substitute(body, x, arg), 1.0)]
-        case App(BangLam(x, body), Bang(payload)), "!beta1":
-            return [(substitute(body, x, payload), 1.0)]
-        case App(GateConst(g), QubitConst(q)), "U" if g.arity == q.width:
-            return [(QubitConst(apply_gate(g, q)), 1.0)]
-        case App(MeasConst(idx), QubitConst(q)), "M" if idx and max(idx) <= q.width:
-            return [(QubitConst(o.post), o.probability) for o in measure(q, idx, pick)]
-        case If(QubitConst(q), a, _), "if-0" if _is_base_bit(q, 0):
-            return [(a, 1.0)]
-        case If(QubitConst(q), _, b), "if-1" if _is_base_bit(q, 1):
-            return [(b, 1.0)]
-        case LetTensor(x, y, QubitConst(q), body), "split" if q.width >= 2:
-            parts = factor_split(q, 1)
-            if parts is None:
-                return None
-            left, right = parts
-            contracted = substitute(substitute(body, x, QubitConst(left)), y, QubitConst(right))
-            return [(contracted, 1.0)]
+    so one match both validates and contracts; a split tests its register
+    by splitting it.  (M) yields the branches ``pick`` names (see
+    quantum.measure)."""
+    cls = type(t)
+    if cls is App:
+        fun, arg = t.fun, t.arg
+        f, a = type(fun), type(arg)
+        if f is Lam and rule == RULE_BETA or (
+                f is BangLam and a is QubitConst and rule == RULE_BANG_BETA2):
+            return [(substitute(fun.body, fun.var, arg), 1.0)]
+        if f is BangLam and a is Bang and rule == RULE_BANG_BETA1:
+            return [(substitute(fun.body, fun.var, arg.body), 1.0)]
+        if a is QubitConst:
+            q = arg.value
+            if f is GateConst and rule == RULE_UNITARY and fun.gate.arity == q.width:
+                return [(QubitConst(apply_gate(fun.gate, q)), 1.0)]
+            if f is MeasConst and rule == RULE_MEASURE:
+                idx = fun.indices
+                if idx and max(idx) <= q.width:
+                    return [(QubitConst(o.post), o.probability)
+                            for o in measure(q, idx, pick)]
+    elif cls is If and type(t.cond) is QubitConst:
+        q = t.cond.value
+        if rule == RULE_IF0 and _is_base_bit(q, 0):
+            return [(t.then, 1.0)]
+        if rule == RULE_IF1 and _is_base_bit(q, 1):
+            return [(t.orelse, 1.0)]
+    elif (cls is LetTensor and rule == RULE_SPLIT and type(t.value) is QubitConst
+          and t.value.value.width >= 2):
+        parts = factor_split(t.value.value, 1)
+        if parts is None:
+            return None
+        left, right = parts
+        body = substitute(t.body, t.left, QubitConst(left))
+        return [(substitute(body, t.right, QubitConst(right)), 1.0)]
     return None
 
 

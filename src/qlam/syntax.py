@@ -20,10 +20,10 @@ takes a register apart, and only product states split.
 Alpha-equivalence reads a second memo kept the same way: a term's shape
 (nodes in preorder, bound variables as binder levels) and its registers,
 from one iterative walk.  ``alpha_eq`` compares shapes, then amplitudes
-within a tolerance.  ``shape_key``, the shape plus each register's support
-(kept on the register, the same way), is a hash key that alpha-equivalent
-terms share, or None when an amplitude is too close to the support
-threshold to place (compare with every term).
+within a tolerance.  ``shape_key``, the shape plus each register's key
+support (which qlam.quantum finds and keeps on the register), is a hash key
+that alpha-equivalent terms share, or None when an amplitude is too close
+to the support threshold to place (compare with every term).
 """
 
 from __future__ import annotations
@@ -32,19 +32,7 @@ import functools
 from dataclasses import dataclass
 from typing import Union
 
-from .quantum import GateExpr, QubitValue, _modulus, amps_close
-
-# Absolute tolerance for amplitude comparison inside alpha_eq.
-AMP_TOL = 1e-9
-
-# shape_key records the basis indices whose amplitude modulus exceeds this
-# threshold.  It sits far above AMP_TOL, so a tolerance-close perturbation can
-# only move an amplitude across it when the amplitude already lies within the
-# tolerance band around it, which is the case shape_key refuses to key.
-KEY_AMP_THRESHOLD = 1e-6
-# That band: twice AMP_TOL on each side of the threshold, a margin for float
-# rounding in amps_close.
-_KEY_BAND = 2 * AMP_TOL
+from .quantum import AMP_TOL, GateExpr, QubitValue, _key_support, amps_close
 
 
 @dataclass(frozen=True)
@@ -149,33 +137,31 @@ def bang(t: Term) -> Term:
 
 
 def children(t: Term) -> tuple[Term, ...]:
-    match t:
-        case Lam(_, body) | BangLam(_, body) | Bang(body):
-            return (body,)
-        case App(fun, arg):
-            return (fun, arg)
-        case If(c, a, b):
-            return (c, a, b)
-        case LetTensor(_, _, value, body):
-            return (value, body)
-        case _:
-            return ()
+    cls = type(t)
+    if cls is App:
+        return (t.fun, t.arg)
+    if cls is Lam or cls is BangLam or cls is Bang:
+        return (t.body,)
+    if cls is If:
+        return (t.cond, t.then, t.orelse)
+    if cls is LetTensor:
+        return (t.value, t.body)
+    return ()
 
 
 def with_children(t: Term, new: tuple[Term, ...]) -> Term:
-    match t:
-        case Lam(v, _) | BangLam(v, _):
-            return type(t)(v, new[0])
-        case Bang(_):
-            return bang(new[0])
-        case App(_, _):
-            return App(new[0], new[1])
-        case If(_, _, _):
-            return If(new[0], new[1], new[2])
-        case LetTensor(x, y, _, _):
-            return LetTensor(x, y, new[0], new[1])
-        case _:
-            return t
+    cls = type(t)
+    if cls is App:
+        return App(new[0], new[1])
+    if cls is Lam or cls is BangLam:
+        return cls(t.var, new[0])
+    if cls is Bang:
+        return bang(new[0])
+    if cls is If:
+        return If(new[0], new[1], new[2])
+    if cls is LetTensor:
+        return LetTensor(t.left, t.right, new[0], new[1])
+    return t
 
 
 def subterm_at(t: Term, pos: tuple[int, ...]) -> Term:
@@ -237,12 +223,10 @@ def height(t: Term) -> int:
 _EMPTY: frozenset[str] = frozenset()
 
 # Names of the instance attributes that hold a node's free-variable memo, a
-# term's shape memo, a register's key-support memo and a node's height memo.
+# term's shape memo and a node's height memo.
 _FREE = "_free_vars"
 _HEIGHT = "_height"
 _SHAPE = "_shape"
-_SUPPORT = "_key_support_memo"
-_UNSET = object()  # a memo not computed yet, where None is a result
 
 
 @functools.lru_cache(maxsize=1024)
@@ -272,27 +256,28 @@ def free_vars(t: Term) -> frozenset[str]:
     that side, variables of one name share one set, and every closed
     subterm returns one empty frozenset.
     """
-    if type(t) in _CLOSED_LEAVES:
+    cls = type(t)
+    if cls in _CLOSED_LEAVES:
         return _EMPTY
     out = getattr(t, _FREE, None)
     if out is not None:
         return out
-    match t:
-        case Var(x):
-            out = _singleton(x)
-        case Lam(x, body) | BangLam(x, body):
-            out = free_vars(body)
-            if x in out:
-                out = out - {x} or _EMPTY
-        case LetTensor(x, y, value, body):
-            inner = free_vars(body)
-            if x in inner or y in inner:
-                inner = inner - {x, y} or _EMPTY
-            out = _union(free_vars(value), inner)
-        case _:
-            out = _EMPTY
-            for c in children(t):
-                out = _union(out, free_vars(c))
+    if cls is Var:
+        out = _singleton(t.name)
+    elif cls is Lam or cls is BangLam:
+        out = free_vars(t.body)
+        if t.var in out:
+            out = out - {t.var} or _EMPTY
+    elif cls is LetTensor:
+        x, y = t.left, t.right
+        inner = free_vars(t.body)
+        if x in inner or y in inner:
+            inner = inner - {x, y} or _EMPTY
+        out = _union(free_vars(t.value), inner)
+    else:
+        out = _EMPTY
+        for c in children(t):
+            out = _union(out, free_vars(c))
     object.__setattr__(t, _FREE, out)
     return out
 
@@ -323,22 +308,27 @@ def substitute(body: Term, var: str, replacement: Term) -> Term:
     def go(t: Term) -> Term:
         if var not in free_vars(t):
             return t
-        match t:
-            case Var(_):
-                return replacement
-            case Lam(x, inner) | BangLam(x, inner):
-                names = [x]
-                inner = _apart(names, inner, rep_free)
-                return type(t)(*names, go(inner))
-            case LetTensor(x, y, value, inner):
-                new_value = go(value)
-                if var in (x, y) or var not in free_vars(inner):
-                    return LetTensor(x, y, new_value, inner)
-                names = [x, y]
-                inner = _apart(names, inner, rep_free)
-                return LetTensor(*names, new_value, go(inner))
-            case _:
-                return with_children(t, tuple(go(c) for c in children(t)))
+        cls = type(t)
+        if cls is Var:
+            return replacement
+        if cls is App:
+            return App(go(t.fun), go(t.arg))
+        if cls is If:
+            return If(go(t.cond), go(t.then), go(t.orelse))
+        if cls is Bang:
+            return bang(go(t.body))
+        if cls is Lam or cls is BangLam:
+            names = [t.var]
+            inner = _apart(names, t.body, rep_free)
+            return cls(names[0], go(inner))
+        # a LetTensor, the one other node a variable can be free in
+        x, y, inner = t.left, t.right, t.body
+        new_value = go(t.value)
+        if var in (x, y) or var not in free_vars(inner):
+            return LetTensor(x, y, new_value, inner)
+        names = [x, y]
+        inner = _apart(names, inner, rep_free)
+        return LetTensor(*names, new_value, go(inner))
 
     return go(body)
 
@@ -434,35 +424,15 @@ def alpha_eq(a: Term, b: Term) -> bool:
         amps_close(x, y, AMP_TOL) for x, y in zip(registers_a, registers_b))
 
 
-def _key_support(q: QubitValue) -> tuple[int, ...] | None:
-    """The indices of q whose amplitude modulus (inf past the float range)
-    exceeds KEY_AMP_THRESHOLD, or None when one lies within _KEY_BAND of
-    it.  Kept on the register the way free_vars keeps its set on a node, so
-    a register shared by the terms of successive steps is read once."""
-    support = getattr(q, _SUPPORT, _UNSET)
-    if support is _UNSET:
-        support = []
-        for u, a in q.amps:
-            modulus = _modulus(a)
-            if not abs(modulus - KEY_AMP_THRESHOLD) > _KEY_BAND:
-                support = None
-                break
-            if modulus > KEY_AMP_THRESHOLD:
-                support.append(u)
-        else:
-            support = tuple(support)
-        object.__setattr__(q, _SUPPORT, support)
-    return support
-
-
 def shape_key(t: Term) -> tuple | None:
     """A hashable key such that ``alpha_eq(a, b)`` implies
     ``shape_key(a) == shape_key(b)``, or None.
 
     The key is the term's shape (see _shape) plus, for each register, its
-    support: the indices whose amplitude modulus exceeds KEY_AMP_THRESHOLD.
-    An amplitude within _KEY_BAND of the threshold could sit on either side
-    of it in a tolerance-close register, so the key is None then.
+    key support (quantum._key_support): the indices whose amplitude modulus
+    exceeds quantum.KEY_AMP_THRESHOLD.  An amplitude within twice AMP_TOL of
+    the threshold could sit on either side of it in a tolerance-close
+    register, so the key is None then.
     """
     shape, registers = _shape(t)
     supports = tuple(_key_support(q) for q in registers)
@@ -496,15 +466,22 @@ def _is_ket(q: QubitValue) -> bool:
 
 def format_qubit(q: QubitValue) -> str:
     """Render a register constant.  A register with no amplitudes prints as
-    a zero-scaled ket of its width, which parses back to it."""
+    a zero-scaled ket of its width, which parses back to it.  Each distinct
+    amplitude is formatted once: equal amplitudes print alike (+-0.0 parts
+    compare equal and both print 0), and a NaN, equal to nothing, is only
+    looked up as itself."""
+    bits = f"0{q.width}b"
     if not q.amps:
         return f"(0,0)!|{'0' * q.width}>"
     if _is_ket(q):
-        return f"!|{format(q.amps[0][0], f'0{q.width}b')}>"
+        return f"!|{format(q.amps[0][0], bits)}>"
+    texts: dict[complex, str] = {}
     parts = []
     for u, a in q.amps:
-        bits = format(u, f"0{q.width}b")
-        parts.append(f"{format_amplitude(a)}!|{bits}>")
+        text = texts.get(a)
+        if text is None:
+            text = texts[a] = format_amplitude(a)
+        parts.append(f"{text}!|{format(u, bits)}>")
     return " + ".join(parts)
 
 

@@ -5,9 +5,8 @@ import hypothesis.strategies as st
 from hypothesis import settings
 
 from qlam.confluence import GenConfig, generate, regression_seeds
-from qlam.quantum import QubitValue, ket, tensor
+from qlam.quantum import KEY_AMP_THRESHOLD, QubitValue, ket, tensor
 from qlam.syntax import (
-    KEY_AMP_THRESHOLD,
     BangLam,
     Lam,
     LetTensor,

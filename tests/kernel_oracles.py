@@ -9,6 +9,10 @@ kernels.  They are kept only as test oracles.
 - ``factor_split_dense`` reshapes the register's ``densesim`` vector into
   a dense 2**left_width x 2**right_width matrix, so it must only see narrow
   registers.
+
+``uniform_state`` builds the equal superposition the tests measure and
+split, and ``key_support_reference`` reads a register's key support with
+a modulus per amplitude, as before the kernels handed it over.
 """
 
 from __future__ import annotations
@@ -19,14 +23,39 @@ import numpy as np
 
 from qlam.densesim import from_amplitudes
 from qlam.quantum import (
+    AMP_TOL,
     EPS_NORM,
     EPS_ZERO,
     ArityMismatchError,
     GateExpr,
     IndexOutOfRangeError,
+    KEY_AMP_THRESHOLD,
     MeasurementOutcome,
     QubitValue,
 )
+
+
+def uniform_state(width: int) -> QubitValue:
+    """The equal superposition of all 2**width basis states."""
+    a = complex(1.0 / math.sqrt(1 << width))
+    return QubitValue(width, tuple((u, a) for u in range(1 << width)))
+
+
+def key_support_reference(q: QubitValue) -> tuple[int, ...] | None:
+    """The indices of q whose amplitude modulus (inf past the float range)
+    exceeds KEY_AMP_THRESHOLD, or None when one lies within twice AMP_TOL
+    of it."""
+    support = []
+    for u, a in q.amps:
+        try:
+            modulus = abs(a)
+        except OverflowError:
+            modulus = math.inf
+        if not abs(modulus - KEY_AMP_THRESHOLD) > 2 * AMP_TOL:
+            return None
+        if modulus > KEY_AMP_THRESHOLD:
+            support.append(u)
+    return tuple(support)
 
 
 def coincidence_set(w: int, m: int, indices: frozenset[int] | set[int]) -> frozenset[int]:

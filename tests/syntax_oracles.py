@@ -25,10 +25,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from qlam.quantum import amps_close
+from qlam.quantum import AMP_TOL, KEY_AMP_THRESHOLD, amps_close
 from qlam.syntax import (
-    AMP_TOL,
-    KEY_AMP_THRESHOLD,
     App,
     Bang,
     BangLam,

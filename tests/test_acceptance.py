@@ -23,13 +23,13 @@ from qlam.quantum import (
     ket,
     measure,
     tensor,
-    uniform_state,
 )
 from qlam.reduction import RULESET_S, RULESET_ST, RULESET_T, enumerate_redexes, step_at
 from qlam.syntax import App, Bang, BangLam, Lam, MeasConst, QubitConst, Var, alpha_eq
 from qlam.wellformed import check
 
 from conftest import teleport_source
+from kernel_oracles import uniform_state
 
 PSI = QubitValue(1, {0: 0.6, 1: 0.8})
 

@@ -335,7 +335,8 @@ def test_both_teleport_programs_deliver_the_payload():
     """The measured and the deferred-correction teleport programs both leave
     the payload on the receiving wire."""
     from qlam.ensemble import evaluate
-    from qlam.quantum import QubitValue, amps_close, factor_split, uniform_state
+    from qlam.quantum import QubitValue, amps_close, factor_split
+    from kernel_oracles import uniform_state
 
     psi = QubitValue(1, {0: 0.6, 1: 0.8})
 
@@ -496,3 +497,16 @@ def test_overflowing_amplitude_modulus_formats(tmp_path):
     term = parse_program(proc.stdout.decode()).main
     assert term == parse_program(HUGE_AMPLITUDE).main
     assert not check(term).verdict
+
+
+@pytest.mark.parametrize("entry, why", [("1e999", "matrix entry is not finite"),
+                                         ("1e200", "matrix is not unitary")])
+def test_gate_past_the_float_range_prints_one_error_line(tmp_path, entry, why):
+    """A gate entry past the float range, or one whose products are, is a
+    parse error with no numpy warning before it."""
+    path = tmp_path / "gate.qlam"
+    path.write_text(f"gate G = [[{entry}, 0], [0, 1]];\nmain = G !|0>;\n")
+    proc = run_module("fmt", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == f"parse error: 1:6: gate G: {why}\n".encode()

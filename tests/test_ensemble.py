@@ -38,7 +38,6 @@ from qlam.quantum import (
     gate,
     ket,
     measure,
-    uniform_state,
 )
 from qlam.syntax import (
     AMP_TOL,
@@ -62,6 +61,7 @@ from conftest import (
     random_terms,
     rename_binders,
 )
+from kernel_oracles import uniform_state
 
 S2 = f"{1 / math.sqrt(2):.17g}"
 BIASED = "((0.6,0)!|0> + (0.8,0)!|1>)"

@@ -16,11 +16,13 @@ from qlam.quantum import (
     DENSE_MIN_WIDTH,
     EPS_NORM,
     EPS_ZERO,
+    KEY_AMP_THRESHOLD,
     MAX_WIDTH,
     GateAtom,
     GateExpr,
     QubitValue,
     RegisterWidthError,
+    ZeroMassError,
     amps_close,
     apply_gate,
     basis_state,
@@ -30,12 +32,17 @@ from qlam.quantum import (
     ket,
     measure,
     tensor,
-    uniform_state,
 )
 
 from qlam.syntax import QubitConst, shape_key
 
-from kernel_oracles import apply_gate_dense, factor_split_dense, measure_per_word
+from kernel_oracles import (
+    apply_gate_dense,
+    factor_split_dense,
+    key_support_reference,
+    measure_per_word,
+    uniform_state,
+)
 
 
 @st.composite
@@ -234,6 +241,55 @@ def test_apply_gate_skips_identity_factors():
     assert apply_gate(GateExpr((BUILTIN_GATES["I"],) * 3), q) == q
 
 
+# The amplitude the first H of H*H*I*I leaves on |0000> of _AT_EPS_ZERO_REGISTER:
+# abs and np.hypot give it a modulus one ulp above EPS_ZERO, np.abs EPS_ZERO.
+_AT_EPS_ZERO = complex(1.3061603022962767e-12, -5.421671925755923e-13) * complex(quantum._S2)
+_AT_EPS_ZERO_REGISTER = QubitValue(4, ((0, complex(1.3061603022962767e-12, -5.421671925755923e-13)),
+                                       (4, 0.6 + 0j), (12, 0.8 + 0j)))
+
+
+def test_apply_gate_passes_agree_at_eps_zero():
+    """Both passes keep the amplitude one ulp above EPS_ZERO, so the second
+    H adds it into |0000> in both, bit for bit."""
+    g = gate("H", "H", "I", "I")
+    assert abs(_AT_EPS_ZERO) > EPS_ZERO >= np.abs(np.array([_AT_EPS_ZERO]))[0]
+    got = [repr(r.amps) for r in _both_passes(g, _AT_EPS_ZERO_REGISTER)]
+    assert got == [repr(apply_gate_dense(g, _AT_EPS_ZERO_REGISTER).amps)] * 3
+    assert _both_passes(g, _AT_EPS_ZERO_REGISTER)[0].amps[0] == (
+        0, complex(0.7000000000006529, -2.710835962877961e-13))
+
+
+# Parts at the edges of the keep rule: signed zeros, the parts of
+# _AT_EPS_ZERO, parts past the float range, and NaN.
+_EDGE_PARTS = st.one_of(st.floats(-1, 1), st.sampled_from(
+    [0.0, -0.0, _AT_EPS_ZERO.real, _AT_EPS_ZERO.imag, EPS_ZERO, 1e308, -1e308, math.inf,
+     math.nan]))
+_EDGE_VALUES = [_AT_EPS_ZERO, complex(-0.0, -0.0), complex(1e308, 1e308), complex(math.nan, 0.5)]
+
+
+@given(st.lists(st.builds(complex, _EDGE_PARTS, _EDGE_PARTS), max_size=12))
+def test_numpy_keep_rule_is_kept(values):
+    """The dense pass's keep rule keeps, drops and sign-normalizes each
+    amplitude as _kept does, bit for bit, in a vector of any length (numpy
+    may take another loop for a short one)."""
+    values = values + _EDGE_VALUES
+    for vec in [values] + [[z] for z in values]:
+        got = quantum._kept_vector(np.array(vec, dtype=complex))
+        assert repr(got) == repr(quantum._kept(list(enumerate(vec)))[0])
+
+
+@given(st.one_of(st.complex_numbers(allow_nan=True, allow_infinity=True),
+                 st.builds(complex, _EDGE_PARTS, _EDGE_PARTS), st.sampled_from(_EDGE_VALUES)))
+def test_hypot_is_the_modulus_abs_gives(z):
+    """The dense pass's keep rule rests on this: np.hypot of the parts is
+    abs's modulus bit for bit (inf where abs overflows).  A platform where
+    they differ fails here rather than changing outputs."""
+    with np.errstate(all="ignore"):
+        got = float(np.hypot(z.real, z.imag))
+    want = quantum._modulus(z)
+    assert repr(got) == repr(want)
+
+
 # ---------------------------------------------------------------------------
 # measure
 
@@ -271,6 +327,18 @@ def test_measure_leaves_out_zero_probability_words():
     q = QubitValue(2, {0: 1.0, 3: 1e-7})
     assert [o.outcome for o in measure(q, {1})] == [0]
     assert len(measure(uniform_state(3), {1, 3})) == 4
+
+
+@given(register(min_width=6, max_width=12), st.data())
+def test_measure_matches_per_word_oracle_bit_for_bit(q, data):
+    """Probabilities and post-state amplitudes repr for repr, on registers
+    of 6-12 wires."""
+    indices = data.draw(st.sets(st.integers(1, q.width), min_size=1, max_size=3))
+
+    def reprs(outcomes):
+        return [(o.outcome, repr(o.probability), repr(o.post.amps)) for o in outcomes]
+
+    assert reprs(measure(q, indices)) == reprs(measure_per_word(q, indices))
 
 
 def test_measure_past_the_float_range():
@@ -326,6 +394,17 @@ def test_factor_split_matches_dense_oracle_near_tolerance(a, b, data):
     _same_split(nudged, a.width)
 
 
+@pytest.mark.parametrize("amps", [{0: 1e308 + 1e308j, 2: 1j}, {0: 2.0**1023, 2: 2.0**1023}])
+def test_no_rank1_split_past_the_float_range(amps):
+    """A NaN residual (a pivot of infinite modulus) and a left vector whose
+    norm is past the float range both fail the rank-1 test, so is_product
+    and factor_split agree and neither raises."""
+    q = QubitValue(2, amps)
+    with np.errstate(all="ignore"):
+        assert not is_product(q, 1)
+        assert factor_split(q, 1) is None
+
+
 def test_one_row_register_splits_exactly(monkeypatch):
     """Stored amplitudes that share their left bits r split into |r> with
     amplitude exactly 1 and the stored amplitudes unchanged, without the
@@ -357,6 +436,58 @@ def test_factor_split_ignores_entries_below_tolerance():
     assert EPS_NORM / 2 > EPS_ZERO
     _same_split(q, 1)
     assert factor_split(q, 1) == (ket("0"), ket("0"))
+
+
+# ---------------------------------------------------------------------------
+# key supports handed over by the kernels
+
+# Parts on, inside and outside the key band around KEY_AMP_THRESHOLD (2e-9
+# wide, 2e-3 relative), and parts past the float range.
+_KEY_PARTS = st.one_of(st.floats(-1, 1), st.sampled_from(
+    [KEY_AMP_THRESHOLD * f for f in (1, 1 + 1e-3, 1 - 1e-3, 1 + 3e-3, 1 - 3e-3)]
+    + [0.0, -0.0, 1e-13, 1e308]))
+
+
+def _handed_over(q: QubitValue) -> list[QubitValue]:
+    """q and what the kernels build from it, each with the key support they
+    gave it (a dense gate pass gives none)."""
+    out = [q, apply_gate(gate(*["H"] * q.width), q), apply_gate(gate("X", *["I"] * (q.width - 1)), q)]
+    try:
+        out += [o.post for o in measure(q, {1})] + [o.post for o in measure(q, {q.width})]
+    except ZeroMassError:
+        pass
+    for left_width in range(1, q.width):
+        out += factor_split(q, left_width) or ()
+    return [r for r in out if quantum._SUPPORT in vars(r)]
+
+
+@given(st.integers(1, 6), st.data())
+def test_kernels_hand_over_the_key_support_a_fresh_copy_reads(width, data):
+    """QubitValue, the scatter pass, measure and both kinds of split hand
+    their registers the support a fresh copy reads, and the one the
+    per-amplitude reference reads, None near the threshold included.  One
+    row of amplitudes makes the exact split hand over its parent's."""
+    dim = 1 << width
+    row = data.draw(st.integers(0, dim - 1)) & ~((1 << (width - 1)) - 1)
+    indices = data.draw(st.one_of(
+        st.sets(st.integers(0, dim - 1), max_size=8),
+        st.sets(st.integers(row, row + (1 << (width - 1)) - 1), max_size=8)))
+    pairs = [(u, complex(data.draw(_KEY_PARTS), data.draw(_KEY_PARTS))) for u in sorted(indices)]
+    q = QubitValue(width, pairs)
+    with np.errstate(all="ignore"):  # the rank-1 test on amplitudes near the float limit
+        handed_over = _handed_over(q)
+    for got in handed_over:
+        fresh = quantum._key_support(quantum._canonical(got.width, got.amps))
+        assert vars(got)[quantum._SUPPORT] == fresh == key_support_reference(got)
+
+
+def test_exact_split_hands_over_none_near_the_threshold():
+    q = QubitValue(3, {0b100: 0.5, 0b101: KEY_AMP_THRESHOLD, 0b111: 0.5})
+    assert vars(q)[quantum._SUPPORT] is None
+    left, right = factor_split(q, 1)
+    assert vars(right)[quantum._SUPPORT] is None
+    q = QubitValue(3, {0b100: 0.6, 0b101: 1e-7, 0b111: 0.8})
+    assert vars(factor_split(q, 1)[1])[quantum._SUPPORT] == (0b00, 0b11)
 
 
 # ---------------------------------------------------------------------------

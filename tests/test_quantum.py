@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,11 +24,10 @@ from qlam.quantum import (
     ket,
     measure,
     tensor,
-    uniform_state,
 )
 
 from conftest import coincidence_brute, random_register
-from kernel_oracles import coincidence_set
+from kernel_oracles import coincidence_set, uniform_state
 
 S2 = 1 / math.sqrt(2)
 
@@ -144,6 +144,16 @@ def test_non_unitary_matrix_rejected():
         GateAtom("bad", ((1 + 0j, 0j), (0j, 2 + 0j)))
     with pytest.raises(GateError):
         GateAtom("bad", ((1 + 0j, 0j, 0j), (0j, 1 + 0j, 0j), (0j, 0j, 1 + 0j)))
+
+
+@pytest.mark.parametrize("entry, why", [(math.inf, "matrix entry is not finite"),
+                                         (complex(0, math.nan), "matrix entry is not finite"),
+                                         (1e200, "matrix is not unitary")])
+def test_gate_past_the_float_range_rejected_without_a_warning(entry, why):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GateError, match=why):
+            GateAtom("G", ((entry, 0j), (0j, 1 + 0j)))
 
 
 @given(random_register(max_width=3))

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -7,7 +8,7 @@ import hypothesis.strategies as st
 
 from qlam.ensemble import TermEnsemble, evaluate, min_ensemble
 from qlam.parser import parse_program, parse_term
-from qlam.quantum import PAULI_X, PAULI_Z, GateAtom, GateExpr, QubitValue, gate, ket
+from qlam.quantum import PAULI_X, PAULI_Z, GateAtom, GateExpr, QubitValue, _canonical, gate, ket
 from qlam.syntax import (
     AMP_TOL,
     App,
@@ -20,6 +21,8 @@ from qlam.syntax import (
     QubitConst,
     Var,
     alpha_eq,
+    format_amplitude,
+    format_qubit,
     free_vars,
     pretty,
     replace_at,
@@ -323,6 +326,33 @@ def test_pretty_measurement_sorted():
 def test_pretty_qubit_deterministic_order():
     t = parse_term("(0.8,0)!|1> + (0.6,0)!|0>")
     assert pretty(t) == "(0.6,0)!|0> + (0.8,0)!|1>"
+
+
+# Few distinct values, so amplitudes repeat: signed zeros, NaN, and parts
+# that print alike or apart.
+_REPEATED_PARTS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1 / 3, 1e-13, math.nan])
+
+
+@given(st.integers(1, 6), st.data())
+def test_format_qubit_formats_each_amplitude_as_format_amplitude_does(width, data):
+    """Formatting each distinct amplitude once gives the text of formatting
+    every amplitude on its own: +-0.0 parts, which compare equal, print
+    alike, and NaN amplitudes (built directly, as no kernel keeps one) are
+    each formatted for themselves."""
+    indices = sorted(data.draw(st.sets(st.integers(0, (1 << width) - 1), min_size=2)))
+    amps = tuple((u, complex(data.draw(_REPEATED_PARTS), data.draw(_REPEATED_PARTS)))
+                 for u in indices)
+    want = " + ".join(f"{format_amplitude(a)}!|{u:0{width}b}>" for u, a in amps)
+    assert format_qubit(_canonical(width, amps)) == want
+
+
+def test_format_qubit_prints_signed_zeros_and_nan_alike():
+    nan = complex(math.nan, 0.5)
+    amps = ((0, 0.5 + 0j), (1, complex(0.5, -0.0)), (2, complex(-0.0, 0.5)), (3, 0.5j),
+            (4, nan), (5, complex(math.nan, 0.5)), (6, nan))
+    assert format_qubit(_canonical(3, amps)) == " + ".join(
+        [f"(0.5,0)!|{u:03b}>" for u in (0, 1)] + [f"(0,0.5)!|{u:03b}>" for u in (2, 3)]
+        + [f"(nan,0.5)!|{u:03b}>" for u in (4, 5, 6)])
 
 
 @pytest.mark.parametrize("width", [1, 3])
