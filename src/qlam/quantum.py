@@ -555,13 +555,13 @@ def measure(q: QubitValue, indices: frozenset[int] | set[int],
     for i in idx:
         mask |= 1 << (q.width - i)
     buckets: dict[int, list[tuple[int, complex]]] = {}
-    for u, a in q.amps:
-        key = u & mask
+    for pair in q.amps:
+        key = pair[0] & mask
         bucket = buckets.get(key)
         if bucket is None:
-            buckets[key] = [(u, a)]
+            buckets[key] = [pair]
         else:
-            bucket.append((u, a))
+            bucket.append(pair)
     branches = []
     for key in sorted(buckets):
         entries = buckets[key]

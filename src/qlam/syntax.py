@@ -435,7 +435,7 @@ def shape_key(t: Term) -> tuple | None:
     register, so the key is None then.
     """
     shape, registers = _shape(t)
-    supports = tuple(_key_support(q) for q in registers)
+    supports = tuple(map(_key_support, registers))
     return None if None in supports else (shape, supports)
 
 
