@@ -20,9 +20,9 @@ from .ensemble import (
     sample,
 )
 from .parser import ParseError, Program, parse_program
-from .quantum import RegisterWidthError
+from .quantum import GateAtom, RegisterWidthError
 from .reduction import RULESET_ST, ProbStep, stuck_sites
-from .syntax import Term, format_amplitude, format_position, pretty, rename_bound
+from .syntax import GateConst, Term, format_amplitude, format_position, pretty
 from .wellformed import WfReport, check
 
 EXIT_OK = 0
@@ -188,17 +188,24 @@ def _cmd_confluence(args: argparse.Namespace) -> int:
 
 
 def _cmd_fmt(args: argparse.Namespace) -> int:
+    """Print the declarations in source order.  The parser inlines each use
+    of a definition as its body, the same object, so a subterm that is an
+    earlier definition's body prints as that definition's name, and the
+    output parses back to the same terms."""
     program = _load_program(args.file)
     chunks = []
-    for name, atom in program.gates.items():
-        rows = ",\n             ".join(
-            "[" + ", ".join(format_amplitude(z) for z in row) + "]" for row in atom.matrix)
-        chunks.append(f"gate {name} = [{rows}];")
-    # a binder named like a gate or an earlier definition would not parse back
-    taken = set(program.gates)
-    for name, term in program.defs:
-        chunks.append(f"{name} = {pretty(rename_bound(term, taken))};")
-        taken.add(name)
+    names: dict[int, str] = {}  # id of an earlier definition's body -> its name
+    for name, decl in program.declarations:
+        if isinstance(decl, GateAtom):
+            rows = ",\n             ".join(
+                "[" + ", ".join(format_amplitude(z) for z in row) + "]" for row in decl.matrix)
+            chunks.append(f"gate {name} = [{rows}];")
+            continue
+        chunks.append(f"{name} = {pretty(decl, names)};")
+        # every use of a gate name is one shared constant: `g = H;` must not
+        # capture each later H
+        if type(decl) is not GateConst:
+            names[id(decl)] = name
     print("\n\n".join(chunks))
     return EXIT_OK
 

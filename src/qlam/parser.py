@@ -50,13 +50,16 @@ longest path from the root to a leaf, counted on the term that is built
 definition brings its own levels).  Each definition and ``main`` is
 measured once it is built, and a deeper one is a ParseError at its name.
 Heights are kept on the nodes (``syntax.height``), so a definition used
-many times is measured once.  The parser's own recursion is bounded
-separately, by the constructs open at a token, so that parentheses or
-prefixes without end are a ParseError too.  Parsing raises Python's
-recursion limit to cover the parser and the term walkers that still
-recurse once per level (``check``, ``free_vars``, ``substitute``, and
-the dataclass ``==``, ``hash`` and ``repr``) on any term it accepts; it
-never lowers it.
+many times is measured once.
+
+The grammar is recursive descent written as walks (``syntax.descend``):
+each rule that would call a rule which may nest (``parse_term``,
+``_lambda``, ``_let``, ``_if``, ``_scalar`` and the bang and parenthesis
+cases of ``_prim``) yields that rule's walk instead, and ``_prim`` hands a
+name, ket or measurement back as a finished term.  So the parser takes no
+Python frame per level, and sets no interpreter-wide state.  What it may
+hold open is bounded separately, by the constructs open at a token, so
+that parentheses or prefixes without end are a ParseError too.
 
 The parser also collects *strict surface* notes: places where a register
 constant was written outside the normal form (unbanged kets, tensors over
@@ -68,7 +71,6 @@ from __future__ import annotations
 
 import cmath
 import re
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -95,6 +97,8 @@ from .syntax import (
     QubitConst,
     Term,
     Var,
+    Walk,
+    descend,
     free_vars,
     fresh_name,
     height,
@@ -107,15 +111,12 @@ _SYMBOLS = frozenset("\\.!(){}[],;=*+")
 # A chain of 300 lets nests 602 levels, one of 400 lets 802.
 MAX_NESTING = 900
 # Constructs (lambdas, lets, conditionals, parentheses, bangs and scalar
-# prefixes) the parser may have open at one token.  ``pretty`` opens at most
-# two per level of the term it prints, so the printed form of every term the
-# parser accepts parses again.
+# prefixes) the parser may have open at one token.  Each open construct holds
+# a suspended walk on the heap, so this bounds the parser's memory on a
+# source that opens without end.  ``pretty`` opens at most two per level of
+# the term it prints, so the printed form of every term the parser accepts
+# parses again.
 _MAX_OPEN = 2 * MAX_NESTING
-# An open construct costs the parser at most two frames, and the recursive
-# term walkers (check, free_vars, substitute, and the dataclass ==, hash and
-# repr) take at most a few a level of the term; Python's default limit of
-# 1000 covers neither.
-_RECURSION_LIMIT = 8 * MAX_NESTING
 
 # One match per token: the whitespace and comments before it, then the
 # token.  ``eof`` matches at the end of the source and ``bad`` at any
@@ -188,13 +189,23 @@ def _tokenize(source: str) -> tuple[list[str], list[str], list[int]]:
 
 @dataclass
 class Program:
-    """A parsed source file: user gate table, definitions in order (bodies
-    fully inlined), the ``main`` term if present, and strict-surface notes."""
+    """A parsed source file: its gate declarations and definitions as
+    (name, GateAtom or body) pairs in source order (bodies fully inlined),
+    the ``main`` term if present, and strict-surface notes."""
 
-    gates: dict[str, GateAtom]
-    defs: list[tuple[str, Term]]
+    declarations: list[tuple[str, GateAtom | Term]]
     main: Term | None
     strict_notes: list[tuple[int, int, str]] = field(default_factory=list)
+
+    @property
+    def gates(self) -> dict[str, GateAtom]:
+        """The user gate table."""
+        return {name: d for name, d in self.declarations if type(d) is GateAtom}
+
+    @property
+    def defs(self) -> list[tuple[str, Term]]:
+        """The definitions, in order."""
+        return [(name, d) for name, d in self.declarations if type(d) is not GateAtom]
 
 
 class _Parser:
@@ -215,8 +226,6 @@ class _Parser:
         # redeclared, so an entry stays valid)
         self.gate_consts: dict[str, GateConst] = {}
         self.newlines: list[int] | None = None  # built at the first position asked for
-        if sys.getrecursionlimit() < _RECURSION_LIMIT:
-            sys.setrecursionlimit(_RECURSION_LIMIT)
 
     # -- positions and errors
 
@@ -269,27 +278,29 @@ class _Parser:
 
     # -- term grammar
 
-    def parse_term(self) -> Term:
-        """term, with the sum, tensor and application loops run in this one
-        frame, so that a parenthesis costs the parser two frames (this one
-        and _prim's)."""
-        tags = self.tags
-        tag = tags[self.i]
+    def parse_term(self) -> Walk:
+        """term, as a walk."""
+        tag = self.tags[self.i]
         if tag == "\\":
             return self._lambda()
         if tag == "let":
             return self._let()
         if tag == "if":
             return self._if()
+        return self._sum()
+
+    def _sum(self) -> Walk:
+        """sum, with the tensor and application loops run in this one walk."""
+        tags = self.tags
         summands: list[Term] = []
         summand_at: list[int] = []
         factors: list[Term] = []
         factor_at: list[int] = []
         while True:
             factor_at.append(self.i)
-            term = self._prim()
+            term = yield self._prim()
             while tags[self.i] in _PRIM_START:
-                term = App(term, self._prim())
+                term = App(term, (yield self._prim()))
             factors.append(term)
             tag = tags[self.i]
             if tag == "*":
@@ -315,17 +326,17 @@ class _Parser:
             raise self.error(f"{text!r} names a definition and cannot be bound", i)
         return text
 
-    def _lambda(self) -> Term:
+    def _lambda(self) -> Walk:
         self.open_level(self.i)
         self.i += 1
         nonlinear = self.accept("!")
         name = self._binder_name()
         self.expect(".")
-        body = self.parse_term()
+        body = yield self.parse_term()
         self.depth -= 1
         return BangLam(name, body) if nonlinear else Lam(name, body)
 
-    def _let(self) -> Term:
+    def _let(self) -> Walk:
         let_at = self.i
         self.open_level(let_at)
         self.i += 1
@@ -338,25 +349,40 @@ class _Parser:
                 raise self.error("duplicate names in destructuring pattern", name_at)
             names.append(name)
         self.expect("=")
-        value = self.parse_term()
+        value = yield self.parse_term()
         self.expect("in")
-        body = self.parse_term()
+        body = yield self.parse_term()
         self.depth -= 1
         if len(names) == 1:
             return App((BangLam if nonlinear else Lam)(names[0], body), value)
-        # the desugaring recurses once a name and walks the body, which sits
-        # under a split for each name but the last
+        # the body sits under a split for each name but the last
         self.check_height(body, let_at, len(names) - 1)
-        return _nest_splits(names, value, body)
+        return self._nest_splits(names, value, body)
 
-    def _if(self) -> Term:
+    def _nest_splits(self, names: list[str], value: Term, body: Term) -> Term:
+        """let x1*...*xk desugars to nested binary splits, one wire per name
+        except the last, which takes the remainder.  The split for x_i binds
+        the remainder to a fresh ``rest`` name: free in neither the body nor
+        the names x_i..., and not a name that cannot be bound."""
+        if len(names) == 2:
+            return LetTensor(names[0], names[1], value, body)
+        avoid = {*free_vars(body), *self.gates, *self.defs, *BUILTIN_GATES, *names[-2:]}
+        term, right = body, names[-1]
+        for k in range(len(names) - 2, 0, -1):
+            avoid.add(names[k - 1])
+            rest = fresh_name("rest", avoid)
+            term = LetTensor(names[k], right, Var(rest), term)
+            right = rest
+        return LetTensor(names[0], right, value, term)
+
+    def _if(self) -> Walk:
         self.open_level(self.i)
         self.i += 1
-        cond = self.parse_term()
+        cond = yield self.parse_term()
         self.expect("then")
-        then = self.parse_term()
+        then = yield self.parse_term()
         self.expect("else")
-        orelse = self.parse_term()
+        orelse = yield self.parse_term()
         self.depth -= 1
         return If(cond, then, orelse)
 
@@ -416,7 +442,8 @@ class _Parser:
             self.check_finite((total[u] for u, _ in item.value.amps), i)
         return QubitConst(QubitValue(width, total))
 
-    def _prim(self) -> Term:
+    def _prim(self) -> Term | Walk:
+        """prim: a name, ket or measurement as a term, else a walk."""
         i = self.i
         tags = self.tags
         tag = tags[i]
@@ -438,30 +465,37 @@ class _Parser:
             if tags[i + 1] == "ket":
                 self.i = i + 2
                 return QubitConst(ket(self.texts[i + 1][1:-1]))
-            self.open_level(i)
-            self.i = i + 1
-            inner = self._prim()
-            self.depth -= 1
-            if isinstance(inner, QubitConst):
-                self.note(i, "bang on a non-base register expression")
-                return inner
-            return Bang(inner)
+            return self._bang()
         if tag == "(":
-            if tags[i + 1] == "number":
-                return self._scalar()
-            self.open_level(i)
-            self.i = i + 1
-            inner = self.parse_term()
-            self.expect(")")
-            self.depth -= 1
-            return inner
+            return self._scalar() if tags[i + 1] == "number" else self._group()
         if tag == "ket":
             self.i = i + 1
             self.note(i, "base qubit written without '!'")
             return QubitConst(ket(self.texts[i][1:-1]))
         raise self.error("expected a term", i, frozenset(("term",)))
 
-    def _scalar(self) -> Term:
+    def _bang(self) -> Walk:
+        """'!' prim; the current token is the '!'."""
+        i = self.i
+        self.open_level(i)
+        self.i = i + 1
+        inner = yield self._prim()
+        self.depth -= 1
+        if isinstance(inner, QubitConst):
+            self.note(i, "bang on a non-base register expression")
+            return inner
+        return Bang(inner)
+
+    def _group(self) -> Walk:
+        """'(' term ')'; the current token is the '('."""
+        self.open_level(self.i)
+        self.i += 1
+        inner = yield self.parse_term()
+        self.expect(")")
+        self.depth -= 1
+        return inner
+
+    def _scalar(self) -> Walk:
         """A scalar prefix; the current tokens are '(' and a number."""
         open_at = self.i
         self.i += 2
@@ -469,7 +503,7 @@ class _Parser:
         im_at = self.expect("number")
         self.expect(")")
         self.open_level(open_at)
-        operand = self._prim()
+        operand = yield self._prim()
         self.depth -= 1
         if not isinstance(operand, QubitConst):
             raise self.error("scalar product applies to qubit constants only", open_at)
@@ -524,16 +558,6 @@ class _Parser:
         return complex(float(self.texts[self.expect("number")]), 0.0)
 
 
-def _nest_splits(names: list[str], value: Term, body: Term) -> Term:
-    """let x1*...*xk desugars to nested binary splits, one wire per name
-    except the last, which takes the remainder."""
-    if len(names) == 2:
-        return LetTensor(names[0], names[1], value, body)
-    rest = fresh_name("rest", free_vars(body) | set(names))
-    inner = _nest_splits(names[1:], Var(rest), body)
-    return LetTensor(names[0], rest, value, inner)
-
-
 # ---------------------------------------------------------------------------
 # Entry points
 
@@ -547,7 +571,7 @@ def parse_term_with_notes(source: str,
                           gates: dict[str, GateAtom] | None = None
                           ) -> tuple[Term, list[tuple[int, int, str]]]:
     parser = _Parser(source, gates or {}, {})
-    term = parser.parse_term()
+    term = descend(parser.parse_term())
     parser.expect("eof")
     parser.check_height(term, 0)
     return term, parser.strict_notes
@@ -558,7 +582,7 @@ def parse_program(source: str) -> Program:
     are inlined into later bodies."""
     gates: dict[str, GateAtom] = {}
     defs: dict[str, Term] = {}
-    order: list[tuple[str, Term]] = []
+    declarations: list[tuple[str, GateAtom | Term]] = []
     parser = _Parser(source, gates, defs)
     tags, texts = parser.tags, parser.texts
     while tags[parser.i] != "eof":
@@ -574,6 +598,7 @@ def parse_program(source: str) -> Program:
                 gates[name] = GateAtom(name, matrix)
             except GateError as exc:
                 raise parser.error(str(exc), name_at) from exc
+            declarations.append((name, gates[name]))
             continue
         name_at = parser.expect("name")
         name = texts[name_at]
@@ -583,12 +608,11 @@ def parse_program(source: str) -> Program:
         while tags[parser.i] in ("name", "!"):
             params.append((parser.accept("!"), parser._binder_name()))
         parser.expect("=")
-        body = parser.parse_term()
+        body = descend(parser.parse_term())
         parser.expect(";")
         for nonlinear, p in reversed(params):
             body = BangLam(p, body) if nonlinear else Lam(p, body)
         parser.check_height(body, name_at)
         defs[name] = body
-        order.append((name, body))
-    main = defs.get("main")
-    return Program(gates=gates, defs=order, main=main, strict_notes=parser.strict_notes)
+        declarations.append((name, body))
+    return Program(declarations, defs.get("main"), parser.strict_notes)

@@ -61,8 +61,10 @@ from .syntax import (
     Lam,
     LetTensor,
     MeasConst,
+    Position,
     QubitConst,
     Term,
+    _position,
     children,
     replace_at,
     substitute,
@@ -77,8 +79,6 @@ RULE_SPLIT = "split"
 RULE_MEASURE = "M"
 RULE_IF0 = "if-0"
 RULE_IF1 = "if-1"
-
-Position = tuple[int, ...]
 
 
 class NoRedexError(ValueError):
@@ -207,16 +207,6 @@ def step_at(t: Term, position: Position, rule: str,
                            if stuck else f"rule {rule} does not match at {position}")
     return [ProbStep(replace_at(t, position, target), p, rule, position)
             for target, p in contracted]
-
-
-def _position(link: tuple) -> Position:
-    """The position a walk link stands for: () at the root, else (the
-    parent's link, child index), so a walk holds O(depth) of them."""
-    out: list[int] = []
-    while link:
-        link, i = link
-        out.append(i)
-    return tuple(reversed(out))
 
 
 def _redex_sites(t: Term) -> Iterator[tuple[tuple, Term]]:

@@ -3,7 +3,20 @@ capture-avoiding substitution, and the canonical pretty-printer.
 
 Terms are immutable values, safe to share across threads.  A position is a
 tuple of child indices (child numbering per constructor is fixed below), so
-() addresses the whole term.
+() addresses the whole term.  A walk that may need positions carries links
+instead, () at the root and (parent's link, child index) below it, and
+builds a position (``_position``) only for the nodes it reports.
+
+No walker takes a Python frame per level of a term, so any depth costs
+heap, not interpreter stack, and nothing depends on Python's recursion
+limit.  ``height``, ``free_vars``, ``_shape`` and ``pretty`` keep their own
+explicit stacks.  The walks that read best as recursion (the parser's
+grammar and ``wellformed.check``) are generators run by ``descend``: a walk
+yields a sub-walk where it would recurse, and only one walk frame runs at a
+time.  ``substitute`` follows one path in a loop and is a walk only where
+the variable is free in several children.  Only the generated dataclass
+``==``, ``hash`` and ``repr`` of terms still recurse, and nothing in the
+package calls them.
 
 ``free_vars`` memoizes each node's free-variable set on the node itself, as
 an instance attribute that equality, hashing and repr do not look at.  The
@@ -30,7 +43,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Union
+from types import GeneratorType
+from typing import Any, Generator, Union
 
 from .quantum import AMP_TOL, GateExpr, QubitValue, _key_support, amps_close
 
@@ -124,9 +138,59 @@ Term = Union[Var, Lam, BangLam, App, Bang, GateConst, QubitConst, MeasConst, If,
 _CLOSED_LEAVES = frozenset((GateConst, QubitConst, MeasConst))
 _LEAVES = _CLOSED_LEAVES | {Var}
 
+Position = tuple[int, ...]
+
+# A walk yields sub-walks or finished values and returns its result; see
+# descend.
+Walk = Generator[Any, Any, Any]
+
 
 # ---------------------------------------------------------------------------
 # Traversal
+
+
+def descend(walk: Walk | Any) -> Any:
+    """Run a recursive walk without Python recursion: the trampolined style
+    of Ganz, Friedman & Wand (ICFP 1999).
+
+    A walk is a generator.  Where it would recurse it yields a sub-walk (a
+    generator), and is sent that sub-walk's result; anything else it
+    yields is a finished value, which is sent straight back.  What the walk
+    returns is the result, so a result is never a generator.  Only one walk
+    frame runs at a time: the suspended ones wait on a list.  An exception
+    a walk raises ends the whole descent.  ``walk`` may itself be a
+    finished value, which is returned.
+    """
+    if type(walk) is not GeneratorType:
+        return walk
+    suspended = []  # the send methods of the walks waiting on a sub-walk
+    send = walk.send
+    value = None
+    while True:
+        try:
+            item = send(value)
+        except StopIteration as done:
+            if not suspended:
+                return done.value
+            send = suspended.pop()
+            value = done.value
+            continue
+        if type(item) is GeneratorType:
+            suspended.append(send)
+            send = item.send
+            value = None
+        else:
+            value = item
+
+
+def _position(link: tuple) -> Position:
+    """The position a walk link stands for: () at the root, else (the
+    parent's link, child index), so a walk holds O(depth) of them."""
+    out: list[int] = []
+    while link:
+        link, i = link
+        out.append(i)
+    return tuple(reversed(out))
 
 
 def bang(t: Term) -> Term:
@@ -164,23 +228,39 @@ def with_children(t: Term, new: tuple[Term, ...]) -> Term:
     return t
 
 
-def subterm_at(t: Term, pos: tuple[int, ...]) -> Term:
+def subterm_at(t: Term, pos: Position) -> Term:
     for i in pos:
         t = children(t)[i]
     return t
 
 
-def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
+def replace_at(t: Term, pos: Position, new: Term) -> Term:
     """t with the subterm at pos replaced by new: the nodes on the path are
     rebuilt, every other subterm comes back as the same object."""
     path = []
     for i in pos:
-        kids = list(children(t))
-        path.append((t, kids, i))
-        t = kids[i]
-    for parent, kids, i in reversed(path):
-        kids[i] = new
-        new = with_children(parent, tuple(kids))
+        path.append((t, i))
+        t = children(t)[i]
+    return _rebuild(path, new)
+
+
+def _rebuild(path: list[tuple[Term, int]], new: Term) -> Term:
+    """The root of ``path`` with new in place of the node the path leads
+    to.  Each (node, child index) on it is rebuilt around the new child."""
+    for t, i in reversed(path):
+        cls = type(t)
+        if cls is App:
+            new = App(new, t.arg) if i == 0 else App(t.fun, new)
+        elif cls is If:
+            new = (If(new, t.then, t.orelse) if i == 0 else If(t.cond, new, t.orelse) if i == 1
+                   else If(t.cond, t.then, new))
+        elif cls is LetTensor:
+            new = (LetTensor(t.left, t.right, new, t.body) if i == 0
+                   else LetTensor(t.left, t.right, t.value, new))
+        elif cls is Bang:
+            new = bang(new)
+        else:  # an abstraction
+            new = cls(t.var, new)
     return new
 
 
@@ -254,7 +334,8 @@ def free_vars(t: Term) -> frozenset[str]:
     it.  Equal sets are shared rather than copied: a binder whose variable
     is not free returns its body's set, a union one side already holds is
     that side, variables of one name share one set, and every closed
-    subterm returns one empty frozenset.
+    subterm returns one empty frozenset.  Iterative, as height is: a node
+    stays on the stack until each of its children has a set.
     """
     cls = type(t)
     if cls in _CLOSED_LEAVES:
@@ -262,23 +343,42 @@ def free_vars(t: Term) -> frozenset[str]:
     out = getattr(t, _FREE, None)
     if out is not None:
         return out
+    stack = [t]
+    while stack:
+        node = stack[-1]
+        pending = False
+        for c in children(node):
+            if getattr(c, _FREE, None) is None:
+                cls = type(c)
+                if cls is Var:
+                    object.__setattr__(c, _FREE, _singleton(c.name))
+                elif cls not in _CLOSED_LEAVES:
+                    stack.append(c)
+                    pending = True
+        if not pending:
+            stack.pop()
+            object.__setattr__(node, _FREE, _free_of(node))
+    return getattr(t, _FREE)
+
+
+def _free_of(t: Term) -> frozenset[str]:
+    """The free variables of t, from the sets kept on its children (a
+    closed leaf keeps none)."""
+    cls = type(t)
     if cls is Var:
-        out = _singleton(t.name)
-    elif cls is Lam or cls is BangLam:
-        out = free_vars(t.body)
-        if t.var in out:
-            out = out - {t.var} or _EMPTY
-    elif cls is LetTensor:
+        return _singleton(t.name)
+    if cls is Lam or cls is BangLam:
+        out = getattr(t.body, _FREE, _EMPTY)
+        return out - {t.var} or _EMPTY if t.var in out else out
+    if cls is LetTensor:
         x, y = t.left, t.right
-        inner = free_vars(t.body)
+        inner = getattr(t.body, _FREE, _EMPTY)
         if x in inner or y in inner:
             inner = inner - {x, y} or _EMPTY
-        out = _union(free_vars(t.value), inner)
-    else:
-        out = _EMPTY
-        for c in children(t):
-            out = _union(out, free_vars(c))
-    object.__setattr__(t, _FREE, out)
+        return _union(getattr(t.value, _FREE, _EMPTY), inner)
+    out = _EMPTY
+    for c in children(t):
+        out = _union(out, getattr(c, _FREE, _EMPTY))
     return out
 
 
@@ -303,48 +403,73 @@ def substitute(body: Term, var: str, replacement: Term) -> Term:
     """Capture-avoiding substitution body[replacement/var].  A subterm in
     which ``var`` is not free is returned as the same object, so only the
     paths down to the occurrences of ``var`` are rebuilt."""
-    rep_free = free_vars(replacement)
+    if var not in free_vars(body):
+        return body
+    return descend(_substitute(body, var, replacement, free_vars(replacement)))
 
-    def go(t: Term) -> Term:
-        if var not in free_vars(t):
-            return t
+
+def _substitute(t: Term, var: str, replacement: Term,
+                rep_free: frozenset[str]) -> Term | Walk:
+    """t[replacement/var] for a t in which var is free, in two phases as in
+    replace_at: go down while var is free in one child only, then rebuild
+    the path.  A term, or a walk when var is free in several children of a
+    node on the way (a nonlinear variable), which walks each of them."""
+    path = []  # (node, index of the child var is free in), root first
+    while True:
         cls = type(t)
         if cls is Var:
-            return replacement
+            return _rebuild(path, replacement)
         if cls is App:
-            return App(go(t.fun), go(t.arg))
-        if cls is If:
-            return If(go(t.cond), go(t.then), go(t.orelse))
-        if cls is Bang:
-            return bang(go(t.body))
-        if cls is Lam or cls is BangLam:
+            if var not in free_vars(t.fun):
+                path.append((t, 1))
+                t = t.arg
+                continue
+            if var not in free_vars(t.arg):
+                path.append((t, 0))
+                t = t.fun
+                continue
+        elif cls is Lam or cls is BangLam:
             names = [t.var]
             inner = _apart(names, t.body, rep_free)
-            return cls(names[0], go(inner))
-        # a LetTensor, the one other node a variable can be free in
-        x, y, inner = t.left, t.right, t.body
-        new_value = go(t.value)
-        if var in (x, y) or var not in free_vars(inner):
-            return LetTensor(x, y, new_value, inner)
-        names = [x, y]
-        inner = _apart(names, inner, rep_free)
-        return LetTensor(*names, new_value, go(inner))
+            if names[0] != t.var:
+                t = cls(names[0], inner)
+            path.append((t, 0))
+            t = inner
+            continue
+        elif cls is LetTensor:
+            if t.left == var or t.right == var or var not in free_vars(t.body):
+                path.append((t, 0))
+                t = t.value
+                continue
+            names = [t.left, t.right]
+            inner = _apart(names, t.body, rep_free)
+            if names != [t.left, t.right]:
+                t = LetTensor(*names, t.value, inner)
+        kids = children(t)
+        hits = []
+        for i, c in enumerate(kids):
+            if var in free_vars(c):
+                hits.append(i)
+        if len(hits) == 1:
+            path.append((t, hits[0]))
+            t = kids[hits[0]]
+            continue
+        new = list(kids)  # var is free in several children: a walk unless all are var
+        for i in hits:
+            if type(new[i]) is not Var:
+                return _substitute_each(path, t, hits, var, replacement, rep_free)
+            new[i] = replacement
+        return _rebuild(path, with_children(t, tuple(new)))
 
-    return go(body)
 
-
-def rename_bound(t: Term, taken: frozenset[str] | set[str]) -> Term:
-    """An alpha-equivalent t in which no binder is named in ``taken``."""
-    match t:
-        case Lam(x, body) | BangLam(x, body):
-            names = [x]
-            body = _apart(names, body, taken)
-            return type(t)(*names, rename_bound(body, taken))
-        case LetTensor(x, y, value, body):
-            names = [x, y]
-            body = _apart(names, body, taken)
-            return LetTensor(*names, rename_bound(value, taken), rename_bound(body, taken))
-    return with_children(t, tuple(rename_bound(c, taken) for c in children(t)))
+def _substitute_each(path: list[tuple[Term, int]], t: Term, hits: list[int], var: str,
+                     replacement: Term, rep_free: frozenset[str]) -> Walk:
+    """_substitute's walk below a node t where var is free in the children
+    at ``hits``."""
+    kids = list(children(t))
+    for i in hits:
+        kids[i] = yield _substitute(kids[i], var, replacement, rep_free)
+    return _rebuild(path, with_children(t, tuple(kids)))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +568,7 @@ def shape_key(t: Term) -> tuple | None:
 # Pretty-printing
 
 
-def format_position(pos: tuple[int, ...]) -> str:
+def format_position(pos: Position) -> str:
     """A position as dotted child indices, or 'root' for ()."""
     return ".".join(map(str, pos)) if pos else "root"
 
@@ -489,17 +614,20 @@ def format_gate(g: GateExpr) -> str:
     return "*".join(g.names)
 
 
-def pretty(t: Term) -> str:
+def pretty(t: Term, names: dict[int, str] | None = None) -> str:
     """Canonical concrete syntax; parsing the result gives back an
     alpha-equivalent term.  One walk over an explicit stack of pending
-    terms and text, so any depth prints."""
+    terms and text, so any depth prints.
+
+    ``names`` maps the id of a subterm to a name it prints as instead (the
+    root too): ``qlam fmt`` names the bodies of earlier definitions so."""
 
     def atomic(term: Term) -> bool:
         """Whether term prints as an operand without parentheses."""
-        while type(term) is Bang:
+        while type(term) is Bang and not (names and id(term) in names):
             term = term.body
         cls = type(term)
-        if cls is Var or cls is MeasConst:
+        if cls is Var or cls is MeasConst or names and id(term) in names:
             return True
         if cls is GateConst:
             return len(term.gate.atoms) == 1
@@ -522,6 +650,8 @@ def pretty(t: Term) -> str:
                 stack.append(term)
             else:
                 stack += ")", term, "("
+        elif names and id(item) in names:
+            out.append(names[id(item)])
         elif cls is Var:
             out.append(item.name)
         elif cls is Lam:

@@ -22,12 +22,15 @@ A pre-term is well-formed when:
     the register representation, and gate constants are checked unitary at
     construction.)
 
-The check is one walk.  It returns, for each subterm, how often each
-variable name occurs free in it; a binder pops its own name from its body's
-counts (a linear abstraction requires exactly one use), so shadowing needs no
-bookkeeping beyond a scope mapping each bound name to its linearity, and the
-root's counts are the free-variable uses.  Violations are reported, never
-raised; check is total.
+The check is one walk (run by syntax.descend, so any depth checks).  It
+returns, for each subterm, how often each variable name occurs free in it;
+a binder pops its own name from its body's counts (a linear abstraction
+requires exactly one use), so shadowing needs no bookkeeping beyond a scope
+mapping each bound name to its linearity, and the root's counts are the
+free-variable uses.  The scope is one dict that a binder updates on the way
+down and restores on the way up, and a node's position is carried as a link
+and built only for a violation there, so the walk is linear in depth.
+Violations are reported, never raised; check is total.
 """
 
 from __future__ import annotations
@@ -44,15 +47,18 @@ from .syntax import (
     Lam,
     LetTensor,
     MeasConst,
+    Position,
     QubitConst,
     Term,
     Var,
+    Walk,
+    _position,
+    descend,
 )
 
 LINEAR = "linear"
 NONLINEAR = "nonlinear"
 
-Position = tuple[int, ...]
 Violation = tuple[Position, str, str]  # (position, rule name, message)
 
 
@@ -68,13 +74,15 @@ class WfReport:
 
 # Argument shapes that may still reduce to a duplicable value.
 _REDUCIBLE_ARGS = (App, If, LetTensor)
+# The classes of the nodes with children.
+_INNER = frozenset((Lam, BangLam, App, Bang, If, LetTensor))
 
 
 def check(t: Term) -> WfReport:
     """Decide well-formedness; the verdict is true iff no violations."""
     violations: list[Violation] = []
     # Free variables are linear: more than one use anywhere is a violation.
-    for name, n in sorted(_walk(t, {}, (), violations).items()):
+    for name, n in sorted(descend(_walk(t, {}, (), violations)).items()):
         if n > 1:
             violations.append(((), "linear",
                                f"free variable {name!r} used {n} times"))
@@ -86,67 +94,92 @@ def _linear_names(uses: Counter, env: dict[str, str]) -> str:
     return ", ".join(repr(x) for x in sorted(uses) if env.get(x) == LINEAR)
 
 
-def _walk(t: Term, env: dict[str, str], pos: Position,
-          violations: list[Violation]) -> Counter:
-    """How often each variable name occurs free in t.  ``env`` maps every
-    name bound around t to its linearity."""
-    match t:
-        case Var(x):
-            return Counter((x,))
-        case Lam(x, body):
-            uses = _walk(body, {**env, x: LINEAR}, pos + (0,), violations)
-            n = uses.pop(x, 0)
-            if n != 1:
-                violations.append((pos, "linear",
-                                   f"linear variable {x!r} used {n} times (expected exactly once)"))
-            return uses
-        case BangLam(x, body):
-            uses = _walk(body, {**env, x: NONLINEAR}, pos + (0,), violations)
-            uses.pop(x, None)
-            return uses
-        case App(fun, arg):
-            if isinstance(fun, BangLam):
-                _check_nonlinear_arg(arg, pos + (1,), violations)
-            uses = _walk(fun, env, pos + (0,), violations)
-            uses.update(_walk(arg, env, pos + (1,), violations))
-            return uses
-        case Bang(body):
-            uses = _walk(body, env, pos + (0,), violations)
-            listed = _linear_names(uses, env)
-            if listed:
-                violations.append((pos, "bang",
-                                   f"nonlinear term captures linear variable(s) {listed}"))
-            return uses
-        case QubitConst(q):
-            if not q.is_unit():
-                violations.append((pos, "superposition",
-                                   f"register amplitudes have squared mass {q.norm_sq():.6g}, "
-                                   "expected 1"))
-            return Counter()
-        case GateConst(_) | MeasConst(_):
-            return Counter()
-        case If(c, a, b):
-            uses = _walk(c, env, pos + (0,), violations)
-            for child_index, arm in ((1, a), (2, b)):
-                arm_uses = _walk(arm, env, pos + (child_index,), violations)
-                listed = _linear_names(arm_uses, env)
-                if listed:
-                    violations.append((pos, "linear",
-                                       f"conditional arm consumes linear variable(s) "
-                                       f"{listed}; the other arm would discard them"))
-                uses.update(arm_uses)
-            return uses
-        case LetTensor(x, y, value, body):
-            uses = _walk(value, env, pos + (0,), violations)
-            inner = _walk(body, {**env, x: NONLINEAR, y: NONLINEAR}, pos + (1,), violations)
-            inner.pop(x, None)
-            inner.pop(y, None)
-            uses.update(inner)
-            return uses
+def _bind(env: dict[str, str], name: str, linearity: str | None) -> str | None:
+    """Bind ``name`` in env to ``linearity`` (None unbinds it); the binding
+    it replaces."""
+    outer = env.get(name)
+    if linearity is None:
+        del env[name]
+    else:
+        env[name] = linearity
+    return outer
+
+
+def _walk(t: Term, env: dict[str, str], link: tuple,
+          violations: list[Violation]) -> Walk | Counter:
+    """How often each variable name occurs free in t: a Counter for a leaf,
+    else a walk that returns one.  ``env`` maps every name bound around t
+    to its linearity; ``link`` stands for t's position."""
+    cls = type(t)
+    if cls is Var:
+        return Counter((t.name,))
+    if cls is QubitConst:
+        q = t.value
+        if not q.is_unit():
+            violations.append((_position(link), "superposition",
+                               f"register amplitudes have squared mass {q.norm_sq():.6g}, "
+                               "expected 1"))
+        return Counter()
+    if cls is GateConst or cls is MeasConst:
+        return Counter()
+    if cls in _INNER:
+        return _walk_inner(t, env, link, violations)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _check_nonlinear_arg(arg: Term, pos: Position, violations: list[Violation]) -> None:
+def _walk_inner(t: Term, env: dict[str, str], link: tuple,
+                violations: list[Violation]) -> Walk:
+    """_walk's walk, for a node with children."""
+    cls = type(t)
+    if cls is Lam or cls is BangLam:
+        x = t.var
+        outer = _bind(env, x, LINEAR if cls is Lam else NONLINEAR)
+        uses = yield _walk(t.body, env, (link, 0), violations)
+        _bind(env, x, outer)
+        n = uses.pop(x, 0)
+        if cls is Lam and n != 1:
+            violations.append((_position(link), "linear",
+                               f"linear variable {x!r} used {n} times (expected exactly once)"))
+        return uses
+    if cls is App:
+        if type(t.fun) is BangLam:
+            _check_nonlinear_arg(t.arg, (link, 1), violations)
+        uses = yield _walk(t.fun, env, (link, 0), violations)
+        uses.update((yield _walk(t.arg, env, (link, 1), violations)))
+        return uses
+    if cls is Bang:
+        uses = yield _walk(t.body, env, (link, 0), violations)
+        listed = _linear_names(uses, env)
+        if listed:
+            violations.append((_position(link), "bang",
+                               f"nonlinear term captures linear variable(s) {listed}"))
+        return uses
+    if cls is If:
+        uses = yield _walk(t.cond, env, (link, 0), violations)
+        for child_index, arm in ((1, t.then), (2, t.orelse)):
+            arm_uses = yield _walk(arm, env, (link, child_index), violations)
+            listed = _linear_names(arm_uses, env)
+            if listed:
+                violations.append((_position(link), "linear",
+                                   f"conditional arm consumes linear variable(s) "
+                                   f"{listed}; the other arm would discard them"))
+            uses.update(arm_uses)
+        return uses
+    # a LetTensor
+    x, y = t.left, t.right
+    uses = yield _walk(t.value, env, (link, 0), violations)
+    outer_x = _bind(env, x, NONLINEAR)
+    outer_y = _bind(env, y, NONLINEAR)
+    inner = yield _walk(t.body, env, (link, 1), violations)
+    _bind(env, y, outer_y)
+    _bind(env, x, outer_x)
+    inner.pop(x, None)
+    inner.pop(y, None)
+    uses.update(inner)
+    return uses
+
+
+def _check_nonlinear_arg(arg: Term, link: tuple, violations: list[Violation]) -> None:
     if isinstance(arg, (Bang, QubitConst)) or isinstance(arg, _REDUCIBLE_ARGS):
         return
     if isinstance(arg, Var):
@@ -159,6 +192,6 @@ def _check_nonlinear_arg(arg: Term, pos: Position, violations: list[Violation]) 
         what = "a measurement constant"
     else:
         what = "this argument"
-    violations.append((pos, "nonlinear-application",
+    violations.append((_position(link), "nonlinear-application",
                        f"nonlinear abstraction applied to {what}; the argument must be "
                        "banged, a register constant, or reducible to one"))

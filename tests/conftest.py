@@ -1,10 +1,12 @@
 import math
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
 from qlam.confluence import GenConfig, generate, regression_seeds
+from qlam.parser import MAX_NESTING
 from qlam.quantum import KEY_AMP_THRESHOLD, QubitValue, ket, tensor
 from qlam.syntax import (
     BangLam,
@@ -16,6 +18,13 @@ from qlam.syntax import (
     substitute,
     with_children,
 )
+
+# The package walks terms of any depth without Python recursion, but the
+# reference oracles (term_height and rename_binders below, and those in
+# tests/*_oracles.py) and the dataclass ==, hash and repr that assertions
+# use recurse once or twice per level.  Raise the limit for this test
+# process only, to cover them on every term the parser accepts.
+sys.setrecursionlimit(max(sys.getrecursionlimit(), 8 * MAX_NESTING))
 
 settings.register_profile("suite", deadline=None, max_examples=60)
 settings.load_profile("suite")

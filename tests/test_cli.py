@@ -270,6 +270,50 @@ def test_fmt_empty_register_reparses(tmp_path, capsys, source):
     assert "squared mass 0" in out
 
 
+FMT_CASES = {
+    # a free name that a later definition names stays free
+    "free-name": ("a = z;\nz = !|0>;\nmain = a;\n",
+                  "a = z;\n\nz = !|0>;\n\nmain = a;\n"),
+    # a gate declared after a use stays after it, so the use stays free
+    "gate-after-use": ("main = G !|0>;\ngate G = [[0,1],[1,0]];\n",
+                       "main = G !|0>;\n\ngate G = [[(0,0), (1,0)],\n"
+                       "             [(1,0), (0,0)]];\n"),
+    # a split's fresh remainder is not named like a definition
+    "rest-defined": ("rest = !|0>;\nmain = \\!v. let a * b * c = v in a;\n",
+                     "rest = !|0>;\n\nmain = \\!v. let a * rest' = v in let b * c = rest' in a;\n"),
+    # a body that is an earlier definition's prints as its name, the root
+    # too; a gate constant does not
+    "aliases": ("a = \\x. x;\nb = a;\ng = H;\nmain = b (g !|0>);\n",
+                "a = \\x. x;\n\nb = a;\n\ng = H;\n\nmain = b (H !|0>);\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FMT_CASES))
+def test_fmt_prints_the_program_it_read(tmp_path, capsys, case):
+    source, expected = FMT_CASES[case]
+    path = tmp_path / f"{case}.qlam"
+    path.write_text(source)
+    code, out, _ = run_cli(capsys, "fmt", str(path))
+    assert (code, out) == (0, expected)
+    before, after = parse_program(source), parse_program(out)
+    assert [name for name, _ in after.declarations] == [name for name, _ in before.declarations]
+    assert all(alpha_eq(a, b) for (_, a), (_, b) in zip(before.defs, after.defs))
+    ran = run_cli(capsys, "run", str(path))
+    path.write_text(out)
+    assert run_cli(capsys, "run", str(path)) == ran
+
+
+def test_fmt_prints_a_doubling_chain_by_name(tmp_path, capsys):
+    """main unfolds to 2**24 copies of d0, and fmt prints each definition
+    once, as written."""
+    lines = ["d0 = \\x. x;", *(f"d{i} = d{i - 1} d{i - 1};" for i in range(1, 25)),
+             "main = d24 !|0>;"]
+    path = tmp_path / "doubling.qlam"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(capsys, "fmt", str(path))
+    assert (code, out) == (0, "\n\n".join(lines) + "\n")
+
+
 def test_strict_wf_rejects_sugared_registers(tmp_path, capsys):
     f = tmp_path / "sugar.qlam"
     f.write_text("main = !|0> * ((0.6,0)!|0> + (0.8,0)!|1>);\n")

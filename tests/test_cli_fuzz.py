@@ -1,6 +1,7 @@
 """The command line under fuzzed input: whatever it is given, ``qlam`` exits
-0, 1 or 2, no exception escapes ``main``, and what ``fmt`` prints formats
-again with exit 0.
+0, 1 or 2, no exception escapes ``main``, and what ``fmt`` prints parses
+back to the same declarations, each definition alpha-equivalent to the one
+read, and formats again with exit 0.
 
 Three kinds of input: random token streams, corpus programs with a few
 tokens deleted, inserted, replaced or duplicated or a number changed to one
@@ -21,6 +22,8 @@ import pytest
 from hypothesis import given, settings
 
 from qlam.cli import main
+from qlam.parser import parse_program
+from qlam.syntax import alpha_eq
 
 from conftest import PROGRAMS
 
@@ -91,6 +94,11 @@ def run_every_command(path, source: str, max_steps: int) -> None:
     run(["run", str(path), "--sample", "--seed", "1", *steps])
     code, formatted = run(["fmt", str(path)])
     if code == 0:
+        original, again = parse_program(source), parse_program(formatted)
+        assert [name for name, _ in again.declarations] == \
+            [name for name, _ in original.declarations], (source, formatted)
+        for (name, a), (_, b) in zip(original.defs, again.defs):
+            assert alpha_eq(a, b), (source, formatted, name)
         path.write_text(formatted, encoding="utf-8")
         assert run(["fmt", str(path)])[0] == 0, (source, formatted)
 

@@ -3,6 +3,7 @@ reference implementations in ``kernel_oracles``."""
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -401,6 +402,15 @@ def test_no_rank1_split_past_the_float_range(amps):
     and factor_split agree and neither raises."""
     q = QubitValue(2, amps)
     with np.errstate(all="ignore"):
+        assert not is_product(q, 1)
+        assert factor_split(q, 1) is None
+
+
+@pytest.mark.parametrize("amps", [{0: 1e308 + 1e308j, 2: 1j}, {0: 2.0**1023, 2: 2.0**1023}])
+def test_rank1_past_the_float_range_warns_nothing(amps):
+    q = QubitValue(2, amps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert not is_product(q, 1)
         assert factor_split(q, 1) is None
 
