@@ -366,7 +366,7 @@ class _Parser:
         the names x_i..., and not a name that cannot be bound."""
         if len(names) == 2:
             return LetTensor(names[0], names[1], value, body)
-        avoid = {*free_vars(body), *self.gates, *self.defs, *BUILTIN_GATES, *names[-2:]}
+        avoid = {*free_vars(body), *self.gates, *self.defs, *names[-2:]}
         term, right = body, names[-1]
         for k in range(len(names) - 2, 0, -1):
             avoid.add(names[k - 1])

@@ -14,9 +14,10 @@ explicit stacks.  The walks that read best as recursion (the parser's
 grammar and ``wellformed.check``) are generators run by ``descend``: a walk
 yields a sub-walk where it would recurse, and only one walk frame runs at a
 time.  ``substitute`` follows one path in a loop and is a walk only where
-the variable is free in several children.  Only the generated dataclass
-``==``, ``hash`` and ``repr`` of terms still recurse, and nothing in the
-package calls them.
+the variable is free in several children or a binder is renamed apart
+(each rename is a sub-walk).  Only the generated dataclass ``==``,
+``hash`` and ``repr`` of terms still recurse, and nothing in the package
+calls them.
 
 ``free_vars`` memoizes each node's free-variable set on the node itself, as
 an instance attribute that equality, hashing and repr do not look at.  The
@@ -248,19 +249,9 @@ def _rebuild(path: list[tuple[Term, int]], new: Term) -> Term:
     """The root of ``path`` with new in place of the node the path leads
     to.  Each (node, child index) on it is rebuilt around the new child."""
     for t, i in reversed(path):
-        cls = type(t)
-        if cls is App:
-            new = App(new, t.arg) if i == 0 else App(t.fun, new)
-        elif cls is If:
-            new = (If(new, t.then, t.orelse) if i == 0 else If(t.cond, new, t.orelse) if i == 1
-                   else If(t.cond, t.then, new))
-        elif cls is LetTensor:
-            new = (LetTensor(t.left, t.right, new, t.body) if i == 0
-                   else LetTensor(t.left, t.right, t.value, new))
-        elif cls is Bang:
-            new = bang(new)
-        else:  # an abstraction
-            new = cls(t.var, new)
+        kids = list(children(t))
+        kids[i] = new
+        new = with_children(t, tuple(kids))
     return new
 
 
@@ -389,16 +380,6 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return name
 
 
-def _apart(names: list[str], body: Term, clash: frozenset[str] | set[str]) -> Term:
-    """Rename each of the binders ``names`` of body that is in ``clash`` to a
-    fresh name, in ``names`` and in body, and return body."""
-    for k, name in enumerate(names):
-        if name in clash:
-            names[k] = fresh_name(name, clash | free_vars(body) | {*names} - {name})
-            body = substitute(body, name, Var(names[k]))
-    return body
-
-
 def substitute(body: Term, var: str, replacement: Term) -> Term:
     """Capture-avoiding substitution body[replacement/var].  A subterm in
     which ``var`` is not free is returned as the same object, so only the
@@ -412,8 +393,9 @@ def _substitute(t: Term, var: str, replacement: Term,
                 rep_free: frozenset[str]) -> Term | Walk:
     """t[replacement/var] for a t in which var is free, in two phases as in
     replace_at: go down while var is free in one child only, then rebuild
-    the path.  A term, or a walk when var is free in several children of a
-    node on the way (a nonlinear variable), which walks each of them."""
+    the path.  A term, or a walk from the first node on the way where var
+    is free in several children (a nonlinear variable) or whose binder must
+    be renamed apart from the free variables of replacement."""
     path = []  # (node, index of the child var is free in), root first
     while True:
         cls = type(t)
@@ -429,47 +411,46 @@ def _substitute(t: Term, var: str, replacement: Term,
                 t = t.fun
                 continue
         elif cls is Lam or cls is BangLam:
-            names = [t.var]
-            inner = _apart(names, t.body, rep_free)
-            if names[0] != t.var:
-                t = cls(names[0], inner)
+            if t.var in rep_free:
+                return _substitute_each(path, t, var, replacement, rep_free)
             path.append((t, 0))
-            t = inner
+            t = t.body
             continue
         elif cls is LetTensor:
             if t.left == var or t.right == var or var not in free_vars(t.body):
                 path.append((t, 0))
                 t = t.value
                 continue
-            names = [t.left, t.right]
-            inner = _apart(names, t.body, rep_free)
-            if names != [t.left, t.right]:
-                t = LetTensor(*names, t.value, inner)
+            if t.left in rep_free or t.right in rep_free:
+                return _substitute_each(path, t, var, replacement, rep_free)
         kids = children(t)
-        hits = []
-        for i, c in enumerate(kids):
-            if var in free_vars(c):
-                hits.append(i)
-        if len(hits) == 1:
-            path.append((t, hits[0]))
-            t = kids[hits[0]]
-            continue
-        new = list(kids)  # var is free in several children: a walk unless all are var
-        for i in hits:
-            if type(new[i]) is not Var:
-                return _substitute_each(path, t, hits, var, replacement, rep_free)
-            new[i] = replacement
-        return _rebuild(path, with_children(t, tuple(new)))
+        hits = [i for i, c in enumerate(kids) if var in free_vars(c)]
+        if len(hits) > 1:
+            return _substitute_each(path, t, var, replacement, rep_free)
+        path.append((t, hits[0]))
+        t = kids[hits[0]]
 
 
-def _substitute_each(path: list[tuple[Term, int]], t: Term, hits: list[int], var: str,
-                     replacement: Term, rep_free: frozenset[str]) -> Walk:
-    """_substitute's walk below a node t where var is free in the children
-    at ``hits``."""
+def _substitute_each(path: list[tuple[Term, int]], t: Term, var: str, replacement: Term,
+                     rep_free: frozenset[str]) -> Walk:
+    """_substitute's walk from a node t on the way: rename each binder of t
+    that is free in replacement to a fresh name, in t's body too, then
+    substitute in every child of t in which var is free."""
+    cls = type(t)
     kids = list(children(t))
-    for i in hits:
-        kids[i] = yield _substitute(kids[i], var, replacement, rep_free)
-    return _rebuild(path, with_children(t, tuple(kids)))
+    binder = cls is Lam or cls is BangLam or cls is LetTensor
+    if binder:
+        names = [t.left, t.right] if cls is LetTensor else [t.var]
+        for k, name in enumerate(names):
+            if name in rep_free:
+                names[k] = fresh_name(name, rep_free | free_vars(kids[-1]) | {*names} - {name})
+                if name in free_vars(kids[-1]):
+                    rename = Var(names[k])
+                    kids[-1] = yield _substitute(kids[-1], name, rename, free_vars(rename))
+    for i, c in enumerate(kids):
+        if var in free_vars(c):
+            kids[i] = yield _substitute(c, var, replacement, rep_free)
+    return _rebuild(path, cls(*names, *kids) if binder else with_children(t, tuple(kids)))
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,27 @@ for name, chain in (("lambdas", lambdas), ("bangs", bangs), ("gates", gates)):
 print(sys.getrecursionlimit())
 """
 
+# Substitutes z for y in the body of the file argv[1]'s inner abstraction,
+# then runs the file, under the low limit, and prints as JSON the printed
+# substitution, the run's exit code, stdout and stderr, and the limit at
+# the end.
+_RENAMES_AT_LOW_LIMIT = f"""
+import contextlib, io, json, sys
+from qlam.cli import main
+from qlam.parser import parse_program
+from qlam.syntax import Var, pretty, substitute
+
+path = sys.argv[1]
+with open(path) as f:
+    body = parse_program(f.read()).main.body.fun.body
+sys.setrecursionlimit({LOW_LIMIT})
+substituted = pretty(substitute(body, "y", Var("z")))
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = main(["run", path])
+print(json.dumps([substituted, code, out.getvalue(), err.getvalue(), sys.getrecursionlimit()]))
+"""
+
 
 def _python(*argv) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
@@ -106,6 +127,25 @@ def test_constructed_chains_walk_under_a_low_recursion_limit():
     proc = _python("-c", _CHAINS_AT_LOW_LIMIT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{LOW_LIMIT}\n"
+
+
+def test_binders_renamed_at_every_level_run_under_a_low_recursion_limit(tmp_path):
+    """Substituting z for y in a chain of binders z, z', z'', ... renames z
+    to z', which renames z' to z'', and so on: one rename inside the last,
+    at every level of the chain."""
+    names = ["z" + "'" * k for k in range(400)]
+    chain = "".join(f"\\!{x}. " for x in names) + "y " + " ".join(names)
+    path = tmp_path / "renames.qlam"
+    path.write_text(f"main = \\z. (\\y. {chain}) z;\n")
+    proc = _python("-c", _RENAMES_AT_LOW_LIMIT, str(path))
+    assert proc.returncode == 0, proc.stderr
+    substituted, code, out, err, limit = json.loads(proc.stdout)
+    renamed = [x + "'" for x in names]
+    expected = "".join(f"\\!{x}. " for x in renamed) + " ".join(["z", *renamed])
+    assert substituted == expected
+    assert (code, err) == (0, "")
+    assert f"p=1  \\z. {expected}\n" in out
+    assert limit == LOW_LIMIT
 
 
 TERM_CLASSES = [syntax.Var, syntax.Lam, syntax.BangLam, syntax.App, syntax.Bang,
