@@ -14,7 +14,7 @@ Head rules:
   M       (M_I q)               -> post-state        one step per outcome, p = p_w
   if-0    if !|0> then a else b -> a                 p = 1
   if-1    if !|1> then a else b -> b                 p = 1
-  split   let x * y = q in u    -> u[q1/x][q2/y]     p = 1   q = q1 (x) q2 product
+  split   let x * y = q in u    -> u[q1/x, q2/y]     p = 1   q = q1 (x) q2 product
 
 Both sets are closed under all term contexts except under a bang (bang terms
 are values), so redexes are found at every position reachable without
@@ -158,9 +158,9 @@ def _contract(t: Term, rule: str, pick: Pick | None) -> list[tuple[Term, float]]
         f, a = type(fun), type(arg)
         if f is Lam and rule == RULE_BETA or (
                 f is BangLam and a is QubitConst and rule == RULE_BANG_BETA2):
-            return [(substitute(fun.body, fun.var, arg), 1.0)]
+            return [(substitute(fun.body, {fun.var: arg}), 1.0)]
         if f is BangLam and a is Bang and rule == RULE_BANG_BETA1:
-            return [(substitute(fun.body, fun.var, arg.body), 1.0)]
+            return [(substitute(fun.body, {fun.var: arg.body}), 1.0)]
         if a is QubitConst:
             q = arg.value
             if f is GateConst and rule == RULE_UNITARY and fun.gate.arity == q.width:
@@ -182,8 +182,7 @@ def _contract(t: Term, rule: str, pick: Pick | None) -> list[tuple[Term, float]]
         if parts is None:
             return None
         left, right = parts
-        body = substitute(t.body, t.left, QubitConst(left))
-        return [(substitute(body, t.right, QubitConst(right)), 1.0)]
+        return [(substitute(t.body, {t.left: QubitConst(left), t.right: QubitConst(right)}), 1.0)]
     return None
 
 

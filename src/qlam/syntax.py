@@ -9,22 +9,21 @@ builds a position (``_position``) only for the nodes it reports.
 
 No walker takes a Python frame per level of a term, so any depth costs
 heap, not interpreter stack, and nothing depends on Python's recursion
-limit.  ``height``, ``free_vars``, ``_shape`` and ``pretty`` keep their own
-explicit stacks.  The walks that read best as recursion (the parser's
-grammar and ``wellformed.check``) are generators run by ``descend``: a walk
-yields a sub-walk where it would recurse, and only one walk frame runs at a
-time.  ``substitute`` follows one path in a loop and is a walk only where
-the variable is free in several children or a binder is renamed apart
-(each rename is a sub-walk).  Only the generated dataclass ``==``,
+limit.  ``height``, ``free_vars``, ``_shape``, ``substitute`` and ``pretty``
+keep their own explicit stacks.  ``descend`` serves only the walks that
+read best as recursion, the parser's grammar and ``wellformed.check``: they
+are generators, a walk yields a sub-walk where it would recurse, and only
+one walk frame runs at a time.  Only the generated dataclass ``==``,
 ``hash`` and ``repr`` of terms still recurse, and nothing in the package
 calls them.
 
 ``free_vars`` memoizes each node's free-variable set on the node itself, as
 an instance attribute that equality, hashing and repr do not look at.  The
 write is idempotent (every thread computes the same set), so terms stay safe
-to share.  ``substitute`` returns every subterm in which the variable is not
-free as the same object, so a step costs the paths down to the occurrences
-rather than the whole body: with the linear discipline, one path.
+to share.  ``substitute`` replaces several names at once and returns every
+subterm in which none of them is free as the same object, so a step costs
+the paths down to the occurrences rather than the whole body: with the
+linear discipline, one path.
 
 Qubit registers appear in terms only as whole constants (QubitConst); there
 is no term-level tensor, which is what makes cloning of unknown quantum data
@@ -380,77 +379,73 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
     return name
 
 
-def substitute(body: Term, var: str, replacement: Term) -> Term:
-    """Capture-avoiding substitution body[replacement/var].  A subterm in
-    which ``var`` is not free is returned as the same object, so only the
-    paths down to the occurrences of ``var`` are rebuilt."""
-    if var not in free_vars(body):
+def substitute(body: Term, sigma: dict[str, Term]) -> Term:
+    """Capture-avoiding simultaneous substitution: body with each free name
+    of sigma replaced by sigma's term for it, all at once.  A subterm in
+    which no name of sigma is free (is live) comes back as the same object.
+    One loop follows a node's one live child, keeping the path as replace_at
+    does; a node with several live children waits on a stack.  A binder
+    drops the names it shadows from sigma.  One free in a replacement live
+    in its body is renamed apart by one more entry of sigma (Stoughton, TCS
+    59, 1988), to a name free in none of those replacements, nor in the
+    body, and not the node's other binder."""
+    if free_vars(body).isdisjoint(sigma):
         return body
-    return descend(_substitute(body, var, replacement, free_vars(replacement)))
-
-
-def _substitute(t: Term, var: str, replacement: Term,
-                rep_free: frozenset[str]) -> Term | Walk:
-    """t[replacement/var] for a t in which var is free, in two phases as in
-    replace_at: go down while var is free in one child only, then rebuild
-    the path.  A term, or a walk from the first node on the way where var
-    is free in several children (a nonlinear variable) or whose binder must
-    be renamed apart from the free variables of replacement."""
-    path = []  # (node, index of the child var is free in), root first
+    # free_vars(body) memoized every node below it but the closed leaves,
+    # which are never live, so the walk reads the memo directly.
+    stack = done = None  # made at the first node live in several children
+    path: list = []  # (node, index of its one live child), root first
+    t = body
     while True:
         cls = type(t)
         if cls is Var:
-            return _rebuild(path, replacement)
+            new = _rebuild(path, sigma[t.name])
+            while stack and stack[-1][0] is None:  # a node's live children are done
+                _, path, t, hits = stack.pop()
+                kids = list(children(t))
+                kids[hits.pop()] = new
+                for i in reversed(hits):
+                    kids[i] = done.pop()
+                new = _rebuild(path, with_children(t, tuple(kids)))
+            if not stack:
+                return new
+            done.append(new)
+            t, sigma = stack.pop()
+            path = []
+            continue
         if cls is App:
-            if var not in free_vars(t.fun):
+            if getattr(t.fun, _FREE, _EMPTY).isdisjoint(sigma):
                 path.append((t, 1))
                 t = t.arg
                 continue
-            if var not in free_vars(t.arg):
+            if getattr(t.arg, _FREE, _EMPTY).isdisjoint(sigma):
                 path.append((t, 0))
                 t = t.fun
                 continue
-        elif cls is Lam or cls is BangLam:
-            if t.var in rep_free:
-                return _substitute_each(path, t, var, replacement, rep_free)
-            path.append((t, 0))
-            t = t.body
-            continue
-        elif cls is LetTensor:
-            if t.left == var or t.right == var or var not in free_vars(t.body):
-                path.append((t, 0))
-                t = t.value
-                continue
-            if t.left in rep_free or t.right in rep_free:
-                return _substitute_each(path, t, var, replacement, rep_free)
         kids = children(t)
-        hits = [i for i, c in enumerate(kids) if var in free_vars(c)]
+        subs = [sigma] * len(kids)
+        if cls is Lam or cls is BangLam or cls is LetTensor:
+            names = [t.left, t.right] if cls is LetTensor else [t.var]
+            inner = subs[-1] = {k: r for k, r in sigma.items() if k not in names}
+            free = getattr(t.body, _FREE, _EMPTY)
+            live = _EMPTY.union(*[free_vars(r) for k, r in inner.items() if k in free])
+            if not live.isdisjoint(names):
+                for k, name in enumerate(names):
+                    if name in live:
+                        names[k] = fresh_name(name, live | free | {*names} - {name})
+                        if name in free:  # a name a split binds twice is the right one's
+                            inner[name] = Var(names[k])
+                t = cls(*names, *kids)
+        hits = [i for i, c in enumerate(kids) if not getattr(c, _FREE, _EMPTY).isdisjoint(subs[i])]
         if len(hits) > 1:
-            return _substitute_each(path, t, var, replacement, rep_free)
-        path.append((t, hits[0]))
-        t = kids[hits[0]]
-
-
-def _substitute_each(path: list[tuple[Term, int]], t: Term, var: str, replacement: Term,
-                     rep_free: frozenset[str]) -> Walk:
-    """_substitute's walk from a node t on the way: rename each binder of t
-    that is free in replacement to a fresh name, in t's body too, then
-    substitute in every child of t in which var is free."""
-    cls = type(t)
-    kids = list(children(t))
-    binder = cls is Lam or cls is BangLam or cls is LetTensor
-    if binder:
-        names = [t.left, t.right] if cls is LetTensor else [t.var]
-        for k, name in enumerate(names):
-            if name in rep_free:
-                names[k] = fresh_name(name, rep_free | free_vars(kids[-1]) | {*names} - {name})
-                if name in free_vars(kids[-1]):
-                    rename = Var(names[k])
-                    kids[-1] = yield _substitute(kids[-1], name, rename, free_vars(rename))
-    for i, c in enumerate(kids):
-        if var in free_vars(c):
-            kids[i] = yield _substitute(c, var, replacement, rep_free)
-    return _rebuild(path, cls(*names, *kids) if binder else with_children(t, tuple(kids)))
+            if stack is None:
+                stack, done = [], []
+            stack.append((None, path, t, hits))
+            stack += [(kids[i], subs[i]) for i in reversed(hits[1:])]
+            path = []
+        else:
+            path.append((t, hits[0]))
+        t, sigma = kids[hits[0]], subs[hits[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +643,13 @@ def pretty(t: Term, names: dict[int, str] | None = None) -> str:
                 stack.append(fun)
             else:
                 stack += ")", fun, "("
-        elif cls is Bang:
-            out.append("!")
-            stack.append((item.body,))
+        elif cls is Bang:  # a run of k bangs, up to a named node, at once
+            k, body = 1, item.body
+            while type(body) is Bang and not (names and id(body) in names):
+                k, body = k + 1, body.body
+            bare = atomic(body)
+            out.append("!" * k if bare else "!(" * k)
+            stack += (body,) if bare else (")" * k, body)
         elif cls is GateConst:
             out.append(format_gate(item.gate))
         elif cls is QubitConst:

@@ -144,12 +144,12 @@ def rename_binders(t, prefix, counter=None):
         case Lam(x, body) | BangLam(x, body):
             counter[0] += 1
             fresh = f"{prefix}{counter[0]}"
-            body = substitute(body, x, Var(fresh))
+            body = substitute(body, {x: Var(fresh)})
             return type(t)(fresh, rename_binders(body, prefix, counter))
         case LetTensor(x, y, value, body):
             counter[0] += 2
             fx, fy = f"{prefix}{counter[0] - 1}", f"{prefix}{counter[0]}"
-            body = substitute(substitute(body, x, Var(fx)), y, Var(fy))
+            body = substitute(body, {x: Var(fx), y: Var(fy)})
             return LetTensor(fx, fy, rename_binders(value, prefix, counter),
                              rename_binders(body, prefix, counter))
         case _:

@@ -535,6 +535,34 @@ def test_step_at_matches_once(monkeypatch):
         assert amps_close(step.target.value, QubitValue(1, {0: 0.6, 1: 0.8}), 1e-12)
 
 
+def test_a_contraction_substitutes_once(monkeypatch):
+    """A fired beta or split makes one substitute call, which enters no
+    walk under descend, also where a binder is renamed apart and the
+    variable occurs twice."""
+    import qlam.reduction as reduction
+    import qlam.syntax as syntax
+    from qlam.parser import parse_term
+
+    calls = []
+    substitute = reduction.substitute
+    monkeypatch.setattr(reduction, "substitute",
+                        lambda *args: calls.append(args) or substitute(*args))
+
+    def no_descend(_walk):
+        raise AssertionError("substitute entered descend")
+
+    monkeypatch.setattr(syntax, "descend", no_descend)
+    for source, rule in [(r"(\x. \y. x y) y", "beta"),
+                         (r"(\!x. \y. x x y) !y", "!beta1"),
+                         (r"(\!x. x x) !|0>", "!beta2"),
+                         ("let a * b = !|01> in b a a", "split")]:
+        term = parse_term(source)
+        calls.clear()
+        [step] = reduction.step_at(term, (), rule)
+        assert len(calls) == 1, source
+        assert step.target != term
+
+
 @given(register(min_width=2))
 def test_register_memos_leave_equality_hash_and_repr(q):
     """A register whose split and key support were computed still equals,

@@ -44,8 +44,7 @@ print(json.dumps([runs, sys.getrecursionlimit()]))
 """
 
 # Builds 20,000-level chains with the constructors, then walks each one
-# under the low limit.  The bang chain is not printed: pretty takes time
-# quadratic in the length of a chain of bangs.
+# under the low limit.
 _CHAINS_AT_LOW_LIMIT = f"""
 import sys
 from qlam.ensemble import evaluate
@@ -71,7 +70,7 @@ measure = MeasConst(frozenset({{1}}))
 sys.setrecursionlimit({LOW_LIMIT})
 for name, chain in (("lambdas", lambdas), ("bangs", bangs), ("gates", gates)):
     assert free_vars(chain) == {{"y"}}, name
-    closed = substitute(chain, "y", measure)
+    closed = substitute(chain, {{"y": measure}})
     assert free_vars(closed) == frozenset(), name
     assert height(chain) == height(closed) > N, name
     assert check(chain).verdict and check(closed).verdict, name
@@ -79,8 +78,8 @@ for name, chain in (("lambdas", lambdas), ("bangs", bangs), ("gates", gates)):
         result = evaluate(closed)
         assert result.status == "Converged", name
         closed = result.ensemble.entries[0][0]
-    if name != "bangs":
-        assert pretty(closed).count("M{{1}}") == 1, name
+    assert pretty(closed).count("M{{1}}") == 1, name
+assert pretty(bangs) == "!" * N + "y"
 print(sys.getrecursionlimit())
 """
 
@@ -98,7 +97,7 @@ path = sys.argv[1]
 with open(path) as f:
     body = parse_program(f.read()).main.body.fun.body
 sys.setrecursionlimit({LOW_LIMIT})
-substituted = pretty(substitute(body, "y", Var("z")))
+substituted = pretty(substitute(body, {{"y": Var("z")}}))
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     code = main(["run", path])

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 
 import qlam.reduction as reduction
 from qlam.confluence import GenConfig, generate
+from qlam.ensemble import equivalent, evaluate
 from qlam.parser import parse_term
 from qlam.quantum import QubitValue
 from qlam.reduction import (
@@ -32,6 +33,7 @@ from qlam.syntax import (
     substitute,
     subterm_at,
 )
+from qlam.wellformed import check
 
 from conftest import generated_term, random_register
 from reduction_oracles import (
@@ -206,12 +208,25 @@ def test_measurement_steps_commute_with_context(q, ctx):
     context, hole_pos = ctx
     m_term = App(MeasConst(frozenset({1})), QubitConst(q))
     direct = step_at(m_term, (), "M")
-    plugged = substitute(context, "hole", m_term)
+    plugged = substitute(context, {"hole": m_term})
     in_context = step_at(plugged, hole_pos, "M")
     assert len(direct) == len(in_context)
     for d, c in zip(direct, in_context):
         assert d.probability == pytest.approx(c.probability, abs=1e-12)
-        assert alpha_eq(c.target, substitute(context, "hole", d.target))
+        assert alpha_eq(c.target, substitute(context, {"hole": d.target}))
+
+
+def test_split_binders_sharing_a_name_take_the_right_factor():
+    """``let a * a = v in a`` is alpha-equivalent to ``let x * y = v in y``,
+    both check, and both reduce to the right factor."""
+    value = parse_term("!|01>")
+    shared = LetTensor("a", "a", value, Var("a"))
+    distinct = LetTensor("x", "y", value, Var("y"))
+    assert alpha_eq(shared, distinct)
+    assert check(shared).verdict and check(distinct).verdict
+    got, want = evaluate(shared).ensemble, evaluate(distinct).ensemble
+    assert equivalent(got, want)
+    assert [pretty(t) for t, _ in got.entries] == ["!|1>"]
 
 
 # ---------------------------------------------------------------------------

@@ -251,13 +251,13 @@ def test_deep_terms_compare_without_recursion():
 
 def test_substitute_variable():
     bang_zero = parse_term("!|0>")
-    assert substitute(Var("x"), "x", bang_zero) == bang_zero
+    assert substitute(Var("x"), {"x": bang_zero}) == bang_zero
 
 
 def test_substitute_avoids_capture():
     # (\y. x)[y/x] must rename the binder, not capture
     body = Lam("y", Var("x"))
-    got = substitute(body, "x", Var("y"))
+    got = substitute(body, {"x": Var("y")})
     assert isinstance(got, Lam)
     assert got.var != "y"
     assert got.body == Var("y")
@@ -267,13 +267,13 @@ def test_substitute_avoids_capture():
 def test_substitute_duplicates_into_nonlinear_positions():
     body = App(Var("x"), Var("x"))
     m = parse_term("M{1} ((0.6,0)!|0> + (0.8,0)!|1>)")
-    got = substitute(body, "x", m)
+    got = substitute(body, {"x": m})
     assert got == App(m, m)
 
 
 def test_substitute_shadowed_binder_untouched():
     t = parse_term(r"\x. x")
-    assert substitute(t, "x", Var("z")) == t
+    assert substitute(t, {"x": Var("z")}) == t
 
 
 @given(generated_term())
@@ -281,12 +281,12 @@ def test_substitute_free_var_contract(t):
     """Substituting into a closed term changes nothing; gluing t under a
     fresh binder keeps free variables empty."""
     assert free_vars(t) == frozenset()
-    assert substitute(t, "zz", Var("ww")) == t
+    assert substitute(t, {"zz": Var("ww")}) == t
 
 
 def test_substitute_under_bang_keeps_payload():
     t = Bang(Var("x"))
-    assert substitute(t, "x", Var("y")) == Bang(Var("y"))
+    assert substitute(t, {"x": Var("y")}) == Bang(Var("y"))
 
 
 @given(generated_term(), generated_term())
@@ -295,7 +295,7 @@ def test_substitute_free_variable_sets(body_part, rep_part):
     replacement plus the body's others; nothing gets captured."""
     body = App(Var("hole"), body_part)
     replacement = App(rep_part, Var("leaked"))
-    got = substitute(body, "hole", replacement)
+    got = substitute(body, {"hole": replacement})
     assert free_vars(got) == {"leaked"}
 
 
@@ -384,6 +384,24 @@ def test_pretty_prints_any_depth():
     assert text.count("H") == 40_000
 
 
+def test_pretty_prints_a_run_of_bangs_at_once():
+    """A run of bangs prints as one prefix over an atomic operand and as
+    nested parenthesized bangs over any other, as the recursive printer
+    prints it, and stops at a node printed as a name."""
+    f, g, h = Var("f"), Var("g"), Var("h")
+    assert pretty(App(f, Bang(Bang(App(g, h))))) == "f (!(!(g h)))"
+    assert pretty(App(f, Bang(Bang(h)))) == "f !!h"
+    for source in ["h", "g h", r"\x. x", "M{1}", "H", "H*H", "!|0>",
+                   "(0.6,0)!|0> + (0.8,0)!|1>"]:
+        t = parse_term(source)
+        for _ in range(4):
+            t = Bang(t)
+            for term in (t, App(f, t), App(t, f)):
+                assert pretty(term) == pretty_reference(term)
+    named = Bang(App(g, h))
+    assert pretty(Bang(Bang(named)), {id(named): "d"}) == "!!d"
+
+
 def test_round_trip_corpus_programs():
     from conftest import PROGRAMS
     from qlam.parser import parse_program
@@ -436,7 +454,7 @@ def _binder_names(t):
 @given(substitution_cases())
 def test_substitute_matches_reference(case):
     body, var, replacement = case
-    got = substitute(body, var, replacement)
+    got = substitute(body, {var: replacement})
     assert got == substitute_reference(body, var, replacement)
     assert free_vars(got) == free_vars_reference(got)
 
@@ -463,23 +481,67 @@ def test_substitute_renames_each_binder_kind_as_reference():
         (LetTensor("y", "z", Var("x"), App(Var("x"), Var("z"))), "x", pair),
     ]
     for body, var, replacement in cases:
-        got = substitute(body, var, replacement)
+        got = substitute(body, {var: replacement})
         assert got == substitute_reference(body, var, replacement)
         assert free_vars(got) == free_vars(replacement) | (free_vars(body) - {var})
-    assert substitute(*cases[0]) == Lam("y''", App(pair, Var("y''")))
+    assert substitute(cases[0][0], {"x": pair}) == Lam("y''", App(pair, Var("y''")))
 
 
 def test_substitute_returns_untouched_subterms_themselves():
     f = parse_term(r"\y. y")
     a = App(Var("g"), Var("x"))
     one = parse_term("!|1>")
-    got = substitute(App(f, a), "x", one)
+    got = substitute(App(f, a), {"x": one})
     assert got.fun is f
     assert got.arg == App(Var("g"), one)
     closed = parse_term(r"(\x. x) (M{1} !|0>)")
-    assert substitute(closed, "x", one) is closed
+    assert substitute(closed, {"x": one}) is closed
     shadowed = Lam("x", a)
-    assert substitute(shadowed, "x", one) is shadowed
+    assert substitute(shadowed, {"x": one}) is shadowed
+
+
+@st.composite
+def two_name_cases(draw):
+    """(body, x, y): a generated term with renamed binders and a variable
+    of each of the names x != y planted at a random position.  The names
+    are drawn from two unbound names and the binder names, so a planted
+    variable may be bound, and a binder may shadow x or y."""
+    body = rename_binders(draw(generated_term()), "v")
+    names = ["x", "y"] + sorted(_binder_names(body))
+    x, y = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True))
+    for name in (x, y):
+        pos = draw(st.sampled_from(list(positions(body))))
+        body = replace_at(body, pos, App(Var(name), subterm_at(body, pos)))
+    return body, x, y
+
+
+@given(two_name_cases(), generated_term(), generated_term())
+def test_simultaneous_substitution_matches_reference_in_sequence(case, r1, r2):
+    """With closed replacements, substituting two names at once is
+    substituting one after the other."""
+    body, x, y = case
+    got = substitute(body, {x: r1, y: r2})
+    assert got == substitute_reference(substitute_reference(body, x, r1), y, r2)
+    assert free_vars(got) == free_vars_reference(got)
+
+
+def test_substitute_is_simultaneous():
+    x, y = Var("x"), Var("y")
+    assert substitute(App(x, y), {"x": y, "y": x}) == App(y, x)
+    # each binder is renamed apart from every replacement live in its body
+    got = substitute(Lam("y", App(App(x, Var("z")), y)), {"x": y, "z": Var("y'")})
+    assert got == Lam("y''", App(App(y, Var("y'")), Var("y''")))
+
+
+def test_split_binders_sharing_a_name_bind_it_to_the_right():
+    """In ``let a * a = v in u`` the name a in u is the right binder's, for
+    a rename apart and for rename_binders as for free_vars and alpha_eq."""
+    value = parse_term("!|01>")
+    shared = LetTensor("a", "a", value, App(Var("a"), Var("z")))
+    got = substitute(shared, {"z": Var("a")})
+    assert got == LetTensor("a'", "a''", value, App(Var("a''"), Var("a")))
+    assert alpha_eq(got, LetTensor("x", "y", value, App(Var("y"), Var("a"))))
+    assert rename_binders(shared, "w") == LetTensor("w1", "w2", value, App(Var("w2"), Var("z")))
 
 
 def test_free_vars_sets_are_shared():
