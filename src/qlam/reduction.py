@@ -27,6 +27,10 @@ measurement application must collapse before it can be passed.
 Only (M) branches; every other rule yields a single step of probability 1,
 and the steps of one (position, rule) pair always carry total probability 1.
 
+Each rule's match and side conditions are written once, in head_rule: the
+contraction trusts its match and tests nothing, and stuck_sites reports the
+head shapes where head_rule finds no rule.
+
 One walk finds redexes: it visits each App, If and LetTensor node (the only
 nodes a head rule matches) not under a bang, first those in evaluation
 position in call-by-value postorder (function, argument, application;
@@ -34,7 +38,7 @@ condition, if; split value, split), then the subtrees that pass sets aside
 (binder bodies, if arms, split bodies) in position order, each in preorder.
 strategy_redex fires its first hit (None means a normal form),
 enumerate_redexes sorts every hit into preorder and stuck_sites reads every
-node.
+node.  step_at walks down to its one position once and matches there once.
 """
 
 from __future__ import annotations
@@ -64,11 +68,11 @@ from .syntax import (
     Position,
     QubitConst,
     Term,
+    _path_to,
     _position,
+    _rebuild,
     children,
-    replace_at,
     substitute,
-    subterm_at,
 )
 
 RULE_BETA = "beta"
@@ -115,7 +119,8 @@ def _is_base_bit(q: QubitValue, bit: int) -> bool:
 
 
 def head_rule(t: Term) -> str | None:
-    """The head rule firing at the root of t, if any.  At most one matches."""
+    """The head rule firing at the root of t, if any.  At most one matches.
+    The only place a rule's side conditions are tested."""
     cls = type(t)
     if cls is App:
         fun, arg = t.fun, t.arg
@@ -129,8 +134,7 @@ def head_rule(t: Term) -> str | None:
             if f is GateConst:
                 return RULE_UNITARY if fun.gate.arity == width else None
             if f is MeasConst:
-                idx = fun.indices
-                return RULE_MEASURE if idx and max(idx) <= width else None
+                return RULE_MEASURE if max(fun.indices) <= width else None
         return None
     if cls is If:
         if type(t.cond) is QubitConst:
@@ -146,66 +150,50 @@ def head_rule(t: Term) -> str | None:
     return None
 
 
-def _contract(t: Term, rule: str, pick: Pick | None) -> list[tuple[Term, float]] | None:
-    """Successors of the head redex t under rule, with probabilities; None
-    when rule does not match at the root of t.  The guards are head_rule's,
-    so one match both validates and contracts; a split tests its register
-    by splitting it.  (M) yields the branches ``pick`` names (see
-    quantum.measure)."""
-    cls = type(t)
-    if cls is App:
-        fun, arg = t.fun, t.arg
-        f, a = type(fun), type(arg)
-        if f is Lam and rule == RULE_BETA or (
-                f is BangLam and a is QubitConst and rule == RULE_BANG_BETA2):
-            return [(substitute(fun.body, {fun.var: arg}), 1.0)]
-        if f is BangLam and a is Bang and rule == RULE_BANG_BETA1:
-            return [(substitute(fun.body, {fun.var: arg.body}), 1.0)]
-        if a is QubitConst:
-            q = arg.value
-            if f is GateConst and rule == RULE_UNITARY and fun.gate.arity == q.width:
-                return [(QubitConst(apply_gate(fun.gate, q)), 1.0)]
-            if f is MeasConst and rule == RULE_MEASURE:
-                idx = fun.indices
-                if idx and max(idx) <= q.width:
-                    return [(QubitConst(o.post), o.probability)
-                            for o in measure(q, idx, pick)]
-    elif cls is If and type(t.cond) is QubitConst:
-        q = t.cond.value
-        if rule == RULE_IF0 and _is_base_bit(q, 0):
-            return [(t.then, 1.0)]
-        if rule == RULE_IF1 and _is_base_bit(q, 1):
-            return [(t.orelse, 1.0)]
-    elif (cls is LetTensor and rule == RULE_SPLIT and type(t.value) is QubitConst
-          and t.value.value.width >= 2):
-        parts = factor_split(t.value.value, 1)
-        if parts is None:
-            return None
-        left, right = parts
-        return [(substitute(t.body, {t.left: QubitConst(left), t.right: QubitConst(right)}), 1.0)]
-    return None
+def _contract(t: Term, rule: str, pick: Pick | None) -> list[tuple[Term, float]]:
+    """Successors of the head redex t, which head_rule matched as ``rule``,
+    with probabilities.  No guard is tested again: a split's register is a
+    product.  (M) yields the branches ``pick`` names (see quantum.measure)."""
+    if rule == RULE_BETA or rule == RULE_BANG_BETA2:
+        return [(substitute(t.fun.body, {t.fun.var: t.arg}), 1.0)]
+    if rule == RULE_BANG_BETA1:
+        return [(substitute(t.fun.body, {t.fun.var: t.arg.body}), 1.0)]
+    if rule == RULE_UNITARY:
+        return [(QubitConst(apply_gate(t.fun.gate, t.arg.value)), 1.0)]
+    if rule == RULE_MEASURE:
+        return [(QubitConst(o.post), o.probability)
+                for o in measure(t.arg.value, t.fun.indices, pick)]
+    if rule == RULE_IF0:
+        return [(t.then, 1.0)]
+    if rule == RULE_IF1:
+        return [(t.orelse, 1.0)]
+    left, right = factor_split(t.value.value, 1)
+    return [(substitute(t.body, {t.left: QubitConst(left), t.right: QubitConst(right)}), 1.0)]
 
 
 def step_at(t: Term, position: Position, rule: str,
             pick: Pick | None = None) -> list[ProbStep]:
     """Fire ``rule`` at ``position``; without ``pick`` the returned steps'
-    probabilities sum to 1.  Raises NoRedexError when the rule does not
-    match there, with a sharper message when (M) meets a non-constant
-    operand.
+    probabilities sum to 1.  The walk down is made once and each step is
+    rebuilt from its path.  Raises NoRedexError when t has no such position
+    or head_rule finds another rule there (sharper when (M) meets a
+    non-constant operand).
 
     A measurement hands ``pick`` its branch probabilities (in outcome-word
     order) and builds only the branches at the indices it returns, each
     step keeping its Born probability; ``pick`` may also raise, and then no
     post-state is built.  No other rule branches, so none of them asks it."""
-    sub = subterm_at(t, position)
-    contracted = _contract(sub, rule, pick)
-    if contracted is None:
+    try:
+        path, sub = _path_to(t, position)
+    except IndexError:
+        raise NoRedexError(f"no subterm at {position}") from None
+    if head_rule(sub) != rule:
         stuck = rule == RULE_MEASURE and isinstance(sub, App) and \
             isinstance(sub.fun, MeasConst) and not isinstance(sub.arg, QubitConst)
         raise NoRedexError(f"measurement operand at {position} is not a register constant"
                            if stuck else f"rule {rule} does not match at {position}")
-    return [ProbStep(replace_at(t, position, target), p, rule, position)
-            for target, p in contracted]
+    return [ProbStep(_rebuild(path, target), p, rule, position)
+            for target, p in _contract(sub, rule, pick)]
 
 
 def _redex_sites(t: Term) -> Iterator[tuple[tuple, Term]]:
@@ -244,22 +232,24 @@ def enumerate_redexes(t: Term, rules: RuleSet) -> list[tuple[Position, str]]:
 
 
 def stuck_sites(t: Term) -> list[tuple[Position, str]]:
-    """Positions that look like redexes but can never fire as they stand:
-    conditionals on superposed or non-register conditions, measurements of
-    non-constants or out-of-range wires, entangled splits, arity mismatches.
+    """The head shapes where head_rule finds no rule: a conditional on a
+    register that is not a base qubit, a split of a register that is not a
+    product, a gate or measurement applied to a register it does not fit.
     Useful diagnostics for terms that converge while still containing them.
     In preorder position order."""
     out: list[tuple[tuple, str]] = []
     for link, term in _redex_sites(t):
+        if head_rule(term) is not None:
+            continue
         match term:
-            case If(QubitConst(_), _, _) if head_rule(term) is None:
+            case If(QubitConst(_), _, _):
                 out.append((link, "conditional on a non-base register"))
-            case LetTensor(_, _, QubitConst(q), _) if head_rule(term) is None:
+            case LetTensor(_, _, QubitConst(q), _):
                 kind = "a single-wire" if q.width < 2 else "an entangled"
                 out.append((link, f"split of {kind} register"))
-            case App(GateConst(g), QubitConst(q)) if g.arity != q.width:
+            case App(GateConst(g), QubitConst(q)):
                 out.append((link, f"gate arity {g.arity} vs register width {q.width}"))
-            case App(MeasConst(idx), QubitConst(q)) if max(idx) > q.width:
+            case App(MeasConst(idx), QubitConst(q)):
                 out.append((link, f"measured wire {max(idx)} beyond width {q.width}"))
     return sorted((_position(link), why) for link, why in out)
 

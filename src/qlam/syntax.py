@@ -228,20 +228,27 @@ def with_children(t: Term, new: tuple[Term, ...]) -> Term:
     return t
 
 
-def subterm_at(t: Term, pos: Position) -> Term:
+def _path_to(t: Term, pos: Position) -> tuple[list[tuple[Term, int]], Term]:
+    """The (node, child index) pairs from t down to pos, and the subterm
+    there.  IndexError for a missing child, a negative index included."""
+    path = []
     for i in pos:
-        t = children(t)[i]
-    return t
+        kids = children(t)
+        if not 0 <= i < len(kids):
+            raise IndexError(f"no subterm at {pos}")
+        path.append((t, i))
+        t = kids[i]
+    return path, t
+
+
+def subterm_at(t: Term, pos: Position) -> Term:
+    return _path_to(t, pos)[1]
 
 
 def replace_at(t: Term, pos: Position, new: Term) -> Term:
     """t with the subterm at pos replaced by new: the nodes on the path are
     rebuilt, every other subterm comes back as the same object."""
-    path = []
-    for i in pos:
-        path.append((t, i))
-        t = children(t)[i]
-    return _rebuild(path, new)
+    return _rebuild(_path_to(t, pos)[0], new)
 
 
 def _rebuild(path: list[tuple[Term, int]], new: Term) -> Term:

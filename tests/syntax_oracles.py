@@ -98,7 +98,8 @@ def substitute_reference(body: Term, var: str, replacement: Term) -> Term:
                     inner_free = free_vars_reference(inner)
                     if x in rep_free:
                         x2 = fresh_name(x, rep_free | inner_free | {y})
-                        inner = substitute_reference(inner, x, Var(x2))
+                        if x != y:  # else the body's x is the right binder's
+                            inner = substitute_reference(inner, x, Var(x2))
                         x = x2
                     if y in rep_free:
                         y2 = fresh_name(y, rep_free | free_vars_reference(inner) | {x})

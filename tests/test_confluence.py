@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qlam import confluence
+from qlam import confluence, reduction
 from qlam.confluence import (
     BudgetExceededError,
     DiamondReport,
@@ -20,9 +20,11 @@ from qlam.confluence import (
 )
 from qlam.ensemble import TermEnsemble, equivalent, singleton
 from qlam.parser import parse_term
+from qlam.quantum import measure
 from qlam.reduction import RULESET_S, RULESET_T
 from qlam.syntax import (
     App,
+    Bang,
     BangLam,
     If,
     Lam,
@@ -286,3 +288,47 @@ def test_plugging_preserves_equivalence(seed, context):
     tau1 = TermEnsemble(tuple((context(u), p) for u, p in omega1.entries))
     tau2 = TermEnsemble(tuple((context(u), p) for u, p in omega2.entries))
     assert equivalent(tau1, tau2)
+
+
+# ---------------------------------------------------------------------------
+# mutation controls: a rule changed in head_rule alone fails a diamond
+
+
+def _nonvalue_bang_beta(head_rule):
+    """!beta2 also fires on an argument that is neither a bang nor a register
+    constant, breaking the nonlinear rules' value restriction."""
+    def mutant(t):
+        if type(t) is App and type(t.fun) is BangLam and type(t.arg) not in (Bang, QubitConst):
+            return reduction.RULE_BANG_BETA2
+        return head_rule(t)
+    return mutant
+
+
+def _likelier_arm(head_rule):
+    """A conditional over ``M{I} q`` takes the arm of the measurement's
+    likelier outcome (the first of equals) without measuring."""
+    def mutant(t):
+        match t:
+            case If(App(MeasConst(idx), QubitConst(q)), _, _) if max(idx) <= q.width:
+                likelier = max(measure(q, idx), key=lambda o: o.probability)
+                return reduction.RULE_IF1 if likelier.outcome & 1 else reduction.RULE_IF0
+        return head_rule(t)
+    return mutant
+
+
+@pytest.mark.parametrize("mutate, caught_by", [(_nonvalue_bang_beta, ("S", "T", 0)),
+                                              (_likelier_arm, ("T", "T", 4))])
+def test_a_rule_changed_in_head_rule_alone_fails_a_diamond(monkeypatch, mutate, caught_by):
+    """Patched into head_rule and nowhere else, each mutant is a diamond
+    failure on the regression shapes, not an exception: step_at contracts
+    whatever head_rule matched.  Unmutated, every shape passes."""
+    seeds = regression_seeds()
+    pairs = {"T": RULESET_T, "S": RULESET_S}
+
+    def failing(a, b):
+        return {i for i, t in enumerate(seeds) if not check_diamond(t, pairs[a], pairs[b]).ok}
+
+    assert failing("T", "T") == failing("S", "T") == set()
+    monkeypatch.setattr(reduction, "head_rule", mutate(reduction.head_rule))
+    a, b, index = caught_by
+    assert failing(a, b) == {index}

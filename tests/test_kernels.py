@@ -505,20 +505,22 @@ def test_exact_split_hands_over_none_near_the_threshold():
 
 
 def test_step_at_matches_once(monkeypatch):
-    """step_at validates and contracts in one match: no head_rule call.  A
-    one-row register splits without the rank-1 test; any other fired split
-    runs it once, for the walk's test and the contract's split together."""
+    """step_at matches with one head_rule call, on the redex, and contracts
+    without a second test.  A one-row register splits without the rank-1
+    test; any other fired split runs it once, for the walk's test, the
+    step's match and the contract's split together."""
     import qlam.reduction as reduction
     from qlam.parser import parse_term
 
-    tests, splits = [], []
+    tests, splits, matched = [], [], []
     rank1, split, head_rule = quantum._rank1, reduction.factor_split, reduction.head_rule
     monkeypatch.setattr(quantum, "_rank1", lambda *args: tests.append(args) or rank1(*args))
     monkeypatch.setattr(reduction, "factor_split",
                         lambda *args: splits.append(args) or split(*args))
 
-    def no_head_rule(_t):
-        raise AssertionError("step_at matched the redex twice")
+    def counted_head_rule(t):
+        matched.append(t)
+        return head_rule(t)
 
     for source, rank1_runs in [
             ("let a * b = !|0> * ((0.6,0)!|0> + (0.8,0)!|1>) in b", 0),
@@ -529,8 +531,10 @@ def test_step_at_matches_once(monkeypatch):
         monkeypatch.setattr(reduction, "head_rule", head_rule)
         redex = reduction.strategy_redex(term)
         assert redex == ((), "split") and len(tests) == rank1_runs and splits == []
-        monkeypatch.setattr(reduction, "head_rule", no_head_rule)
+        monkeypatch.setattr(reduction, "head_rule", counted_head_rule)
+        matched.clear()
         [step] = reduction.step_at(term, *redex)
+        assert len(matched) == 1 and matched[0] is term
         assert len(tests) == rank1_runs and len(splits) == 1
         assert amps_close(step.target.value, QubitValue(1, {0: 0.6, 1: 0.8}), 1e-12)
 

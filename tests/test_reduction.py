@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,15 @@ def test_split_step():
 def test_no_redex_error():
     with pytest.raises(NoRedexError):
         step_at(parse_term("x"), (), "beta")
+
+
+@pytest.mark.parametrize("pos", [(-1,), (-2,), (2,), (5,), (1, -1), (0, 0, 0)])
+def test_step_at_rejects_a_position_outside_the_term(pos):
+    """A beta redex sits at (1,), but no negative index counts from the end
+    and no index past the last child reaches it."""
+    t = parse_term(r"(\x. x) ((\y. y) !|0>)")
+    with pytest.raises(NoRedexError, match=re.escape(f"no subterm at {pos}")):
+        step_at(t, pos, "beta")
 
 
 def test_stuck_measurement_error():

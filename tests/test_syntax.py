@@ -311,6 +311,17 @@ def test_positions_and_replace():
     assert subterm_at(swapped, (0,)) == Lam("x", Var("x"))
 
 
+@pytest.mark.parametrize("pos", [(-1,), (-2,), (2,), (5,), (1, -1), (0, 0, 0)])
+def test_positions_outside_the_term_are_rejected(pos):
+    """An index the node has no child at is an IndexError, a negative one
+    included: no position counts from the end."""
+    t = parse_term(r"(\x. x) ((\y. y) !|0>)")
+    with pytest.raises(IndexError):
+        subterm_at(t, pos)
+    with pytest.raises(IndexError):
+        replace_at(t, pos, Var("z"))
+
+
 # ---------------------------------------------------------------------------
 # pretty-printing round trip
 
@@ -535,11 +546,13 @@ def test_substitute_is_simultaneous():
 
 def test_split_binders_sharing_a_name_bind_it_to_the_right():
     """In ``let a * a = v in u`` the name a in u is the right binder's, for
-    a rename apart and for rename_binders as for free_vars and alpha_eq."""
+    a rename apart (in substitute and its oracle) and for rename_binders as
+    for free_vars and alpha_eq."""
     value = parse_term("!|01>")
     shared = LetTensor("a", "a", value, App(Var("a"), Var("z")))
     got = substitute(shared, {"z": Var("a")})
     assert got == LetTensor("a'", "a''", value, App(Var("a''"), Var("a")))
+    assert got == substitute_reference(shared, "z", Var("a"))
     assert alpha_eq(got, LetTensor("x", "y", value, App(Var("y"), Var("a"))))
     assert rename_binders(shared, "w") == LetTensor("w1", "w2", value, App(Var("w2"), Var("z")))
 
