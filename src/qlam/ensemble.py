@@ -78,7 +78,7 @@ class TermEnsemble:
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("an ensemble cannot be empty")
-        if any(p <= 0 for _, p in self.entries):
+        if any(not p > 0 for _, p in self.entries):  # NaN is not positive either
             raise ValueError("entry probabilities must be positive")
         if abs(self.mass() - 1.0) > MASS_TOL:
             raise ValueError(f"ensemble mass {self.mass()} is not 1")

@@ -33,15 +33,19 @@ Program files hold ``gate NAME = [[...]];`` declarations and definitions
 desugar to nested abstractions (a ``!arg`` parameter binds nonlinearly) and
 every use site is inlined.
 
-Tokens are flat.  ``_tokenize`` makes one ``finditer`` pass with a regex
-that consumes the whitespace and comments before each token, and fills
-three parallel lists: a tag (the text of a symbol or keyword, else the
-kind: ``name``, ``ket``, ``number``), the text, and the source offset.
-The lists end in an ``eof`` token, so looking one token ahead never runs
-off the end.  The grammar compares ``tags[i]`` directly and names a token
-by its index.  Line and column are worked out from the offset only when a
-ParseError or a strict-surface note needs them, by bisecting the offsets
-of the source's newlines (found once, at the first such need).  A
+Tokens are flat.  ``_tokenize`` gets the text of every token from one
+``findall`` call, with a regex that consumes the whitespace and comments
+before each token, and tags each text: a symbol or keyword is its own tag,
+any other text is tagged by its first character (``name``, ``ket``,
+``number``, or ``bad`` for a character that starts no token; a lone ``|``
+or ``-`` starts a ket or a number but is not one, so it is ``bad`` too).
+The lists end in one ``eof`` token, the empty text at the end of the
+source, so looking one token ahead never runs off the end.  The grammar
+compares ``tags[i]`` directly and names a token by its index.  A token's
+source offset, and its line and column, are worked out only when a
+ParseError or a strict-surface note first needs one: then the same regex
+runs once more, as ``finditer``, for the offsets, and the source's
+newlines are found, so a position is a bisection of their offsets.  A
 carriage return counts as a column of its line.
 
 A parsed term may nest at most MAX_NESTING levels: the nodes on its
@@ -71,8 +75,10 @@ from __future__ import annotations
 
 import cmath
 import re
+import string
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterable
 
 from .quantum import (
@@ -119,26 +125,33 @@ MAX_NESTING = 900
 _MAX_OPEN = 2 * MAX_NESTING
 
 # One match per token: the whitespace and comments before it, then the
-# token.  ``eof`` matches at the end of the source and ``bad`` at any
-# character that starts no token.
+# token as group 1.  The empty text matches at the end of the source, and
+# one character at any character that starts no token.
 _TOKEN_RE = re.compile(
     r"""
     (?:[ \t\r\n]+|\#[^\n]*)*
-    (?:
-      (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    | (?P<ket>\|[01]+>)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_']*)
-    | (?P<sym>[\\.!(){}\[\],;=*+])
-    | (?P<eof>\Z)
-    | (?P<bad>.)
+    (
+      -?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?
+    | \|[01]+>
+    | [A-Za-z_][A-Za-z0-9_']*
+    | [\\.!(){}\[\],;=*+]
+    | \Z
+    | .
     )
     """,
     re.VERBOSE,
 )
 
-# A token's tag is its text for symbols and keywords; other tokens are
-# tagged with their kind (name, ket, number, eof).
+# A token's tag is its text for symbols and keywords; the empty text at the
+# end is ``eof``, and a lone ``|`` or ``-`` (which starts a ket or a number
+# but is not one) is ``bad``.
 _TEXT_TAGS = {text: text for text in (*KEYWORDS, *_SYMBOLS)}
+_TEXT_TAGS.update({"": "eof", "|": "bad", "-": "bad"})
+# Any other token is tagged by its first character: a number may also start
+# with any other decimal digit ``\d`` matches, and a character that starts
+# no token is ``bad``.
+_FIRST_TAGS = {**dict.fromkeys(string.digits + "-", "number"), "|": "ket",
+               **dict.fromkeys(string.ascii_letters + "_", "name")}
 # Tags that start a prim, and so continue an application.
 _PRIM_START = frozenset(("name", "ket", "!", "("))
 
@@ -166,25 +179,25 @@ def _line_col(newlines: list[int], offset: int) -> tuple[int, int]:
     return line + 1, offset - start + 1
 
 
-def _tokenize(source: str) -> tuple[list[str], list[str], list[int]]:
-    """The tags, texts and source offsets of the tokens of ``source``, as
-    parallel lists that end in one ``eof`` token."""
-    tags: list[str] = []
-    texts: list[str] = []
-    offsets: list[int] = []
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        text = m[kind]
-        tags.append(_TEXT_TAGS.get(text, kind))
-        texts.append(text)
-        offsets.append(m.start(kind))
-        if kind == "eof":
-            break
+def _tokenize(source: str) -> tuple[list[str], list[str]]:
+    """The tags and texts of the tokens of ``source``, as parallel lists
+    that end in one ``eof`` token."""
+    texts = _TOKEN_RE.findall(source)
+    if len(texts) > 1 and not texts[-2]:
+        texts.pop()  # the end matched twice: after trailing whitespace, then empty
+    text_tag, first_tag = _TEXT_TAGS.get, _FIRST_TAGS.get
+    tags = [text_tag(text) or first_tag(text[0])
+            or ("number" if text[0].isdecimal() else "bad") for text in texts]
     if "bad" in tags:
         i = tags.index("bad")
         raise ParseError(f"unexpected character {texts[i]!r}",
-                         *_line_col(_newlines(source), offsets[i]))
-    return tags, texts, offsets
+                         *_line_col(_newlines(source), _offsets(source, i + 1)[i]))
+    return tags, texts
+
+
+def _offsets(source: str, count: int) -> list[int]:
+    """The source offsets of the first ``count`` tokens ``_tokenize`` finds."""
+    return [m.start(1) for m in islice(_TOKEN_RE.finditer(source), count)]
 
 
 @dataclass
@@ -216,7 +229,7 @@ class _Parser:
 
     def __init__(self, source: str, gates: dict[str, GateAtom], defs: dict[str, Term]):
         self.source = source
-        self.tags, self.texts, self.offsets = _tokenize(source)
+        self.tags, self.texts = _tokenize(source)
         self.i = 0
         self.gates = gates
         self.defs = defs
@@ -225,12 +238,15 @@ class _Parser:
         # one constant per gate name, shared by its uses (gates are never
         # redeclared, so an entry stays valid)
         self.gate_consts: dict[str, GateConst] = {}
-        self.newlines: list[int] | None = None  # built at the first position asked for
+        # token offsets and newline offsets, found at the first position asked for
+        self.offsets: list[int] | None = None
+        self.newlines: list[int] = []
 
     # -- positions and errors
 
     def line_col(self, i: int) -> tuple[int, int]:
-        if self.newlines is None:
+        if self.offsets is None:
+            self.offsets = _offsets(self.source, len(self.tags))
             self.newlines = _newlines(self.source)
         return _line_col(self.newlines, self.offsets[i])
 

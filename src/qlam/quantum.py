@@ -15,7 +15,13 @@ scatter adds them in.  It is taken on registers of DENSE_MIN_WIDTH to
 DENSE_MAX_WIDTH wires, and there only when the scatter's moves (estimated
 from the support, grown by each factor's column fan-out) exceed the dense
 pass's price.  Narrower registers, and wider ones such as a sparse 60-wire
-register, stay on the scatter.
+register, stay on the scatter.  What a pass reads of a gate never changes,
+so it is worked out once: a GateAtom and a GateExpr compute their arity at
+construction, and an atom keeps its nonzero column and row tables and, per
+shift (the wires to its right), the scatter's move tables, on the atom
+itself.  An atom is shared by every expression built over it (the parser
+builds a new GateExpr for every tensor it folds), and a lookup keyed by the
+atom would hash its whole matrix.
 
 Which amplitudes a register keeps is decided by ``_kept``, in the same pass
 that finds the register's key support: the indices whose amplitude modulus
@@ -61,7 +67,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -127,7 +132,17 @@ class ZeroMassError(ValueError):
 
 @dataclass(frozen=True)
 class GateAtom:
-    """A named primitive gate with an explicit unitary matrix."""
+    """A named primitive gate with an explicit unitary matrix.
+
+    What apply_gate reads of it is computed once and kept on it, in
+    attributes that are not fields, so equality, hashing and repr never see
+    them (like the register memos below): ``arity``; ``_columns``, per
+    column c the (row, entry) pairs with a nonzero entry, or None for an
+    identity matrix, which apply_gate skips; ``_rows``, per row r the
+    (column, entry) pairs with a nonzero entry, in column order; and
+    ``_moves_memo``, the scatter's tables by shift (see _moves), filled as
+    shifts are asked for.
+    """
 
     name: str
     matrix: tuple[tuple[complex, ...], ...]
@@ -148,47 +163,40 @@ class GateAtom:
             unitary = np.allclose(u @ u.conj().T, np.eye(n), atol=UNITARY_TOL, rtol=0.0)
         if not unitary:
             raise GateError(f"gate {self.name}: matrix is not unitary")
-
-    @property
-    def arity(self) -> int:
-        return len(self.matrix).bit_length() - 1
-
-
-@lru_cache(maxsize=None)
-def _atom_columns(atom: GateAtom) -> tuple[tuple[tuple[int, complex], ...], ...] | None:
-    """Per column c, the (row, entry) pairs with a nonzero entry; None for an
-    identity matrix, which apply_gate skips."""
-    mat = atom.matrix
-    n = len(mat)
-    if all(mat[r][c] == (1 if r == c else 0) for r in range(n) for c in range(n)):
-        return None
-    return tuple(tuple((r, mat[r][c]) for r in range(n) if mat[r][c] != 0)
-                 for c in range(n))
+        object.__setattr__(self, "arity", arity)
+        identity = all(mat[r][c] == (1 if r == c else 0) for r in range(n) for c in range(n))
+        object.__setattr__(self, "_columns", None if identity else tuple(
+            tuple((r, mat[r][c]) for r in range(n) if mat[r][c] != 0) for c in range(n)))
+        object.__setattr__(self, "_rows", tuple(
+            tuple((c, mat[r][c]) for c in range(n) if mat[r][c] != 0) for r in range(n)))
+        object.__setattr__(self, "_moves_memo", {})
 
 
-@lru_cache(maxsize=None)
-def _atom_rows(atom: GateAtom) -> tuple[tuple[tuple[int, complex], ...], ...]:
-    """Per row r, the (column, entry) pairs with a nonzero entry, in column
-    order."""
-    mat = atom.matrix
-    n = len(mat)
-    return tuple(tuple((c, mat[r][c]) for c in range(n) if mat[r][c] != 0)
-                 for r in range(n))
+def _moves(atom: GateAtom, right: int) -> tuple[int, int, tuple]:
+    """The scatter's tables for a non-identity atom with ``right`` wires to
+    its right: its block mask, the mask of the bits outside its block, and
+    per column the (row << right, entry) moves.  Made once per shift and
+    kept on the atom."""
+    out = atom._moves_memo.get(right)
+    if out is None:
+        block = (1 << atom.arity) - 1
+        out = atom._moves_memo[right] = (
+            block, ~(block << right),
+            tuple(tuple((r << right, z) for r, z in col) for col in atom._columns))
+    return out
 
 
 @dataclass(frozen=True)
 class GateExpr:
-    """Tensor composition of primitive gates, acting on ``arity`` wires."""
+    """Tensor composition of primitive gates, acting on ``arity`` wires
+    (computed once, here)."""
 
     atoms: tuple[GateAtom, ...]
 
     def __post_init__(self) -> None:
         if not self.atoms:
             raise GateError("empty gate expression")
-
-    @property
-    def arity(self) -> int:
-        return sum(atom.arity for atom in self.atoms)
+        object.__setattr__(self, "arity", sum(atom.arity for atom in self.atoms))
 
     def tensor(self, other: "GateExpr") -> "GateExpr":
         return GateExpr(self.atoms + other.atoms)
@@ -416,18 +424,17 @@ def _scatter(g: GateExpr, q: QubitValue) -> dict[int, complex]:
     entries: dict[int, complex] = dict(q.amps)
     right = q.width
     for atom in g.atoms:
-        k = atom.arity
-        right -= k
-        columns = _atom_columns(atom)
-        if columns is None:
+        right -= atom.arity
+        if atom._columns is None:
             continue
-        block = (1 << k) - 1
-        outside = ~(block << right)
-        moves = [tuple((r << right, z) for r, z in col) for col in columns]
+        block, outside, moves = _moves(atom, right)
         new: dict[int, complex] = {}
         for u, a in entries.items():
-            if _modulus(a) <= EPS_ZERO:  # cancelled in an earlier factor
-                continue
+            try:
+                if abs(a) <= EPS_ZERO:  # cancelled in an earlier factor
+                    continue
+            except OverflowError:  # a modulus past the float range is kept
+                pass
             base = u & outside
             for offset, z in moves[(u >> right) & block]:
                 v = base | offset
@@ -460,7 +467,7 @@ def _dense(g: GateExpr, q: QubitValue) -> tuple[tuple[int, complex], ...]:
     for atom in g.atoms:
         k = atom.arity
         right -= k
-        if _atom_columns(atom) is None:
+        if atom._columns is None:
             continue
         if vec is None:
             us, zs = zip(*q.amps)
@@ -470,7 +477,7 @@ def _dense(g: GateExpr, q: QubitValue) -> tuple[tuple[int, complex], ...]:
             vec[np.hypot(vec.real, vec.imag) <= EPS_ZERO] = 0  # cancelled in an earlier factor
         src = vec.reshape(-1, 1 << k, 1 << right)
         out = np.empty_like(src)
-        for r, ((c, z), *rest) in enumerate(_atom_rows(atom)):
+        for r, ((c, z), *rest) in enumerate(atom._rows):
             row = out[:, r]
             np.multiply(src[:, c], z, out=row)
             for c, z in rest:
@@ -491,7 +498,7 @@ def _use_dense(g: GateExpr, q: QubitValue) -> bool:
     support = len(q.amps)
     moves = price = 0
     for atom in g.atoms:
-        columns = _atom_columns(atom)
+        columns = atom._columns
         if columns is None:
             continue
         fan_out = max(map(len, columns))

@@ -241,16 +241,6 @@ def _path_to(t: Term, pos: Position) -> tuple[list[tuple[Term, int]], Term]:
     return path, t
 
 
-def subterm_at(t: Term, pos: Position) -> Term:
-    return _path_to(t, pos)[1]
-
-
-def replace_at(t: Term, pos: Position, new: Term) -> Term:
-    """t with the subterm at pos replaced by new: the nodes on the path are
-    rebuilt, every other subterm comes back as the same object."""
-    return _rebuild(_path_to(t, pos)[0], new)
-
-
 def _rebuild(path: list[tuple[Term, int]], new: Term) -> Term:
     """The root of ``path`` with new in place of the node the path leads
     to.  Each (node, child index) on it is rebuilt around the new child."""
@@ -390,12 +380,12 @@ def substitute(body: Term, sigma: dict[str, Term]) -> Term:
     """Capture-avoiding simultaneous substitution: body with each free name
     of sigma replaced by sigma's term for it, all at once.  A subterm in
     which no name of sigma is free (is live) comes back as the same object.
-    One loop follows a node's one live child, keeping the path as replace_at
-    does; a node with several live children waits on a stack.  A binder
-    drops the names it shadows from sigma.  One free in a replacement live
-    in its body is renamed apart by one more entry of sigma (Stoughton, TCS
-    59, 1988), to a name free in none of those replacements, nor in the
-    body, and not the node's other binder."""
+    One loop follows a node's one live child, keeping the path as _path_to
+    does and rebuilding it with _rebuild; a node with several live children
+    waits on a stack.  A binder drops the names it shadows from sigma.  One
+    free in a replacement live in its body is renamed apart by one more
+    entry of sigma (Stoughton, TCS 59, 1988), to a name free in none of
+    those replacements, nor in the body, and not the node's other binder."""
     if free_vars(body).isdisjoint(sigma):
         return body
     # free_vars(body) memoized every node below it but the closed leaves,

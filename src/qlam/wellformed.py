@@ -23,8 +23,9 @@ A pre-term is well-formed when:
     construction.)
 
 The check is one walk (run by syntax.descend, so any depth checks).  It
-returns, for each subterm, how often each variable name occurs free in it;
-a binder pops its own name from its body's counts (a linear abstraction
+returns, for each subterm, how often each variable name occurs free in it,
+as a plain dict that the node's parent adds into its own (``_add``); a
+binder pops its own name from its body's counts (a linear abstraction
 requires exactly one use), so shadowing needs no bookkeeping beyond a scope
 mapping each bound name to its linearity, and the root's counts are the
 free-variable uses.  The scope is one dict that a binder updates on the way
@@ -35,7 +36,6 @@ Violations are reported, never raised; check is total.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .syntax import (
@@ -89,7 +89,13 @@ def check(t: Term) -> WfReport:
     return WfReport(violations)
 
 
-def _linear_names(uses: Counter, env: dict[str, str]) -> str:
+def _add(uses: dict[str, int], more: dict[str, int]) -> None:
+    """Add the use counts ``more`` into ``uses``."""
+    for name, n in more.items():
+        uses[name] = uses.get(name, 0) + n
+
+
+def _linear_names(uses: dict[str, int], env: dict[str, str]) -> str:
     """The used names bound linearly in env, quoted and sorted; '' if none."""
     return ", ".join(repr(x) for x in sorted(uses) if env.get(x) == LINEAR)
 
@@ -106,22 +112,22 @@ def _bind(env: dict[str, str], name: str, linearity: str | None) -> str | None:
 
 
 def _walk(t: Term, env: dict[str, str], link: tuple,
-          violations: list[Violation]) -> Walk | Counter:
-    """How often each variable name occurs free in t: a Counter for a leaf,
+          violations: list[Violation]) -> Walk | dict[str, int]:
+    """How often each variable name occurs free in t: a dict for a leaf,
     else a walk that returns one.  ``env`` maps every name bound around t
     to its linearity; ``link`` stands for t's position."""
     cls = type(t)
     if cls is Var:
-        return Counter((t.name,))
+        return {t.name: 1}
     if cls is QubitConst:
         q = t.value
         if not q.is_unit():
             violations.append((_position(link), "superposition",
                                f"register amplitudes have squared mass {q.norm_sq():.6g}, "
                                "expected 1"))
-        return Counter()
+        return {}
     if cls is GateConst or cls is MeasConst:
-        return Counter()
+        return {}
     if cls in _INNER:
         return _walk_inner(t, env, link, violations)
     raise TypeError(f"not a term: {t!r}")
@@ -145,7 +151,7 @@ def _walk_inner(t: Term, env: dict[str, str], link: tuple,
         if type(t.fun) is BangLam:
             _check_nonlinear_arg(t.arg, (link, 1), violations)
         uses = yield _walk(t.fun, env, (link, 0), violations)
-        uses.update((yield _walk(t.arg, env, (link, 1), violations)))
+        _add(uses, (yield _walk(t.arg, env, (link, 1), violations)))
         return uses
     if cls is Bang:
         uses = yield _walk(t.body, env, (link, 0), violations)
@@ -163,7 +169,7 @@ def _walk_inner(t: Term, env: dict[str, str], link: tuple,
                 violations.append((_position(link), "linear",
                                    f"conditional arm consumes linear variable(s) "
                                    f"{listed}; the other arm would discard them"))
-            uses.update(arm_uses)
+            _add(uses, arm_uses)
         return uses
     # a LetTensor
     x, y = t.left, t.right
@@ -175,7 +181,7 @@ def _walk_inner(t: Term, env: dict[str, str], link: tuple,
     _bind(env, x, outer_x)
     inner.pop(x, None)
     inner.pop(y, None)
-    uses.update(inner)
+    _add(uses, inner)
     return uses
 
 

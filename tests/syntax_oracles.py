@@ -14,7 +14,10 @@ test oracles.
   per level, copying the binder environment at every binder.
 - ``shape_key_reference`` walks the term on every call and keys gates by
   their names.
-- ``positions`` lists every position of a term, for tests that pick one.
+- ``positions`` lists every position of a term, for tests that pick one;
+  ``subterm_at`` and ``replace_at`` read and replace the subterm at one.
+  ``qlam.reduction.step_at`` goes down its path once (``_path_to``) and
+  rebuilds each branch from it (``_rebuild``), so only tests use them.
 - ``pretty_reference`` is the recursive printer that ``qlam.syntax.pretty``
   replaced with one explicit-stack walk: one Python frame or two per
   level, and a register's text formatted once to decide whether it is
@@ -38,6 +41,8 @@ from qlam.syntax import (
     QubitConst,
     Term,
     Var,
+    _path_to,
+    _rebuild,
     children,
     format_gate,
     format_qubit,
@@ -56,6 +61,18 @@ def positions(t: Term) -> Iterator[tuple[int, ...]]:
         yield pos
         for i, c in reversed(list(enumerate(children(term)))):
             stack.append((pos + (i,), c))
+
+
+def subterm_at(t: Term, pos: tuple[int, ...]) -> Term:
+    """The subterm of t at pos; IndexError for a missing child, a negative
+    index included."""
+    return _path_to(t, pos)[1]
+
+
+def replace_at(t: Term, pos: tuple[int, ...], new: Term) -> Term:
+    """t with the subterm at pos replaced by new: the nodes on the path are
+    rebuilt, every other subterm comes back as the same object."""
+    return _rebuild(_path_to(t, pos)[0], new)
 
 
 def free_vars_reference(t: Term) -> frozenset[str]:

@@ -108,6 +108,19 @@ def test_mass_must_be_one():
         TermEnsemble(((Var("a"), -0.25), (Var("b"), 1.25)))
 
 
+@pytest.mark.parametrize("probabilities", [
+    (math.nan,),
+    (0.5, 0.5, math.nan),
+    (math.nan, 0.5, 0.5),
+    (0.0, 1.0),
+])
+def test_entry_probability_must_be_positive(probabilities):
+    """Each probability lies in (0, 1]: a NaN one is refused as well, though
+    both ``nan <= 0`` and a NaN mass's distance from 1 compare False."""
+    with pytest.raises(ValueError, match="entry probabilities must be positive"):
+        TermEnsemble(tuple((Var(f"t{i}"), p) for i, p in enumerate(probabilities)))
+
+
 def test_equivalence_examples():
     e = TermEnsemble(((Var("a"), 0.5), (Var("a"), 0.25), (Var("b"), 0.25)))
     assert equivalent(e, e)

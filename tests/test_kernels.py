@@ -1,6 +1,7 @@
 """The one-pass kernels of ``qlam.quantum`` against the dense and per-word
 reference implementations in ``kernel_oracles``."""
 
+import dataclasses
 import math
 import time
 import warnings
@@ -235,6 +236,60 @@ def test_apply_gate_drops_what_a_factor_cancels():
     assert got == apply_gate_dense(gate("H", "H"), q)
     amps = dict(got.amps)
     assert amps.get(2, 0j) == -amps.get(3, 0j)
+
+
+def _seeded_register(width: int, seed: int) -> QubitValue:
+    """A unit-norm register of up to 16 stored complex amplitudes."""
+    rng = np.random.default_rng(seed)
+    support = rng.choice(1 << width, size=min(16, 1 << width), replace=False)
+    raw = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    raw /= np.linalg.norm(raw)
+    return QubitValue(width, dict(zip(support.tolist(), raw.tolist())))
+
+
+def test_one_atom_object_serves_every_shift():
+    """The scatter's move tables are kept on the atom per shift.  One
+    builtin atom object at every shift of widths 1-10, alone or at every
+    shift of one expression, and a user atom equal to it by value, give
+    both passes the dense oracle's amplitudes bit for bit."""
+    hadamard, cnot, ident = BUILTIN_GATES["H"], BUILTIN_GATES["cnot"], BUILTIN_GATES["I"]
+    user = GateAtom("H", hadamard.matrix)
+    assert user == hadamard and hash(user) == hash(hadamard) and user is not hadamard
+    for width in range(1, 11):
+        q = _seeded_register(width, width)
+        exprs = [GateExpr((hadamard,) * width),
+                 GateExpr(tuple((user, hadamard)[i % 2] for i in range(width)))]
+        for atom in (hadamard, user, BUILTIN_GATES["X"], cnot):
+            for left in range(width - atom.arity + 1):
+                exprs.append(GateExpr((ident,) * left + (atom,)
+                                      + (ident,) * (width - left - atom.arity)))
+        for g in exprs:
+            assert _both_passes(g, q) == [apply_gate_dense(g, q)] * 3
+    assert set(hadamard._moves_memo) >= set(range(10))
+    assert user._moves_memo is not hadamard._moves_memo
+
+
+def test_gate_memos_leave_equality_hash_and_repr():
+    """An atom and an expression whose tables were made and used still
+    equal, hash and print as fresh copies: arity and the tables are not
+    fields."""
+    def fresh() -> GateExpr:
+        return GateExpr((GateAtom("H", BUILTIN_GATES["H"].matrix), BUILTIN_GATES["cnot"]))
+
+    g = fresh()
+    atom = g.atoms[0]
+    before = repr(g), hash(g), repr(atom), hash(atom)
+    q = _seeded_register(3, 0)
+    assert _both_passes(g, q) == [apply_gate_dense(g, q)] * 3
+    assert atom._moves_memo and g.arity == 3  # the memos are there
+    assert {"arity", "_columns", "_rows", "_moves_memo"} <= set(vars(atom))
+    assert [f.name for f in dataclasses.fields(GateAtom)] == ["name", "matrix"]
+    assert [f.name for f in dataclasses.fields(GateExpr)] == ["atoms"]
+    assert (repr(g), hash(g), repr(atom), hash(atom)) == before
+    copy = fresh()
+    assert g == copy and copy == g and atom == copy.atoms[0]
+    assert (repr(copy), hash(copy)) == (repr(g), hash(g))
+    assert dataclasses.replace(g, atoms=g.atoms[:1]).arity == 1
 
 
 def test_apply_gate_skips_identity_factors():

@@ -1,11 +1,23 @@
 import math
+import re
+import sys
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import qlam.parser
 from qlam.parser import (
     _MAX_OPEN,
+    _SYMBOLS,
+    KEYWORDS,
     MAX_NESTING,
     ParseError,
+    _line_col,
+    _newlines,
+    _offsets,
+    _tokenize,
     parse_program,
     parse_term,
     parse_term_with_notes,
@@ -25,7 +37,8 @@ from qlam.syntax import (
     pretty,
 )
 
-from conftest import NESTED, OPEN, let_chain, term_height
+from conftest import NESTED, OPEN, PROGRAMS, let_chain, term_height
+from parser_oracles import tokenize_reference
 
 S2 = 1 / math.sqrt(2)
 
@@ -550,3 +563,114 @@ def test_shared_definitions_are_measured_once(monkeypatch):
         parse_program(doubling_chain(MAX_NESTING))
     assert (info.value.line, info.value.col) == (MAX_NESTING, 1)
     assert calls <= 4 * MAX_NESTING
+
+
+# ---------------------------------------------------------------------------
+# the tokenizer against its finditer oracle
+
+# Token texts, texts that start a token but are not one, and characters
+# that start none: a Unicode decimal digit starts a number, as \d matches it.
+_FRAGMENTS = (*sorted(KEYWORDS), *sorted(_SYMBOLS), "x", "y'", "_q1", "H", "M", "cnot",
+              "main", "|0>", "|01>", "|", "|2>", "-", "0", "1", "12", "-3", "0.5", "-1.25",
+              "1e3", "2E-2", "-4.5e+1", "1.", "1e", "٣", "-٣", "@", "$", "~", "é",
+              "\x0b", "?", '"')
+# What may stand between two tokens and keep them apart.
+_SEPARATORS = (" ", "  ", "\t", "\n", "\r\n", "\r", "# note\n", "#\r\n", " #\n\n")
+# Also what merges two tokens, and a comment that swallows the next one.
+_GAPS = ("", *_SEPARATORS, "# x")
+# Sources that parse: two with strict-surface notes of every kind, and the
+# bundled programs.
+_NOTED = (
+    "gate G = [[0, (1, 0)], [1, 0]];\nf x = H x;\n"
+    "main = let a * b = (H |0>) * ((0.6,0)!|0> + (0.8,0)!|1>) in "
+    "f (if a then !((1,0)((0.6,0)!|0> + (0.8,0)!|1>)) else b);\n",
+    "main = let !x = M{1, 2} (cnot ((H*I) !|00>)) in \\!y. (x y) !(!|1>);\n",
+)
+_BUNDLED = tuple(path.read_text(encoding="utf-8") for path in sorted(PROGRAMS.glob("*.qlam")))
+
+
+def _outcome(parse, source):
+    """A parse's ParseError (text, line and column), or its strict notes."""
+    try:
+        result = parse(source)
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+    return "ok", result.strict_notes if hasattr(result, "strict_notes") else result[1]
+
+
+def _with_oracle(parse, source):
+    """The parse with the oracle's tags and texts, and every position read
+    from the oracle's eager offsets."""
+    def line_col(parser, i):
+        return _line_col(_newlines(parser.source), tokenize_reference(parser.source)[2][i])
+
+    with mock.patch.object(qlam.parser, "_tokenize", lambda s: tokenize_reference(s)[:2]), \
+            mock.patch.object(qlam.parser._Parser, "line_col", line_col):
+        return _outcome(parse, source)
+
+
+@st.composite
+def token_soup(draw):
+    """Fragments between gaps, in any order."""
+    parts = draw(st.lists(st.tuples(st.sampled_from(_GAPS), st.sampled_from(_FRAGMENTS)),
+                          max_size=30))
+    return "".join(gap + text for gap, text in parts) + draw(st.sampled_from(_GAPS))
+
+
+@st.composite
+def respaced_source(draw):
+    """A skeleton's tokens between drawn gaps that keep them apart, with at
+    most one token replaced by a fragment: most parse, with notes, and the
+    rest fail at a drawn place."""
+    skeleton = draw(st.one_of(st.sampled_from(_NOTED), st.sampled_from(_BUNDLED)))
+    texts = tokenize_reference(skeleton)[1][:-1]
+    if draw(st.booleans()):
+        texts[draw(st.integers(0, len(texts) - 1))] = draw(st.sampled_from(_FRAGMENTS))
+    gaps = st.sampled_from(_SEPARATORS)
+    return "".join(draw(gaps) + text for text in texts) + draw(st.sampled_from(_GAPS))
+
+
+def _check_tokens(source):
+    try:
+        want = tokenize_reference(source)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            _tokenize(source)
+        assert (str(info.value), info.value.line, info.value.col) == (str(exc), exc.line, exc.col)
+        return
+    assert _tokenize(source) == want[:2]
+    assert _offsets(source, len(want[2])) == want[2]
+
+
+@given(st.one_of(token_soup(), respaced_source()))
+@settings(max_examples=300)
+def test_tokenize_matches_finditer_oracle(source):
+    """The same tags and texts as the finditer tokenizer, the same offsets
+    when they are asked for, and the same ParseError at a bad character."""
+    _check_tokens(source)
+
+
+@given(st.one_of(respaced_source(), token_soup()))
+@settings(max_examples=200)
+def test_positions_match_finditer_oracle(source):
+    """parse_program and parse_term report every ParseError and strict note
+    at the line and column they report with the oracle's eager offsets."""
+    for parse in (parse_program, parse_term_with_notes):
+        assert _outcome(parse, source) == _with_oracle(parse, source)
+
+
+def test_tokenize_tags_every_decimal_digit_as_a_number():
+    """Each character \\d matches starts a number, as in the oracle."""
+    digits = re.findall(r"\d", "".join(map(chr, range(sys.maxunicode + 1))))
+    assert len(digits) > 10
+    for d in digits:
+        _check_tokens(d)
+        _check_tokens(f"-{d}{d}.{d}e-{d} x")
+
+
+def test_clean_parse_works_out_no_offsets():
+    """A source without a note or an error never works out its tokens'
+    offsets."""
+    source = (PROGRAMS / "teleport.qlam").read_text(encoding="utf-8")
+    with mock.patch.object(qlam.parser, "_offsets", side_effect=AssertionError("offsets")):
+        assert parse_program(source).strict_notes == []

@@ -32,7 +32,6 @@ from qlam.syntax import (
     alpha_eq,
     pretty,
     substitute,
-    subterm_at,
 )
 from qlam.wellformed import check
 
@@ -43,6 +42,7 @@ from reduction_oracles import (
     strategy_redex_reference,
     stuck_sites_reference,
 )
+from syntax_oracles import subterm_at
 
 S2 = f"{1 / math.sqrt(2):.17g}"
 BIASED = "((0.6,0)!|0> + (0.8,0)!|1>)"

@@ -25,10 +25,8 @@ from qlam.syntax import (
     format_qubit,
     free_vars,
     pretty,
-    replace_at,
     shape_key,
     substitute,
-    subterm_at,
 )
 
 from conftest import (
@@ -45,8 +43,10 @@ from syntax_oracles import (
     free_vars_reference,
     positions,
     pretty_reference,
+    replace_at,
     shape_key_reference,
     substitute_reference,
+    subterm_at,
 )
 
 

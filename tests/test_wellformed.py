@@ -18,13 +18,12 @@ from qlam.syntax import (
     QubitConst,
     Var,
     alpha_eq,
-    replace_at,
 )
 from qlam.quantum import QubitValue
 from qlam.wellformed import check
 
 from conftest import generated_term, rename_binders
-from syntax_oracles import positions
+from syntax_oracles import positions, replace_at
 from wellformed_oracles import check_reference
 
 S2 = f"{1 / math.sqrt(2):.17g}"
