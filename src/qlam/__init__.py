@@ -31,7 +31,6 @@ from .syntax import (
 from .parser import ParseError, Program, parse_program, parse_term
 from .wellformed import WfReport, check
 from .reduction import (
-    ProbStep,
     RuleSet,
     RULESET_S,
     RULESET_ST,

@@ -20,8 +20,8 @@ from .ensemble import (
     sample,
 )
 from .parser import ParseError, Program, parse_program
-from .quantum import GateAtom, RegisterWidthError
-from .reduction import RULESET_ST, ProbStep, stuck_sites
+from .quantum import GateAtom, RegisterSizeError, RegisterWidthError
+from .reduction import RULESET_ST, Position, stuck_sites
 from .syntax import GateConst, Term, format_amplitude, format_position, pretty
 from .wellformed import WfReport, check
 
@@ -99,9 +99,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if report.verdict else EXIT_FAIL
 
 
-def _trace_printer(step: ProbStep) -> None:
-    print(f"  {step.rule} @{format_position(step.position)} p={step.probability:.12g} "
-          f"-> {pretty(step.target)}", file=sys.stderr)
+def _trace_printer(_step: int, _entry: int, position: Position, rule: str,
+                   target: Term, probability: float) -> None:
+    print(f"  {rule} @{format_position(position)} p={probability:.12g} "
+          f"-> {pretty(target)}", file=sys.stderr)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -124,7 +125,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _print_report(report, args.json)
         return EXIT_FAIL
 
-    trace = (lambda _i, _j, step: _trace_printer(step)) if args.trace else None
+    trace = _trace_printer if args.trace else None
 
     try:
         if args.sample:
@@ -132,7 +133,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         else:
             chooser = NAMED_CHOOSERS[args.strategy](RULESET_ST)
             res = evaluate(target, max_steps=args.max_steps, chooser=chooser, trace=trace)
-    except (StepLimitError, EnsembleCapError) as exc:
+    except (StepLimitError, EnsembleCapError, RegisterSizeError) as exc:
         return _error(exc, EXIT_FAIL)
     if args.sample:
         if args.json:
@@ -270,7 +271,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ProgramFileError, RegisterWidthError) as exc:
+    except (OSError, ProgramFileError, RegisterSizeError, RegisterWidthError) as exc:
         return _error(exc)
 
 

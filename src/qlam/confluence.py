@@ -353,9 +353,9 @@ def _moves(ens: TermEnsemble, redexes: Redexes) -> list[tuple[str, TermEnsemble]
     for (term, p), entry_redexes in zip(ens.entries, redexes):
         opts: list[tuple[str, tuple[tuple[Term, float], ...]]] = []
         for pos, rule in entry_redexes:
-            label = f"{rule}@{format_position(pos)}"
             steps = step_at(term, pos, rule)
-            opts.append((label, tuple((s.target, p * s.probability) for s in steps)))
+            opts.append((f"{rule}@{format_position(pos)}",
+                         tuple((target, p * prob) for target, prob in steps)))
         opts.append(("idle", ((term, p),)))
         per_entry.append(opts)
     moves = []

@@ -12,6 +12,8 @@ fans out through the ``pick`` that ``step_at`` hands to
 ``quantum.measure``, which sees the branch probabilities before any
 post-state is built: ``det_step`` builds every branch unless they would
 pass its cap, and ``sample`` draws one branch and builds only that one.
+Their ``trace`` gets (step index, entry index, position, rule, target,
+probability): the redex fired and each (term, probability) it gave.
 
 ``min_ensemble`` canonicalizes by merging alpha-equivalent entries
 (summing their probabilities); two ensembles are equivalent when their
@@ -39,7 +41,6 @@ from .reduction import (
     RULESET_ST,
     RULESETS,
     Position,
-    ProbStep,
     RuleSet,
     enumerate_redexes,
     step_at,
@@ -187,11 +188,13 @@ def equivalent_canonical(ma: TermEnsemble, mb: TermEnsemble) -> bool:
 
 
 def det_step(e: TermEnsemble, chooser: Chooser, cap: int = ENSEMBLE_CAP,
-             trace: Callable[[int, ProbStep], None] | None = None) -> TermEnsemble:
+             trace: Callable[[int, Position, str, Term, float], None] | None = None
+             ) -> TermEnsemble:
     """One ensemble step: each entry fires the redex its chooser picks, or
     idles on None.  Mass is preserved.  The chooser must pick one of the
     term's enumerate_redexes.  Returns ``e`` itself when every entry idles.
-    ``trace`` sees (entry index, step) for every step fired.
+    ``trace`` sees (entry index, position, rule, target, probability) for
+    every successor of a fired redex.
     EnsembleCapError is raised as soon as the step would hold more than
     ``cap`` entries, and before a measurement that would pass the cap
     builds any post-state."""
@@ -209,10 +212,10 @@ def det_step(e: TermEnsemble, chooser: Chooser, cap: int = ENSEMBLE_CAP,
             out.append((term, p))
         else:
             fired = True
-            for step in step_at(term, *choice, within_cap):
-                out.append((step.target, p * step.probability))
+            for target, prob in step_at(term, *choice, within_cap):
+                out.append((target, p * prob))
                 if trace is not None:
-                    trace(entry_index, step)
+                    trace(entry_index, *choice, target, prob)
         if len(out) > cap:
             raise EnsembleCapError(f"ensemble exceeded {cap} entries")
     return TermEnsemble(tuple(out)) if fired else e
@@ -246,8 +249,8 @@ NAMED_CHOOSERS: dict[str, Callable[[RuleSet], Chooser]] = {
     "rightmost": rightmost_chooser,
 }
 
-# (step index, entry index, step) for every step evaluate or sample fires
-TraceFn = Callable[[int, int, ProbStep], None]
+# (step index, entry index, position, rule, target, probability) per successor
+TraceFn = Callable[[int, int, Position, str, Term, float], None]
 
 
 @dataclass(frozen=True)
@@ -294,10 +297,9 @@ def sample(t: Term, seed: int, max_steps: int = 10_000,
         redex = strategy_redex(term)
         if redex is None:
             return term
-        (chosen,) = step_at(term, *redex, draw_one)
+        [(term, p)] = step_at(term, *redex, draw_one)
         if trace is not None:
-            trace(step_index, 0, chosen)
-        term = chosen.target
+            trace(step_index, 0, *redex, term, p)
     if strategy_redex(term) is None:
         return term
     raise StepLimitError(f"no normal form within {max_steps} steps")

@@ -49,17 +49,19 @@ caller's ``pick`` sees the branch probabilities before any post-state is
 built and names the branches to build: a sampler draws one, and an ensemble
 step can refuse a fan-out past its cap.
 
-factor_split splits a register whose stored amplitudes all share their left
-bits r exactly and without numpy: |r> with amplitude 1, and the stored
-amplitudes with the left bits dropped (a register measured on the wires it
-splits off is one).  Any other register takes a rank-1 test over the stored
-amplitudes: the pivot's column gives a dense left vector of 2**left_width
-entries and its row a sparse right row.  Their outer product is compared
-with the stored amplitudes on the right row's columns; off those columns it
-is zero, so every stored amplitude there must itself be within EPS_NORM.  No
-2**width array is built.  The test's result is kept on the register, so
-is_product and the factor_split after it run it once.  Basis indices are
-int64 in that test, which is what bounds register widths by MAX_WIDTH.
+factor_split splits wire 1 off a register, the one split the split rule
+makes.  A register whose stored amplitudes all share their wire-1 bit r
+splits exactly and without numpy: |r> with amplitude 1, and the stored
+amplitudes with that bit dropped (a register measured on wire 1 is one).
+Any other register takes a rank-1 test over the stored amplitudes: the
+pivot's column gives the two-entry left vector and its row a sparse right
+row.  Their outer product is compared with the stored amplitudes on the
+right row's columns; off those columns it is zero, so every stored
+amplitude there must itself be within EPS_NORM.  No 2**width array is
+built.  The finished pair of factors, or None, is kept on the register, so
+is_product (head_rule's test) and the factor_split of the contraction after
+it work it out once.  Basis indices are int64 in that test, which is what
+bounds register widths by MAX_WIDTH.
 """
 
 from __future__ import annotations
@@ -92,6 +94,10 @@ _KEY_BAND = 2 * AMP_TOL
 # Widest register: every basis index must fit the int64 indices of the
 # sparse split.
 MAX_WIDTH = 63
+# Most amplitudes a register may store (a gate that makes 2**20 peaks at
+# about 380 MB in `qlam run`).  Only tensor and the scatter pass can pass it:
+# the dense pass holds 2**DENSE_MAX_WIDTH, and measure and splits shrink.
+MAX_AMPLITUDES = 1 << 20
 # apply_gate takes the dense pass only on registers of DENSE_MIN_WIDTH to
 # DENSE_MAX_WIDTH wires (a 2**16 vector is 1 MB), and there only when the
 # scatter would make more moves than the dense pass is priced at: per
@@ -112,6 +118,10 @@ class ArityMismatchError(ValueError):
 
 class RegisterWidthError(ValueError):
     """A register is wider than MAX_WIDTH wires."""
+
+
+class RegisterSizeError(ValueError):
+    """A register would store more than MAX_AMPLITUDES amplitudes."""
 
 
 class IndexOutOfRangeError(ValueError):
@@ -224,11 +234,6 @@ BUILTIN_GATES: dict[str, GateAtom] = {
 }
 
 
-def gate(*names: str) -> GateExpr:
-    """Tensor of builtin gates by name, e.g. gate('H', 'I', 'I')."""
-    return GateExpr(tuple(BUILTIN_GATES[n] for n in names))
-
-
 def identity_gate(width: int) -> GateExpr:
     return GateExpr((IDENTITY,) * width)
 
@@ -297,6 +302,12 @@ def _check_width(width: int) -> None:
     if width > MAX_WIDTH:
         raise RegisterWidthError(
             f"register width {width} exceeds the maximum of {MAX_WIDTH} wires")
+
+
+def _check_size(count: int) -> None:
+    if count > MAX_AMPLITUDES:
+        raise RegisterSizeError(
+            f"register of {count} amplitudes exceeds the maximum of {MAX_AMPLITUDES}")
 
 
 @dataclass(frozen=True)
@@ -414,13 +425,15 @@ def tensor(a: QubitValue, b: QubitValue) -> QubitValue:
     """Kronecker product; a occupies the left (more significant) wires."""
     width = a.width + b.width
     _check_width(width)
+    _check_size(len(a.amps) * len(b.amps))
     return _from_sorted(width, [((ua << b.width) | ub, za * zb)
                                 for ua, za in a.amps for ub, zb in b.amps])
 
 
 def _scatter(g: GateExpr, q: QubitValue) -> dict[int, complex]:
     """apply_gate's amplitudes by scatter: per non-identity factor, each
-    stored amplitude moves through the nonzero entries of its column."""
+    stored amplitude moves through the nonzero entries of its column.  A
+    factor's output that keeps more than MAX_AMPLITUDES raises."""
     entries: dict[int, complex] = dict(q.amps)
     right = q.width
     for atom in g.atoms:
@@ -439,6 +452,8 @@ def _scatter(g: GateExpr, q: QubitValue) -> dict[int, complex]:
             for offset, z in moves[(u >> right) & block]:
                 v = base | offset
                 new[v] = new.get(v, 0j) + z * a
+        if len(new) > MAX_AMPLITUDES:
+            _check_size(sum(_modulus(a) > EPS_ZERO for a in new.values()))
         entries = new
     return entries
 
@@ -595,21 +610,21 @@ def measure(q: QubitValue, indices: frozenset[int] | set[int],
 
 
 @np.errstate(all="ignore")  # amplitudes near the float limit fail the test silently
-def _rank1(q: QubitValue, left_width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _rank1(q: QubitValue) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The rank-1 test behind factor_split: (left vector, right columns,
     right row) with q = left (x) right within EPS_NORM per basis index and
     the left vector of unit norm, or None.
 
-    Rows are the left ``left_width`` bits of a basis index, columns the rest.
-    The pivot is the first amplitude of largest modulus; the left vector is
-    its column (dense, 2**left_width entries) and the right row is its row
-    divided by the pivot (sparse: the stored columns only).  Outside the
-    right row's columns the outer product is zero, so there the residual is
-    the stored modulus itself.  A residual that is NaN, or a left vector
-    whose norm is past the float range, fails the test: amplitudes that
-    large cannot be split in floats.
+    Rows are the bit of wire 1 of a basis index, columns the rest.  The
+    pivot is the first amplitude of largest modulus; the left vector is its
+    column (two entries) and the right row is its row divided by the pivot
+    (sparse: the stored columns only).  Outside the right row's columns the
+    outer product is zero, so there the residual is the stored modulus
+    itself.  A residual that is NaN, or a left vector whose norm is past the
+    float range, fails the test: amplitudes that large cannot be split in
+    floats.
     """
-    right_width = q.width - left_width
+    right_width = q.width - 1
     n = len(q.amps)
     us, zs = zip(*q.amps)
     index = np.fromiter(us, dtype=np.int64, count=n)
@@ -618,7 +633,7 @@ def _rank1(q: QubitValue, left_width: int) -> tuple[np.ndarray, np.ndarray, np.n
     cols = index & ((1 << right_width) - 1)
     mags = np.abs(amps)
     p = int(mags.argmax())
-    a_vec = np.zeros(1 << left_width, dtype=complex)
+    a_vec = np.zeros(2, dtype=complex)
     in_col = cols == cols[p]
     a_vec[rows[in_col]] = amps[in_col]
     in_row = rows == rows[p]
@@ -628,7 +643,7 @@ def _rank1(q: QubitValue, left_width: int) -> tuple[np.ndarray, np.ndarray, np.n
     hit = b_cols[slot] == cols
     if not hit.all() and mags[~hit].max() > EPS_NORM:
         return None
-    stored = np.zeros((1 << left_width, len(b_cols)), dtype=complex)
+    stored = np.zeros((2, len(b_cols)), dtype=complex)
     stored[rows[hit], slot[hit]] = amps[hit]
     na = np.linalg.norm(a_vec)
     if not (np.abs(np.outer(a_vec, b_vec) - stored).max() <= EPS_NORM and np.isfinite(na)):
@@ -636,63 +651,53 @@ def _rank1(q: QubitValue, left_width: int) -> tuple[np.ndarray, np.ndarray, np.n
     return a_vec / na, b_cols, b_vec * na
 
 
-# The attribute that keeps a register's last rank-1 test: (left_width,
-# result).  Like the memos of qlam.syntax it is not a field, so equality,
-# hashing and repr never see it.
-_RANK1 = "_rank1_memo"
+# The attribute that keeps a register's split; like the other memos it is
+# not a field, so equality, hashing and repr never see it.
+_SPLIT = "_split_memo"
 
 
-def _split_parts(q: QubitValue,
-                 left_width: int) -> int | tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """How q splits with ``left_width`` wires on the left: the row (left
-    bits) that every stored amplitude shares, as an int; else _rank1's parts,
-    kept on q so that a test and the split after it share one run; None when
-    q is entangled across the cut (or holds no amplitude)."""
-    if not 0 < left_width < q.width:
-        raise ValueError(f"split width {left_width} not inside (0, {q.width})")
-    if not q.amps:
-        return None
-    shift = q.width - left_width
-    row = q.amps[0][0] >> shift
-    if q.amps[-1][0] >> shift == row:  # indices are sorted: one row holds them all
-        return row
-    memo = getattr(q, _RANK1, None)
-    if memo is None or memo[0] != left_width:
-        memo = (left_width, _rank1(q, left_width))
-        object.__setattr__(q, _RANK1, memo)
-    return memo[1]
-
-
-def is_product(q: QubitValue, left_width: int) -> bool:
-    """Whether factor_split(q, left_width) succeeds, decided without
-    building either factor."""
-    return _split_parts(q, left_width) is not None
-
-
-def factor_split(q: QubitValue, left_width: int) -> tuple[QubitValue, QubitValue] | None:
-    """Split q into a product a (x) b with a of ``left_width`` wires.
-
-    Returns None when q is entangled across the cut.  The left factor is unit
-    norm and its lowest-index amplitude is made real positive, pushing any
-    global phase (and q's norm) into the right factor.  A register whose
-    stored amplitudes share one row r splits exactly: |r> with amplitude 1,
-    and the stored amplitudes with their left bits dropped.
-    """
-    parts = _split_parts(q, left_width)
-    if parts is None:
-        return None
-    right_width = q.width - left_width
-    if isinstance(parts, int):
+def _split(q: QubitValue) -> tuple[QubitValue, QubitValue] | None:
+    """factor_split's result, worked out once and kept on q."""
+    if q.width < 2:
+        raise ValueError(f"cannot split wire 1 off a register of width {q.width}")
+    split = getattr(q, _SPLIT, _UNSET)
+    if split is not _UNSET:
+        return split
+    split = None
+    right_width = q.width - 1
+    if q.amps and q.amps[0][0] >> right_width == q.amps[-1][0] >> right_width:
+        # indices are sorted: one row holds them all
+        row = q.amps[0][0] >> right_width
         mask = (1 << right_width) - 1
         support = getattr(q, _SUPPORT, _UNSET)
         if support is not None and support is not _UNSET:
             support = tuple(u & mask for u in support)  # q's amplitudes: q's support, masked
-        return (_canonical(left_width, ((parts, 1 + 0j),), (parts,)),
-                _canonical(right_width, tuple([(u & mask, a) for u, a in q.amps]), support))
-    a_vec, b_cols, b_vec = parts
-    first = np.flatnonzero(np.hypot(a_vec.real, a_vec.imag) > EPS_ZERO)[0]
-    phase = a_vec[first] / abs(a_vec[first])
-    a_vec = a_vec / phase  # not in place: the arrays are kept on q
-    b_vec = b_vec * phase
-    return (_from_sorted(left_width, list(enumerate(a_vec.tolist()))),
-            _from_sorted(right_width, list(zip(b_cols.tolist(), b_vec.tolist()))))
+        split = (_canonical(1, ((row, 1 + 0j),), (row,)),
+                 _canonical(right_width, tuple([(u & mask, a) for u, a in q.amps]), support))
+    elif q.amps and (parts := _rank1(q)) is not None:
+        a_vec, b_cols, b_vec = parts
+        first = np.flatnonzero(np.hypot(a_vec.real, a_vec.imag) > EPS_ZERO)[0]
+        phase = a_vec[first] / abs(a_vec[first])
+        split = (_from_sorted(1, list(enumerate((a_vec / phase).tolist()))),
+                 _from_sorted(right_width, list(zip(b_cols.tolist(), (b_vec * phase).tolist()))))
+    object.__setattr__(q, _SPLIT, split)
+    return split
+
+
+def is_product(q: QubitValue) -> bool:
+    """Whether factor_split(q) succeeds."""
+    return _split(q) is not None
+
+
+def factor_split(q: QubitValue) -> tuple[QubitValue, QubitValue] | None:
+    """Split wire 1 off q: q = a (x) b with a one wire wide, or None when q
+    is entangled across that cut (or holds no amplitude).  A register of
+    fewer than 2 wires is a ValueError.
+
+    The left factor is unit norm and its lowest-index amplitude is made real
+    positive, pushing any global phase (and q's norm) into the right factor.
+    A register whose stored amplitudes share their wire-1 bit r splits
+    exactly: |r> with amplitude 1, and the stored amplitudes with that bit
+    dropped.
+    """
+    return _split(q)

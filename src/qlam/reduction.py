@@ -24,8 +24,9 @@ arguments.  The nonlinear rules only fire on duplicable values, which is why
 a measurement suspended under a bang is copied as a whole and a bare
 measurement application must collapse before it can be passed.
 
-Only (M) branches; every other rule yields a single step of probability 1,
-and the steps of one (position, rule) pair always carry total probability 1.
+Only (M) branches; every other rule yields a single successor of
+probability 1, and the (term, probability) successors that step_at returns
+for one (position, rule) pair always carry total probability 1.
 
 Each rule's match and side conditions are written once, in head_rule: the
 contraction trusts its match and tests nothing, and stuck_sites reports the
@@ -43,7 +44,6 @@ node.  step_at walks down to its one position once and matches there once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .quantum import (
@@ -87,17 +87,6 @@ RULE_IF1 = "if-1"
 
 class NoRedexError(ValueError):
     """The requested rule does not match at the given position."""
-
-
-@dataclass(frozen=True)
-class ProbStep:
-    """One probabilistic successor: the full rewritten term, the branch
-    probability, the rule that fired, and where."""
-
-    target: Term
-    probability: float
-    rule: str
-    position: Position
 
 
 RuleSet = frozenset[str]
@@ -146,7 +135,7 @@ def head_rule(t: Term) -> str | None:
         return None
     if cls is LetTensor and type(t.value) is QubitConst:
         q = t.value.value
-        return RULE_SPLIT if q.width >= 2 and is_product(q, 1) else None
+        return RULE_SPLIT if q.width >= 2 and is_product(q) else None
     return None
 
 
@@ -167,21 +156,21 @@ def _contract(t: Term, rule: str, pick: Pick | None) -> list[tuple[Term, float]]
         return [(t.then, 1.0)]
     if rule == RULE_IF1:
         return [(t.orelse, 1.0)]
-    left, right = factor_split(t.value.value, 1)
+    left, right = factor_split(t.value.value)
     return [(substitute(t.body, {t.left: QubitConst(left), t.right: QubitConst(right)}), 1.0)]
 
 
 def step_at(t: Term, position: Position, rule: str,
-            pick: Pick | None = None) -> list[ProbStep]:
-    """Fire ``rule`` at ``position``; without ``pick`` the returned steps'
-    probabilities sum to 1.  The walk down is made once and each step is
-    rebuilt from its path.  Raises NoRedexError when t has no such position
-    or head_rule finds another rule there (sharper when (M) meets a
-    non-constant operand).
+            pick: Pick | None = None) -> list[tuple[Term, float]]:
+    """Fire ``rule`` at ``position``: t's successors as (term, probability)
+    pairs, whose probabilities sum to 1 without ``pick``.  The walk down is
+    made once and each successor is rebuilt from its path.  Raises
+    NoRedexError when t has no such position or head_rule finds another rule
+    there (sharper when (M) meets a non-constant operand).
 
     A measurement hands ``pick`` its branch probabilities (in outcome-word
     order) and builds only the branches at the indices it returns, each
-    step keeping its Born probability; ``pick`` may also raise, and then no
+    keeping its Born probability; ``pick`` may also raise, and then no
     post-state is built.  No other rule branches, so none of them asks it."""
     try:
         path, sub = _path_to(t, position)
@@ -192,8 +181,7 @@ def step_at(t: Term, position: Position, rule: str,
             isinstance(sub.fun, MeasConst) and not isinstance(sub.arg, QubitConst)
         raise NoRedexError(f"measurement operand at {position} is not a register constant"
                            if stuck else f"rule {rule} does not match at {position}")
-    return [ProbStep(_rebuild(path, target), p, rule, position)
-            for target, p in _contract(sub, rule, pick)]
+    return [(_rebuild(path, target), p) for target, p in _contract(sub, rule, pick)]
 
 
 def _redex_sites(t: Term) -> Iterator[tuple[tuple, Term]]:

@@ -10,9 +10,10 @@ kernels.  They are kept only as test oracles.
   a dense 2**left_width x 2**right_width matrix, so it must only see narrow
   registers.
 
-``uniform_state`` builds the equal superposition the tests measure and
-split, and ``key_support_reference`` reads a register's key support with
-a modulus per amplitude, as before the kernels handed it over.
+``gate`` tensors builtin gates by name, ``uniform_state`` builds the
+equal superposition the tests measure and split, and
+``key_support_reference`` reads a register's key support with a modulus
+per amplitude, as before the kernels handed it over.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from qlam.densesim import from_amplitudes
 from qlam.quantum import (
     AMP_TOL,
+    BUILTIN_GATES,
     EPS_NORM,
     EPS_ZERO,
     ArityMismatchError,
@@ -33,6 +35,11 @@ from qlam.quantum import (
     MeasurementOutcome,
     QubitValue,
 )
+
+
+def gate(*names: str) -> GateExpr:
+    """Tensor of builtin gates by name, e.g. gate('H', 'I', 'I')."""
+    return GateExpr(tuple(BUILTIN_GATES[n] for n in names))
 
 
 def uniform_state(width: int) -> QubitValue:

@@ -18,8 +18,6 @@ from qlam.parser import parse_program, parse_term
 from qlam.quantum import (
     QubitValue,
     amps_close,
-    factor_split,
-    gate,
     ket,
     measure,
     tensor,
@@ -29,7 +27,7 @@ from qlam.syntax import App, Bang, BangLam, Lam, MeasConst, QubitConst, Var, alp
 from qlam.wellformed import check
 
 from conftest import teleport_source
-from kernel_oracles import uniform_state
+from kernel_oracles import factor_split_dense, gate, uniform_state
 
 PSI = QubitValue(1, {0: 0.6, 1: 0.8})
 
@@ -141,7 +139,7 @@ def test_criterion_5_teleportation():
     for term, p in result.ensemble.entries:
         assert p == pytest.approx(0.25, abs=1e-7)
         state = term.value
-        parts = factor_split(state, 2)
+        parts = factor_split_dense(state, 2)
         assert parts is not None, "final register is not bits (x) payload"
         bits, payload = parts
         assert amps_close(payload, PSI, 1e-7), "receiver wire differs from the input"
@@ -177,8 +175,8 @@ def test_criterion_6_duplication_behaviors():
         rules_before = {rule for _, rule in enumerate_redexes(copying, RULESET_ST)}
         if rules_before != {"M"}:
             violations += 1
-        for step in step_at(copying, (1,), "M"):
-            after = {rule for _, rule in enumerate_redexes(step.target, RULESET_ST)}
+        for target, _ in step_at(copying, (1,), "M"):
+            after = {rule for _, rule in enumerate_redexes(target, RULESET_ST)}
             if "!beta2" not in after:
                 violations += 1
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -7,6 +8,7 @@ import pytest
 
 from qlam.cli import main
 from qlam.parser import _MAX_OPEN, MAX_NESTING, parse_program
+from qlam.quantum import MAX_AMPLITUDES
 from qlam.syntax import alpha_eq
 from qlam.wellformed import check
 
@@ -249,6 +251,15 @@ def test_sample_trace_golden(capsys, seed):
     assert err == (GOLDEN / f"teleport.sample_seed{seed}.stderr").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in PROGRAMS.glob("*.qlam")))
+@pytest.mark.parametrize("mode,argv", [("trace", ()), ("sample_seed0", ("--sample", "--seed", "0"))])
+def test_every_program_trace_golden(capsys, name, mode, argv):
+    """The trace of every bundled program, ensemble and sampled, byte for
+    byte."""
+    _, _, err = run_cli(capsys, "run", str(PROGRAMS / f"{name}.qlam"), *argv, "--trace")
+    assert err == (GOLDEN / f"{name}.{mode}.stderr").read_text()
+
+
 def test_fmt_output_reparses(capsys):
     for name in CORPUS + ["cloning_rejected"]:
         code, out, _ = run_cli(capsys, "fmt", str(PROGRAMS / f"{name}.qlam"))
@@ -379,8 +390,8 @@ def test_both_teleport_programs_deliver_the_payload():
     """The measured and the deferred-correction teleport programs both leave
     the payload on the receiving wire."""
     from qlam.ensemble import evaluate
-    from qlam.quantum import QubitValue, amps_close, factor_split
-    from kernel_oracles import uniform_state
+    from qlam.quantum import QubitValue, amps_close
+    from kernel_oracles import factor_split_dense, uniform_state
 
     psi = QubitValue(1, {0: 0.6, 1: 0.8})
 
@@ -388,14 +399,14 @@ def test_both_teleport_programs_deliver_the_payload():
     res = evaluate(measured.main)
     assert res.status == "Converged" and len(res.ensemble) == 4
     for term, _ in res.ensemble.entries:
-        _, payload = factor_split(term.value, 2)
+        _, payload = factor_split_dense(term.value, 2)
         assert amps_close(payload, psi, 1e-7)
 
     deferred = parse_program((PROGRAMS / "teleport_deferred.qlam").read_text())
     res = evaluate(deferred.main)
     assert res.status == "Converged" and len(res.ensemble) == 1
     final = res.ensemble.entries[0][0].value
-    bits, payload = factor_split(final, 2)
+    bits, payload = factor_split_dense(final, 2)
     assert amps_close(bits, uniform_state(2), 1e-7)
     assert amps_close(payload, psi, 1e-7)
 
@@ -493,11 +504,15 @@ def test_run_400_let_chain(tmp_path, capsys):
 # python -m qlam
 
 
-def run_module(*argv):
+def run_module(*argv, address_space=None):
+    """``python -m qlam argv`` in a child process, whose address space is
+    limited to ``address_space`` bytes if given."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    limit = None if address_space is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
     return subprocess.run([sys.executable, "-m", "qlam", *argv], cwd=REPO,
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True,
-                          timeout=120)
+                          timeout=120, preexec_fn=limit)
 
 
 def test_python_m_qlam_runs_the_cli():
@@ -513,6 +528,30 @@ def test_python_m_qlam_deep_nesting_prints_no_traceback(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.startswith(b"parse error: ") and b"Traceback" not in proc.stderr
+
+
+SIZE_ERROR = (f"error: register of {1 << 21} amplitudes exceeds "
+              f"the maximum of {MAX_AMPLITUDES}\n").encode()
+
+
+@pytest.mark.parametrize("wires", [21, 24])
+def test_register_size_limit_exits_one_while_running(tmp_path, wires):
+    """H on each of 21 or more wires would store 2**wires amplitudes: the
+    run stops at the first gate factor whose output passes MAX_AMPLITUDES,
+    inside a 1 GB address space, with one error line."""
+    path = tmp_path / "wide.qlam"
+    path.write_text(f"main = ({'*'.join('H' * wires)}) !|{'0' * wires}>;\n")
+    proc = run_module("run", str(path), address_space=1 << 30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, b"", SIZE_ERROR)
+
+
+def test_register_size_limit_exits_two_while_parsing(tmp_path):
+    """A tensor of 21 two-amplitude registers stops before the product that
+    passes MAX_AMPLITUDES is built."""
+    path = tmp_path / "tensor.qlam"
+    path.write_text(f"main = {' * '.join(['((0.6,0)!|0> + (0.8,0)!|1>)'] * 21)};\n")
+    proc = run_module("run", str(path), address_space=1 << 30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, b"", SIZE_ERROR)
 
 
 HUGE_AMPLITUDE = "main = (1e308,1.5e308)!|0>;\n"

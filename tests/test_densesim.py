@@ -6,9 +6,10 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from qlam import densesim as ds
-from qlam.quantum import gate, measure
+from qlam.quantum import measure
 
 from conftest import random_register
+from kernel_oracles import gate
 
 S2 = 1 / math.sqrt(2)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -35,7 +36,6 @@ from qlam.quantum import (
     ZeroMassError,
     amps_close,
     apply_gate,
-    gate,
     ket,
     measure,
 )
@@ -61,7 +61,7 @@ from conftest import (
     random_terms,
     rename_binders,
 )
-from kernel_oracles import uniform_state
+from kernel_oracles import gate, uniform_state
 
 S2 = f"{1 / math.sqrt(2):.17g}"
 BIASED = "((0.6,0)!|0> + (0.8,0)!|1>)"
@@ -272,6 +272,23 @@ def test_min_ensemble_independent_of_entry_order(spec, rng):
     assert equivalent(min_ensemble(shuffled), min_ensemble(e))
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 9: min_ensemble joins an entry to "
+                   "the first close group, and closeness is not transitive")
+def test_min_ensemble_of_a_tolerance_chain_does_not_depend_on_entry_order():
+    """Three unit 1-wire registers whose |0> amplitudes are 1/sqrt(2),
+    1/sqrt(2) + 0.6e-9 and 1/sqrt(2) + 1.2e-9, each with probability 1/3:
+    a and b are close, b and c are close, a and c are not.  Orders abc, acb,
+    cab and cba merge to 2 entries, bac and bca to 1."""
+    registers = {}
+    for name, shift in zip("abc", (0.0, 0.6e-9, 1.2e-9)):
+        zero = math.sqrt(0.5) + shift
+        registers[name] = QubitConst(QubitValue(1, {0: zero, 1: math.sqrt(1 - zero * zero)}))
+    merged = [min_ensemble(TermEnsemble(tuple((registers[name], 1 / 3) for name in order)))
+              for order in itertools.permutations("abc")]
+    for x, y in itertools.combinations(merged, 2):
+        assert equivalent(x, y)
+
+
 # ---------------------------------------------------------------------------
 # determinized steps
 
@@ -452,10 +469,10 @@ def sample_all_branches(t, seed, max_steps=10_000, trace=None):
         if len(steps) == 1:
             chosen = steps[0]
         else:
-            chosen = rng.choices(steps, weights=[s.probability for s in steps])[0]
+            chosen = rng.choices(steps, weights=[p for _, p in steps])[0]
         if trace is not None:
-            trace(step_index, 0, chosen)
-        term = chosen.target
+            trace(step_index, 0, *redex, *chosen)
+        term = chosen[0]
     if strategy_redex(term) is None:
         return term
     raise StepLimitError(f"no normal form within {max_steps} steps")

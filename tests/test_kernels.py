@@ -23,13 +23,13 @@ from qlam.quantum import (
     GateAtom,
     GateExpr,
     QubitValue,
+    RegisterSizeError,
     RegisterWidthError,
     ZeroMassError,
     amps_close,
     apply_gate,
     basis_state,
     factor_split,
-    gate,
     is_product,
     ket,
     measure,
@@ -41,6 +41,7 @@ from qlam.syntax import QubitConst, shape_key
 from kernel_oracles import (
     apply_gate_dense,
     factor_split_dense,
+    gate,
     key_support_reference,
     measure_per_word,
     uniform_state,
@@ -122,6 +123,26 @@ def test_register_width_limit():
         QubitValue(MAX_WIDTH + 1, {0: 1.0})
     with pytest.raises(RegisterWidthError):
         tensor(basis_state(MAX_WIDTH, 0), ket("0"))
+
+
+def test_tensor_size_limit_fails_before_building(monkeypatch):
+    monkeypatch.setattr(quantum, "MAX_AMPLITUDES", 8)
+    monkeypatch.setattr(quantum, "_from_sorted", None)  # building would raise TypeError
+    three = QubitValue(2, {0: 0.6, 1: 0.8, 3: 1e-3})
+    with pytest.raises(RegisterSizeError, match="register of 9 amplitudes exceeds the maximum of 8"):
+        tensor(three, three)
+
+
+def test_scatter_size_limit_counts_what_a_factor_keeps(monkeypatch):
+    """A factor whose output keeps more than MAX_AMPLITUDES fails; one whose
+    output cancels back to the limit does not, though it adds more keys."""
+    monkeypatch.setattr(quantum, "MAX_AMPLITUDES", 4)
+    assert 3 < DENSE_MIN_WIDTH  # the scatter pass
+    with pytest.raises(RegisterSizeError, match="register of 8 amplitudes"):
+        apply_gate(gate("H", "H", "H"), ket("000"))
+    back = apply_gate(gate("H", "H", "I"), uniform_state(3))
+    assert amps_close(back, QubitValue(3, {0: 2 ** -0.5, 1: 2 ** -0.5}), 1e-12)
+    assert len(apply_gate(gate("H", "H", "I"), ket("000")).amps) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +428,11 @@ def test_measure_past_the_float_range():
 # factor_split
 
 
-def _same_split(q: QubitValue, left_width: int) -> None:
-    got = factor_split(q, left_width)
-    want = factor_split_dense(q, left_width)
+def _same_split(q: QubitValue) -> None:
+    got = factor_split(q)
+    want = factor_split_dense(q, 1)
     assert (got is None) == (want is None)
-    assert is_product(q, left_width) == (want is not None)
+    assert is_product(q) == (want is not None)
     if want is not None:
         for mine, ref in zip(got, want):
             assert mine.width == ref.width
@@ -421,19 +442,18 @@ def _same_split(q: QubitValue, left_width: int) -> None:
 
 @given(register(min_width=2))
 def test_factor_split_matches_dense_oracle_on_any_register(q):
-    """Mostly entangled registers: the same decision at every cut."""
-    for left_width in range(1, q.width):
-        _same_split(q, left_width)
+    """Mostly entangled registers: the same decision."""
+    _same_split(q)
 
 
-@given(register(max_width=4), register(max_width=5))
+@given(register(max_width=1), register(max_width=5))
 def test_factor_split_matches_dense_oracle_on_products(a, b):
     q = tensor(a, b)
-    assert factor_split(q, a.width) is not None
-    _same_split(q, a.width)
+    assert factor_split(q) is not None
+    _same_split(q)
 
 
-@given(st.one_of(st.text("01", min_size=1, max_size=3).map(ket), register(max_width=3)),
+@given(st.one_of(st.text("01", min_size=1, max_size=1).map(ket), register(max_width=1)),
        register(max_width=4), st.data())
 @settings(max_examples=100)
 def test_factor_split_matches_dense_oracle_near_tolerance(a, b, data):
@@ -447,7 +467,7 @@ def test_factor_split_matches_dense_oracle_near_tolerance(a, b, data):
     angle = data.draw(st.floats(0, 2 * math.pi))
     nudged = QubitValue(q.width, list(q.amps) + [(u, size * complex(math.cos(angle),
                                                                     math.sin(angle)))])
-    _same_split(nudged, a.width)
+    _same_split(nudged)
 
 
 @pytest.mark.parametrize("amps", [{0: 1e308 + 1e308j, 2: 1j}, {0: 2.0**1023, 2: 2.0**1023}])
@@ -457,8 +477,8 @@ def test_no_rank1_split_past_the_float_range(amps):
     and factor_split agree and neither raises."""
     q = QubitValue(2, amps)
     with np.errstate(all="ignore"):
-        assert not is_product(q, 1)
-        assert factor_split(q, 1) is None
+        assert not is_product(q)
+        assert factor_split(q) is None
 
 
 @pytest.mark.parametrize("amps", [{0: 1e308 + 1e308j, 2: 1j}, {0: 2.0**1023, 2: 2.0**1023}])
@@ -466,8 +486,8 @@ def test_rank1_past_the_float_range_warns_nothing(amps):
     q = QubitValue(2, amps)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert not is_product(q, 1)
-        assert factor_split(q, 1) is None
+        assert not is_product(q)
+        assert factor_split(q) is None
 
 
 def test_one_row_register_splits_exactly(monkeypatch):
@@ -478,19 +498,19 @@ def test_one_row_register_splits_exactly(monkeypatch):
     amps = {0b10001: complex(0.6, 1e-17) / 3, 0b10110: 0.8 / 3 + 0j,
             0b10111: complex(-2, 2 ** 0.5) / 3}
     q = QubitValue(5, amps)
-    assert is_product(q, 2)
-    left, right = factor_split(q, 2)
-    assert left.amps == ((0b10, 1 + 0j),)
-    assert right.amps == tuple((u & 0b111, a) for u, a in q.amps)
-    assert right == QubitValue(3, {u & 0b111: a for u, a in amps.items()})
+    assert is_product(q)
+    left, right = factor_split(q)
+    assert left.amps == ((0b1, 1 + 0j),)
+    assert right.amps == tuple((u & 0b1111, a) for u, a in q.amps)
+    assert right == QubitValue(4, {u & 0b1111: a for u, a in amps.items()})
 
 
 def test_factor_split_of_a_wide_basis_state():
     """Width 40 splits without a 2**40 array (the dense oracle could not)."""
     q = basis_state(40, 0)
-    assert is_product(q, 1)
-    assert factor_split(q, 1) == (ket("0"), basis_state(39, 0))
-    left, right = factor_split(basis_state(40, (1 << 39) | 5), 1)
+    assert is_product(q)
+    assert factor_split(q) == (ket("0"), basis_state(39, 0))
+    left, right = factor_split(basis_state(40, (1 << 39) | 5))
     assert left == ket("1") and right == basis_state(39, 5)
 
 
@@ -499,8 +519,8 @@ def test_factor_split_ignores_entries_below_tolerance():
     does not stop the split."""
     q = QubitValue(2, {0: 1.0, 3: EPS_NORM / 2})
     assert EPS_NORM / 2 > EPS_ZERO
-    _same_split(q, 1)
-    assert factor_split(q, 1) == (ket("0"), ket("0"))
+    _same_split(q)
+    assert factor_split(q) == (ket("0"), ket("0"))
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +541,8 @@ def _handed_over(q: QubitValue) -> list[QubitValue]:
         out += [o.post for o in measure(q, {1})] + [o.post for o in measure(q, {q.width})]
     except ZeroMassError:
         pass
-    for left_width in range(1, q.width):
-        out += factor_split(q, left_width) or ()
+    if q.width > 1:
+        out += factor_split(q) or ()
     return [r for r in out if quantum._SUPPORT in vars(r)]
 
 
@@ -549,10 +569,10 @@ def test_kernels_hand_over_the_key_support_a_fresh_copy_reads(width, data):
 def test_exact_split_hands_over_none_near_the_threshold():
     q = QubitValue(3, {0b100: 0.5, 0b101: KEY_AMP_THRESHOLD, 0b111: 0.5})
     assert vars(q)[quantum._SUPPORT] is None
-    left, right = factor_split(q, 1)
+    left, right = factor_split(q)
     assert vars(right)[quantum._SUPPORT] is None
     q = QubitValue(3, {0b100: 0.6, 0b101: 1e-7, 0b111: 0.8})
-    assert vars(factor_split(q, 1)[1])[quantum._SUPPORT] == (0b00, 0b11)
+    assert vars(factor_split(q)[1])[quantum._SUPPORT] == (0b00, 0b11)
 
 
 # ---------------------------------------------------------------------------
@@ -588,10 +608,10 @@ def test_step_at_matches_once(monkeypatch):
         assert redex == ((), "split") and len(tests) == rank1_runs and splits == []
         monkeypatch.setattr(reduction, "head_rule", counted_head_rule)
         matched.clear()
-        [step] = reduction.step_at(term, *redex)
+        [(target, _)] = reduction.step_at(term, *redex)
         assert len(matched) == 1 and matched[0] is term
         assert len(tests) == rank1_runs and len(splits) == 1
-        assert amps_close(step.target.value, QubitValue(1, {0: 0.6, 1: 0.8}), 1e-12)
+        assert amps_close(target.value, QubitValue(1, {0: 0.6, 1: 0.8}), 1e-12)
 
 
 def test_a_contraction_substitutes_once(monkeypatch):
@@ -617,9 +637,9 @@ def test_a_contraction_substitutes_once(monkeypatch):
                          ("let a * b = !|01> in b a a", "split")]:
         term = parse_term(source)
         calls.clear()
-        [step] = reduction.step_at(term, (), rule)
+        [(target, _)] = reduction.step_at(term, (), rule)
         assert len(calls) == 1, source
-        assert step.target != term
+        assert target != term
 
 
 @given(register(min_width=2))
@@ -628,11 +648,11 @@ def test_register_memos_leave_equality_hash_and_repr(q):
     hashes and prints as a fresh copy, and splits the same again."""
     copy = QubitValue(q.width, q.amps)
     before = repr(q), hash(q)
-    first = factor_split(q, 1)
-    assert is_product(q, 1) == (first is not None)
+    first = factor_split(q)
+    assert is_product(q) == (first is not None)
     shape_key(QubitConst(q))
     assert vars(q)  # the memos are there
     assert (repr(q), hash(q)) == before
     assert q == copy and copy == q
     assert hash(copy) == hash(q) and repr(copy) == repr(q)
-    assert factor_split(q, 1) == first == factor_split(copy, 1)
+    assert factor_split(q) == first == factor_split(copy)

@@ -20,14 +20,13 @@ from qlam.quantum import (
     apply_gate,
     basis_state,
     factor_split,
-    gate,
     ket,
     measure,
     tensor,
 )
 
 from conftest import coincidence_brute, random_register
-from kernel_oracles import coincidence_set, uniform_state
+from kernel_oracles import coincidence_set, gate, uniform_state
 
 S2 = 1 / math.sqrt(2)
 
@@ -281,29 +280,29 @@ def test_measure_idempotent(q, data):
 
 def test_factor_split_product_state():
     sup = QubitValue(1, {0: 0.6, 1: 0.8})
-    left, right = factor_split(tensor(ket("0"), sup), 1)
+    left, right = factor_split(tensor(ket("0"), sup))
     assert amps_close(left, ket("0"), 1e-9)
     assert amps_close(right, sup, 1e-9)
 
 
 def test_factor_split_entangled_returns_none():
     pair = QubitValue(2, {0: S2, 3: S2})
-    assert factor_split(pair, 1) is None
+    assert factor_split(pair) is None
 
 
 def test_factor_split_pushes_phase_right():
     sup = QubitValue(1, {0: 0.6, 1: 0.8})
     state = tensor(basis_state(1, 1), sup)
     phased = QubitValue(2, {u: -a for u, a in state.amps})
-    left, right = factor_split(phased, 1)
+    left, right = factor_split(phased)
     assert amps_close(left, ket("1"), 1e-9)
     assert amps_close(right, QubitValue(1, {0: -0.6, 1: -0.8}), 1e-9)
 
 
-@given(random_register(max_width=2), random_register(max_width=2))
+@given(random_register(max_width=1), random_register(max_width=2))
 @settings(max_examples=40)
 def test_factor_split_recovers_product(a, b):
-    parts = factor_split(tensor(a, b), a.width)
+    parts = factor_split(tensor(a, b))
     assert parts is not None
     left, right = parts
     assert amps_close(tensor(left, right), tensor(a, b), 1e-9)

@@ -54,24 +54,24 @@ BIASED = "((0.6,0)!|0> + (0.8,0)!|1>)"
 
 def test_if_zero_takes_first_arm():
     steps = step_at(parse_term("if !|0> then a else b"), (), "if-0")
-    assert [(pretty(s.target), s.probability) for s in steps] == [("a", 1.0)]
+    assert [(pretty(t), p) for t, p in steps] == [("a", 1.0)]
 
 
 def test_if_one_takes_second_arm():
     steps = step_at(parse_term("if !|1> then a else b"), (), "if-1")
-    assert [(pretty(s.target), s.probability) for s in steps] == [("b", 1.0)]
+    assert [(pretty(t), p) for t, p in steps] == [("b", 1.0)]
 
 
 def test_measurement_steps_follow_born_rule():
     steps = step_at(parse_term(f"M{{1}} {BIASED}"), (), "M")
-    assert [pretty(s.target) for s in steps] == ["!|0>", "!|1>"]
-    assert steps[0].probability == pytest.approx(0.36, abs=1e-9)
-    assert steps[1].probability == pytest.approx(0.64, abs=1e-9)
+    assert [pretty(t) for t, _ in steps] == ["!|0>", "!|1>"]
+    assert steps[0][1] == pytest.approx(0.36, abs=1e-9)
+    assert steps[1][1] == pytest.approx(0.64, abs=1e-9)
 
 
 def test_beta_identity():
     steps = step_at(parse_term(r"(\x. x) !|1>"), (), "beta")
-    assert [(pretty(s.target), s.probability) for s in steps] == [("!|1>", 1.0)]
+    assert [(pretty(t), p) for t, p in steps] == [("!|1>", 1.0)]
 
 
 def test_beta_not_value_restricted():
@@ -83,27 +83,27 @@ def test_beta_not_value_restricted():
 
 def test_nonlinear_beta_on_bang_substitutes_payload():
     t = parse_term(r"(\!x. x x) !(M{1} " + BIASED + ")")
-    step = step_at(t, (), "!beta1")[0]
+    [(target, _)] = step_at(t, (), "!beta1")
     want = parse_term(f"(M{{1}} {BIASED}) (M{{1}} {BIASED})")
-    assert alpha_eq(step.target, want)
+    assert alpha_eq(target, want)
 
 
 def test_nonlinear_beta_on_register():
     t = parse_term(r"(\!x. x x) !|0>")
-    step = step_at(t, (), "!beta2")[0]
-    assert pretty(step.target) == "!|0> !|0>"
+    [(target, _)] = step_at(t, (), "!beta2")
+    assert pretty(target) == "!|0> !|0>"
 
 
 def test_unitary_step():
     t = parse_term("H !|0>")
-    step = step_at(t, (), "U")[0]
-    assert alpha_eq(step.target, parse_term(f"({S2},0)!|0> + ({S2},0)!|1>"))
+    [(target, _)] = step_at(t, (), "U")
+    assert alpha_eq(target, parse_term(f"({S2},0)!|0> + ({S2},0)!|1>"))
 
 
 def test_split_step():
     t = parse_term("let a * b = !|0> * !|1> in b")
-    step = step_at(t, (), "split")[0]
-    assert pretty(step.target) == "!|1>"
+    [(target, _)] = step_at(t, (), "split")
+    assert pretty(target) == "!|1>"
 
 
 def test_no_redex_error():
@@ -191,10 +191,10 @@ def test_probability_completeness(t):
     """Each (position, rule) pair's branch probabilities sum to 1."""
     for pos, rule in enumerate_redexes(t, RULESET_ST):
         steps = step_at(t, pos, rule)
-        assert abs(sum(s.probability for s in steps) - 1.0) <= 1e-9
-        for s in steps:
-            assert s.probability > 0
-            assert (s.probability == 1.0) or rule == "M"
+        assert abs(sum(p for _, p in steps) - 1.0) <= 1e-9
+        for _, p in steps:
+            assert p > 0
+            assert (p == 1.0) or rule == "M"
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +221,9 @@ def test_measurement_steps_commute_with_context(q, ctx):
     plugged = substitute(context, {"hole": m_term})
     in_context = step_at(plugged, hole_pos, "M")
     assert len(direct) == len(in_context)
-    for d, c in zip(direct, in_context):
-        assert d.probability == pytest.approx(c.probability, abs=1e-12)
-        assert alpha_eq(c.target, substitute(context, {"hole": d.target}))
+    for (d, dp), (c, cp) in zip(direct, in_context):
+        assert dp == pytest.approx(cp, abs=1e-12)
+        assert alpha_eq(c, substitute(context, {"hole": d}))
 
 
 def test_split_binders_sharing_a_name_take_the_right_factor():
@@ -283,7 +283,7 @@ def _with_successors(t):
     """t and every term one step from it."""
     out = [t]
     for pos, rule in enumerate_redexes_reference(t, RULESET_ST):
-        out += [s.target for s in step_at(t, pos, rule)]
+        out += [target for target, _ in step_at(t, pos, rule)]
     return out
 
 
@@ -341,8 +341,8 @@ def test_redex_walk_and_step_on_a_deep_chain():
     for _ in range(depth):
         t = App(h, t)
     deepest = (1,) * (depth - 1)
-    [step] = step_at(t, *strategy_redex(t))
-    assert (step.rule, step.position) == ("U", deepest)
-    assert len(subterm_at(step.target, deepest).value.amps) == 2
+    assert strategy_redex(t) == (deepest, "U")
+    [(target, _)] = step_at(t, deepest, "U")
+    assert len(subterm_at(target, deepest).value.amps) == 2
     assert enumerate_redexes(t, RULESET_ST) == [(deepest, "U")]
     assert stuck_sites(t) == []

@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 
 from qlam.ensemble import TermEnsemble, evaluate, min_ensemble
 from qlam.parser import parse_program, parse_term
-from qlam.quantum import PAULI_X, PAULI_Z, GateAtom, GateExpr, QubitValue, _canonical, gate, ket
+from qlam.quantum import PAULI_X, PAULI_Z, GateAtom, GateExpr, QubitValue, _canonical, ket
 from qlam.syntax import (
     AMP_TOL,
     App,
@@ -38,6 +38,7 @@ from conftest import (
     random_terms,
     rename_binders,
 )
+from kernel_oracles import gate
 from syntax_oracles import (
     alpha_eq_reference,
     free_vars_reference,
