@@ -18,7 +18,13 @@ A move is one ``det_step``: every entry fires one of its redexes or idles.
 One ``enumerate_redexes`` walk per (ensemble, rule set) serves both the
 budget check, made before any step is contracted, and the moves.  Each
 move's successors are built and canonicalized once, where they are built,
-and shared by every pair the move is in.
+and shared by every pair the move is in.  A start ensemble with no redex
+under either rule set has only the all-idle pair, which rejoins trivially:
+once the pair budget is checked, its check returns at once, with no move,
+successor list or canonical form built.  A move carries the redex each
+entry fired, (position, rule) or None for idling, and its label
+(``rule@position`` or ``idle`` per entry, joined by `` | ``) is formatted
+only for a pair that fails.
 """
 
 from __future__ import annotations
@@ -335,7 +341,8 @@ class DiamondReport:
         return not self.failures
 
 
-Redexes = list[list[tuple[Position, str]]]
+Redex = tuple[Position, str]
+Redexes = list[list[Redex]]
 
 
 def _redexes(ens: TermEnsemble, rules: RuleSet) -> tuple[Redexes, int]:
@@ -345,25 +352,33 @@ def _redexes(ens: TermEnsemble, rules: RuleSet) -> tuple[Redexes, int]:
     return redexes, math.prod(len(r) + 1 for r in redexes)
 
 
-def _moves(ens: TermEnsemble, redexes: Redexes) -> list[tuple[str, TermEnsemble]]:
+def _moves(ens: TermEnsemble,
+           redexes: Redexes) -> list[tuple[tuple[Redex | None, ...], TermEnsemble]]:
     """All one-ensemble-step successors of ens that fire its entries'
-    ``redexes``, labelled, with the idle step last.  For a single-term
-    ensemble this is one move per redex plus idling."""
-    per_entry: list[list[tuple[str, tuple[tuple[Term, float], ...]]]] = []
+    ``redexes``, the idle step last.  Each comes with the redex every entry
+    fired, (position, rule), or None where the entry idles.  For a
+    single-term ensemble this is one move per redex plus idling."""
+    per_entry: list[list[tuple[Redex | None, tuple[tuple[Term, float], ...]]]] = []
     for (term, p), entry_redexes in zip(ens.entries, redexes):
-        opts: list[tuple[str, tuple[tuple[Term, float], ...]]] = []
+        opts: list[tuple[Redex | None, tuple[tuple[Term, float], ...]]] = []
         for pos, rule in entry_redexes:
             steps = step_at(term, pos, rule)
-            opts.append((f"{rule}@{format_position(pos)}",
-                         tuple((target, p * prob) for target, prob in steps)))
-        opts.append(("idle", ((term, p),)))
+            opts.append(((pos, rule), tuple((target, p * prob) for target, prob in steps)))
+        opts.append((None, ((term, p),)))
         per_entry.append(opts)
     moves = []
     for combo in itertools.product(*per_entry):
-        label = " | ".join(lbl for lbl, _ in combo)
+        fired = tuple(redex for redex, _ in combo)
         entries = tuple(pair for _, group in combo for pair in group)
-        moves.append((label, TermEnsemble(entries)))
+        moves.append((fired, TermEnsemble(entries)))
     return moves
+
+
+def _label(fired: tuple[Redex | None, ...]) -> str:
+    """A move's label: ``rule@position`` for each entry that fired and
+    ``idle`` for each that idled, joined by `` | ``."""
+    return " | ".join("idle" if redex is None else f"{redex[1]}@{format_position(redex[0])}"
+                      for redex in fired)
 
 
 def _successors(ens: TermEnsemble, rules: RuleSet, join_cap: int) -> list[TermEnsemble]:
@@ -391,6 +406,8 @@ def check_diamond_ensemble(tau: TermEnsemble, rules_a: RuleSet, rules_b: RuleSet
     redexes_b, count_b = (redexes_a, count_a) if same else _redexes(tau, rules_b)
     if count_a * count_b > pair_cap:
         raise BudgetExceededError("move-pair space exceeds the pair budget")
+    if count_a == count_b == 1:  # no redex on either side: only the idle pair
+        return DiamondReport(0, [])
     if max(count_a, count_b) > max(join_cap, 1):  # the idle moves' join lists
         raise BudgetExceededError("one-step successor space exceeds the join budget")
     moves_a = _moves(tau, redexes_a)
@@ -405,8 +422,8 @@ def check_diamond_ensemble(tau: TermEnsemble, rules_a: RuleSet, rules_b: RuleSet
     joins_a, joins_b = joins_a + [canon_b], joins_b + [canon_a]
     # the last pair has both sides idle; rejoining by idling is trivial
     pairs = list(itertools.product(zip(moves_a, joins_a), zip(moves_b, joins_b)))[:-1]
-    failures = [(label_a, label_b)
-                for ((label_a, _), omegas1), ((label_b, _), omegas2) in pairs
+    failures = [(_label(fired_a), _label(fired_b))
+                for ((fired_a, _), omegas1), ((fired_b, _), omegas2) in pairs
                 if not _find_join(omegas1, omegas2)]
     return DiamondReport(len(pairs), failures)
 

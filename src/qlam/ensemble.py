@@ -14,6 +14,9 @@ post-state is built: ``det_step`` builds every branch unless they would
 pass its cap, and ``sample`` draws one branch and builds only that one.
 Their ``trace`` gets (step index, entry index, position, rule, target,
 probability): the redex fired and each (term, probability) it gave.
+``singleton`` builds {<t, 1>} without TermEnsemble's checks, since it is
+valid by construction; every other ensemble, each step's included, is
+checked.
 
 ``min_ensemble`` canonicalizes by merging alpha-equivalent entries
 (summing their probabilities); two ensembles are equivalent when their
@@ -102,7 +105,12 @@ def _round12(p: float) -> float:
 
 
 def singleton(t: Term) -> TermEnsemble:
-    return TermEnsemble(((t, 1.0),))
+    """The ensemble {<t, 1>}.  It is valid by construction, so it is built
+    without TermEnsemble's checks, as quantum._canonical builds a register
+    without canonicalizing it again."""
+    ens = object.__new__(TermEnsemble)
+    object.__setattr__(ens, "entries", ((t, 1.0),))
+    return ens
 
 
 class _Buckets:

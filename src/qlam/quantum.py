@@ -16,12 +16,13 @@ DENSE_MAX_WIDTH wires, and there only when the scatter's moves (estimated
 from the support, grown by each factor's column fan-out) exceed the dense
 pass's price.  Narrower registers, and wider ones such as a sparse 60-wire
 register, stay on the scatter.  What a pass reads of a gate never changes,
-so it is worked out once: a GateAtom and a GateExpr compute their arity at
-construction, and an atom keeps its nonzero column and row tables and, per
-shift (the wires to its right), the scatter's move tables, on the atom
-itself.  An atom is shared by every expression built over it (the parser
-builds a new GateExpr for every tensor it folds), and a lookup keyed by the
-atom would hash its whole matrix.
+so it is worked out once: a GateAtom and a GateExpr compute their arity and
+their hash at construction, and an atom keeps its nonzero column and row
+tables and, per shift (the wires to its right), the scatter's move tables,
+on the atom itself.  An atom is shared by every expression built over it
+(the parser builds a new GateExpr for every tensor it folds).  A gate is
+hashed wherever a term's shape key is, and the kept hash spares each of
+those a pass over every matrix entry.
 
 Which amplitudes a register keeps is decided by ``_kept``, in the same pass
 that finds the register's key support: the indices whose amplitude modulus
@@ -151,7 +152,8 @@ class GateAtom:
     identity matrix, which apply_gate skips; ``_rows``, per row r the
     (column, entry) pairs with a nonzero entry, in column order; and
     ``_moves_memo``, the scatter's tables by shift (see _moves), filled as
-    shifts are asked for.
+    shifts are asked for.  ``_hash`` keeps the hash of the fields, taken
+    once the matrix is normalized, and ``__hash__`` returns it.
     """
 
     name: str
@@ -180,6 +182,10 @@ class GateAtom:
         object.__setattr__(self, "_rows", tuple(
             tuple((c, mat[r][c]) for c in range(n) if mat[r][c] != 0) for r in range(n)))
         object.__setattr__(self, "_moves_memo", {})
+        object.__setattr__(self, "_hash", hash((self.name, mat)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _moves(atom: GateAtom, right: int) -> tuple[int, int, tuple]:
@@ -198,8 +204,8 @@ def _moves(atom: GateAtom, right: int) -> tuple[int, int, tuple]:
 
 @dataclass(frozen=True)
 class GateExpr:
-    """Tensor composition of primitive gates, acting on ``arity`` wires
-    (computed once, here)."""
+    """Tensor composition of primitive gates, acting on ``arity`` wires.
+    Its arity and hash are computed once, here."""
 
     atoms: tuple[GateAtom, ...]
 
@@ -207,6 +213,10 @@ class GateExpr:
         if not self.atoms:
             raise GateError("empty gate expression")
         object.__setattr__(self, "arity", sum(atom.arity for atom in self.atoms))
+        object.__setattr__(self, "_hash", hash((self.atoms,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def tensor(self, other: "GateExpr") -> "GateExpr":
         return GateExpr(self.atoms + other.atoms)

@@ -36,7 +36,9 @@ from one iterative walk.  ``alpha_eq`` compares shapes, then amplitudes
 within a tolerance.  ``shape_key``, the shape plus each register's key
 support (which qlam.quantum finds and keeps on the register), is a hash key
 that alpha-equivalent terms share, or None when an amplitude is too close
-to the support threshold to place (compare with every term).
+to the support threshold to place (compare with every term).  The key is a
+third memo kept on the term, so a term is keyed once however often an
+ensemble scan asks for it.
 """
 
 from __future__ import annotations
@@ -290,10 +292,12 @@ def height(t: Term) -> int:
 _EMPTY: frozenset[str] = frozenset()
 
 # Names of the instance attributes that hold a node's free-variable memo, a
-# term's shape memo and a node's height memo.
+# term's shape memo, its shape key and a node's height memo.
 _FREE = "_free_vars"
 _HEIGHT = "_height"
 _SHAPE = "_shape"
+_KEY = "_shape_key"
+_UNKEYED = object()  # no shape key kept yet (None is a key's value)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -530,11 +534,16 @@ def shape_key(t: Term) -> tuple | None:
     key support (quantum._key_support): the indices whose amplitude modulus
     exceeds quantum.KEY_AMP_THRESHOLD.  An amplitude within twice AMP_TOL of
     the threshold could sit on either side of it in a tolerance-close
-    register, so the key is None then.
+    register, so the key is None then.  The key is kept on t, as the shape
+    is, so keying a term again builds nothing.
     """
-    shape, registers = _shape(t)
-    supports = tuple(map(_key_support, registers))
-    return None if None in supports else (shape, supports)
+    key = getattr(t, _KEY, _UNKEYED)
+    if key is _UNKEYED:
+        shape, registers = _shape(t)
+        supports = tuple(map(_key_support, registers))
+        key = None if None in supports else (shape, supports)
+        object.__setattr__(t, _KEY, key)
+    return key
 
 
 # ---------------------------------------------------------------------------

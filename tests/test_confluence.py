@@ -157,6 +157,52 @@ def test_diamond_detects_genuine_failure():
     assert not report.ok
 
 
+def _duplicating_beta() -> App:
+    """The ill-formed term of test_diamond_detects_genuine_failure."""
+    return App(Lam("x", If(QubitConst_bit0(),
+                           App(Var("f"), Var("x")),
+                           App(Var("x"), Var("g")))), parse_term(f"M{{1}} {HALF}"))
+
+
+def test_failure_labels_name_the_redexes_each_entry_fired():
+    """A failing pair is labelled ``rule@position`` per entry, ``idle`` for
+    an entry that idles, joined by `` | ``: the text is pinned, from a
+    single-term check and from a two-entry start ensemble."""
+    bad = _duplicating_beta()
+    report = check_diamond(bad, RULESET_S, RULESET_T)
+    assert (report.pairs_checked, report.failures) == (5, [("beta@root", "M@1")])
+    other = parse_term(r"(\y. y) (M{1} ((0.6,0)!|0> + (0.8,0)!|1>))")
+    tau = TermEnsemble(((App(Var("h"), bad), 0.25), (other, 0.75)))
+    report = check_diamond_ensemble(tau, RULESET_S, RULESET_T)
+    assert report.pairs_checked == 23
+    assert report.failures == [
+        ("beta@1 | beta@root", "M@1.1 | M@1"),
+        ("beta@1 | beta@root", "M@1.1 | idle"),
+        ("beta@1 | idle", "M@1.1 | M@1"),
+        ("beta@1 | idle", "M@1.1 | idle"),
+    ]
+
+
+@pytest.mark.parametrize("rules", [(RULESET_T, RULESET_T), (RULESET_S, RULESET_T),
+                                   (RULESET_S, RULESET_S)])
+def test_a_check_with_no_pair_builds_nothing(monkeypatch, rules):
+    """A start ensemble with no redex under either rule set has only the
+    all-idle pair: the check returns after the pair budget check, with no
+    move, successor list or canonical form built."""
+    calls = Counter()
+    for name in ("_moves", "_successors", "min_ensemble"):
+        def counted(*args, _name=name, _real=getattr(confluence, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(confluence, name, counted)
+    normal = parse_term(r"\x. \y. y x")
+    report = check_diamond(normal, *rules)
+    assert vars(report) == {"pairs_checked": 0, "failures": []}
+    assert calls == Counter()
+    with pytest.raises(BudgetExceededError, match="^move-pair space exceeds the pair budget$"):
+        check_diamond(normal, *rules, pair_cap=0)
+
+
 def _ill_formed_family(count: int) -> list:
     """Generated terms passed to a linear or a nonlinear abstraction that
     uses its argument twice.  Many are ill-formed, so under S:T and S:S
@@ -332,3 +378,68 @@ def test_a_rule_changed_in_head_rule_alone_fails_a_diamond(monkeypatch, mutate, 
     monkeypatch.setattr(reduction, "head_rule", mutate(reduction.head_rule))
     a, b, index = caught_by
     assert failing(a, b) == {index}
+
+
+def _redex_sites_under_bang(t):
+    """reduction._redex_sites, but also walking bang bodies, in both of its
+    phases: reduction under a bang, which the rules forbid (a bang is a
+    value, copied as a whole)."""
+    aside = []
+    stack = [((), t, False)]
+    while stack:
+        link, term, done = stack.pop()
+        cls = type(term)
+        if done:
+            yield link, term
+            if cls is not App:
+                aside += [((link, i), kid) for i, kid in enumerate(children(term)) if i]
+        elif cls is App:
+            stack += (link, term, True), ((link, 1), term.arg, False), ((link, 0), term.fun, False)
+        elif cls is If or cls is LetTensor:
+            stack += (link, term, True), ((link, 0), children(term)[0], False)
+        elif cls is Bang:  # mutated: the evaluation phase enters a bang
+            stack.append(((link, 0), term.body, False))
+        elif cls is Lam or cls is BangLam:
+            aside.append((link, term))
+    aside.reverse()
+    while aside:
+        link, term = aside.pop()
+        cls = type(term)
+        if cls is App or cls is If or cls is LetTensor:
+            yield link, term
+        # mutated: the second phase enters a bang too
+        aside += reversed([((link, i), kid) for i, kid in enumerate(children(term))])
+
+
+def test_reduction_under_a_bang_fails_a_diamond(monkeypatch):
+    """Mutant (c): with the redex walk entering bangs, a measurement under
+    a bang fires before the bang is copied.  Regression shape #1,
+    ``(\\!x. x x) !(M{1} ...)``, is the only shape caught, and only under
+    S:T; on the seed-0 corpus S:T catches #1 and #441.  A check that finds
+    no redex returns before any move is built, so this also shows that
+    the early return does not hide a walk that finds more redexes."""
+    corpus = generate(GenConfig(seed=0))
+    pairs = {"T": RULESET_T, "S": RULESET_S}
+
+    def failing(terms, a, b):
+        return {i for i, t in enumerate(terms) if not check_diamond(t, pairs[a], pairs[b]).ok}
+
+    seeds = regression_seeds()
+    assert failing(seeds, "S", "T") == set()
+    monkeypatch.setattr(reduction, "_redex_sites", _redex_sites_under_bang)
+    assert failing(seeds, "T", "T") == failing(seeds, "S", "S") == set()
+    assert failing(seeds, "S", "T") == {1}
+    assert failing(corpus, "S", "T") == {1, 441}
+
+
+@pytest.mark.parametrize("seed, counts", [
+    (0, {"T:T": (1000, 3322, 0, 0), "S:T": (1000, 2688, 0, 0), "S:S": (1000, 3900, 0, 0)}),
+    (1, {"T:T": (1000, 3527, 0, 0), "S:T": (1000, 2791, 0, 0), "S:S": (1000, 4059, 0, 0)}),
+])
+def test_whole_corpus_suite_counts(seed, counts):
+    """Terms, pairs, skips and failures per diamond pair over the default
+    1,000-term corpus of seeds 0 and 1."""
+    summary = run_suite(GenConfig(seed=seed))
+    assert {f"{r.rules_a}:{r.rules_b}": (r.terms_checked, r.pairs_checked, r.skipped,
+                                         len(r.failures))
+            for r in summary.results} == counts

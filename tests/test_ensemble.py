@@ -78,6 +78,23 @@ def test_singleton():
     assert min_ensemble(e) == e
 
 
+def test_singleton_skips_only_its_own_checks(monkeypatch):
+    """{<t, 1>} is valid by construction, so singleton builds it without
+    TermEnsemble's checks, and it equals the checked ensemble.  The
+    checked constructor still runs them."""
+    checks = []
+    post_init = TermEnsemble.__post_init__
+    monkeypatch.setattr(TermEnsemble, "__post_init__",
+                        lambda self: checks.append(self) or post_init(self))
+    t = parse_term(r"\x. x")
+    e = singleton(t)
+    assert checks == []
+    assert e == TermEnsemble(((t, 1.0),)) and len(checks) == 1
+    assert e.entries == ((t, 1.0),) and e.mass() == 1.0
+    with pytest.raises(ValueError, match="mass"):
+        TermEnsemble(((t, 0.5),))
+
+
 def test_min_merges_duplicates():
     e = TermEnsemble(((Var("a"), 0.5), (Var("a"), 0.25), (Var("b"), 0.25)))
     got = min_ensemble(e)

@@ -313,6 +313,27 @@ def test_gate_memos_leave_equality_hash_and_repr():
     assert dataclasses.replace(g, atoms=g.atoms[:1]).arity == 1
 
 
+def test_gate_hash_is_kept_and_follows_the_fields():
+    """An atom and an expression hash once, at construction, to the hash
+    of their fields: two equal expressions built separately hash alike,
+    and an atom with the same matrix under another name is another gate."""
+    hadamard, cnot = BUILTIN_GATES["H"], BUILTIN_GATES["cnot"]
+
+    def built() -> GateExpr:
+        return GateExpr((GateAtom("cnot", cnot.matrix), GateAtom("H", hadamard.matrix)))
+
+    a, b = built(), built()
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert hash(a) == hash(GateExpr((cnot, hadamard))) == hash((a.atoms,)) == a._hash
+    atom = a.atoms[1]
+    assert hash(atom) == hash((atom.name, atom.matrix)) == atom._hash
+    # the matrix is normalized to complex entries before it is hashed
+    assert hash(GateAtom("X", ((0, 1), (1, 0)))) == hash(BUILTIN_GATES["X"])
+    renamed = GateAtom("Hadamard", hadamard.matrix)
+    assert renamed != hadamard and renamed.matrix == hadamard.matrix
+    assert GateExpr((renamed,)) != GateExpr((hadamard,))
+
+
 def test_apply_gate_skips_identity_factors():
     q = QubitValue(3, {1: 0.6, 6: 0.8j})
     assert apply_gate(GateExpr((BUILTIN_GATES["I"],) * 3), q) == q

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 import hypothesis.strategies as st
 
+from qlam import syntax
 from qlam.ensemble import TermEnsemble, evaluate, min_ensemble
 from qlam.parser import parse_program, parse_term
 from qlam.quantum import PAULI_X, PAULI_Z, GateAtom, GateExpr, QubitValue, _canonical, ket
@@ -188,6 +189,28 @@ def test_shape_walk_matches_reference(a, b, seed, scale):
     for i, j in itertools.combinations(range(3), 2):
         assert alpha_eq(terms[i], terms[j]) == alpha_eq_reference(terms[i], terms[j])
         assert (keys[i] == keys[j]) == (references[i] == references[j])
+
+
+@given(generated_term(), generated_term())
+def test_shape_key_is_kept_on_the_term(a, b):
+    """A term is keyed once: asked again, shape_key hands back the same
+    object, None included, without walking the term.  The kept keys still
+    agree with the reference keys."""
+    calls = []
+    walk = syntax._shape
+    terms = [a, b, App(a, QubitConst(near_threshold_register(0.0)))]
+    keys = [shape_key(t) for t in terms]
+    assert keys[2] is None
+    try:
+        syntax._shape = lambda t: calls.append(t) or walk(t)
+        assert all(shape_key(t) is key for t, key in zip(terms, keys))
+    finally:
+        syntax._shape = walk
+    assert calls == []
+    references = [shape_key_reference(t) for t in terms]
+    for key, reference in zip(keys, references):
+        assert (key is None) == (reference is None)
+    assert (keys[0] == keys[1]) == (references[0] == references[1])
 
 
 def _gate(name, matrix):
