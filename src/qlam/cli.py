@@ -117,6 +117,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return _error("max_steps must be >= 1")
     if args.sample and seed is None:
         return _error("sample mode requires a seed (pass --seed or set QLAM_SEED)")
+    if args.sample and args.strategy != "strategy":
+        return _error(f"--strategy {args.strategy} applies to ensemble evaluation only; "
+                      "sample mode follows the deterministic strategy")
     program = _load_program(args.file)
     report, target = _checked_report(program, args.strict_wf)
     if target is None:
@@ -236,7 +239,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--max-steps", type=int, default=10_000)
     p_run.add_argument("--strategy", choices=("strategy", "leftmost", "rightmost"),
                        default="strategy",
-                       help="redex chooser for ensemble evaluation")
+                       help="redex chooser for ensemble evaluation (sampling follows "
+                            "the deterministic strategy)")
     p_run.add_argument("--trace", action="store_true",
                        help="print each reduction step on stderr")
     p_run.add_argument("--json", action="store_true")

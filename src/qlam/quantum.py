@@ -24,22 +24,18 @@ on the atom itself.  An atom is shared by every expression built over it
 hashed wherever a term's shape key is, and the kept hash spares each of
 those a pass over every matrix entry.
 
-Which amplitudes a register keeps is decided by ``_kept``, in the same pass
-that finds the register's key support: the indices whose amplitude modulus
-exceeds KEY_AMP_THRESHOLD, or None when one lies within _KEY_BAND of it
-(qlam.syntax.shape_key hashes terms by it).  QubitValue merges and
-range-checks its input first; the kernels whose pairs are already distinct
-and in index order (the scatter pass, a measurement's post-states, a
-tensor product and a rank-1 split's factors) go to ``_from_sorted``, which
-applies only ``_kept``.  Both keep the support on the register.  The dense
-gate pass applies the same rule in numpy, ``_kept_vector``, before its
-amplitudes leave numpy.  It takes moduli with np.hypot of the parts, which
-rounds as Python's abs does; np.abs can differ in the last bit, and at
-EPS_ZERO that would make the two passes keep different amplitudes.  The
-exact split hands its right factor the parent's support with the left bits
-masked off, since its amplitudes are the parent's, and its left factor |r>
-the support (r,).  Any other register reads its support once, in
-``_key_support``.
+Which amplitudes a register keeps is decided by ``_kept``.  QubitValue
+merges and range-checks its input first; the kernels whose pairs are
+already distinct and in index order (the scatter pass, a measurement's
+post-states, a tensor product and a rank-1 split's factors) go to
+``_from_sorted``, which applies only ``_kept``.  The dense gate pass
+applies the same rule in numpy, ``_kept_vector``, before its amplitudes
+leave numpy.  It takes moduli with np.hypot of the parts, which rounds as
+Python's abs does; np.abs can differ in the last bit, and at EPS_ZERO that
+would make the two passes keep different amplitudes.  No kernel reads a
+register's key support (qlam.syntax.shape_key hashes terms by it), since
+most registers are never keyed: ``key_support`` reads it the first time a
+shape key asks for it and keeps it on the register.
 
 Projective measurement of a wire set I follows the Born rule: outcome word w
 occurs with probability equal to the squared mass on the basis indices whose
@@ -269,26 +265,14 @@ def _modulus(a: complex) -> float:
         return math.inf
 
 
-# The attribute that keeps a register's key support (see _key_support).
-# Like the memos of qlam.syntax it is not a field, so equality, hashing and
-# repr never see it.
-_SUPPORT = "_key_support_memo"
 _UNSET = object()  # a memo not computed yet, where None is a result
 
 
-def _kept(pairs: Iterable[tuple[int, complex]]
-          ) -> tuple[tuple[tuple[int, complex], ...], tuple[int, ...] | None]:
-    """The pairs whose amplitudes a register keeps, in the given order, and
-    the key support of the register they make, from one pass.
-
-    Each amplitude is kept as 0j + a (which turns a -0.0 part into 0.0),
-    unless its modulus (inf past the float range) is EPS_ZERO or less.  The
-    support is the indices of the kept amplitudes whose modulus exceeds
-    KEY_AMP_THRESHOLD, or None when one lies within _KEY_BAND of it: d > B
-    or d < -B is abs(d) > B for d = modulus - KEY_AMP_THRESHOLD.
-    """
+def _kept(pairs: Iterable[tuple[int, complex]]) -> tuple[tuple[int, complex], ...]:
+    """The pairs whose amplitudes a register keeps, in the given order:
+    each amplitude as 0j + a (which turns a -0.0 part into 0.0), unless its
+    modulus (inf past the float range) is EPS_ZERO or less."""
     kept = []
-    support: list[int] | None = []
     for u, a in pairs:
         z = 0j + a
         try:
@@ -297,13 +281,7 @@ def _kept(pairs: Iterable[tuple[int, complex]]
             m = math.inf
         if m > EPS_ZERO:
             kept.append((u, z))
-            if support is not None:
-                d = m - KEY_AMP_THRESHOLD
-                if d > _KEY_BAND:
-                    support.append(u)
-                elif not d < -_KEY_BAND:
-                    support = None
-    return tuple(kept), None if support is None else tuple(support)
+    return tuple(kept)
 
 
 def _check_width(width: int) -> None:
@@ -327,8 +305,8 @@ class QubitValue:
     ``amps`` is given as (basis index, amplitude) pairs or as a dict, and
     holds the pairs sorted by index; duplicate indices are merged and the
     amplitudes ``_kept`` drops are gone at construction, so zero-amplitude
-    summands never survive.  The key support ``_kept`` finds is kept on the
-    register (see _key_support).  Normalization is not enforced here (the
+    summands never survive.  Its key support is read only when a shape key
+    asks for it (see key_support).  Normalization is not enforced here (the
     well-formedness checker reports it); every value produced by
     tensor/apply_gate/measure is unit norm.
     """
@@ -346,9 +324,7 @@ class QubitValue:
             if not 0 <= u < dim:
                 raise ValueError(f"basis index {u} out of range for width {width}")
             merged[u] = merged.get(u, 0j) + complex(a)
-        amps, support = _kept(sorted(merged.items()))
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, _SUPPORT, support)
+        object.__setattr__(self, "amps", _kept(sorted(merged.items())))
 
     def norm_sq(self) -> float:
         return _probability(self.amps)
@@ -357,36 +333,49 @@ class QubitValue:
         return abs(self.norm_sq() - 1.0) <= EPS_NORM
 
 
-def _canonical(width: int, amps: tuple[tuple[int, complex], ...],
-               support: tuple[int, ...] | None | object = _UNSET) -> QubitValue:
+def _canonical(width: int, amps: tuple[tuple[int, complex], ...]) -> QubitValue:
     """A register from pairs that are canonical already (indices distinct,
     sorted and in range; complex amplitudes of modulus above EPS_ZERO),
-    built without canonicalizing them again, with its key support if the
-    caller knows it."""
+    built without canonicalizing them again."""
     q = object.__new__(QubitValue)
     object.__setattr__(q, "width", width)
     object.__setattr__(q, "amps", amps)
-    if support is not _UNSET:
-        object.__setattr__(q, _SUPPORT, support)
     return q
 
 
 def _from_sorted(width: int, pairs: Iterable[tuple[int, complex]]) -> QubitValue:
     """A register from pairs whose indices are distinct, sorted and in
-    range: the register QubitValue builds from them, key support included,
-    without its merge and range check."""
-    return _canonical(width, *_kept(pairs))
+    range: the register QubitValue builds from them, without its merge and
+    range check."""
+    return _canonical(width, _kept(pairs))
 
 
-def _key_support(q: QubitValue) -> tuple[int, ...] | None:
-    """The key support of q (see _kept), kept on the register.  Every
-    register built by QubitValue or _from_sorted has it from its one pass,
-    and factor_split's exact split hands the right factor its share of its
-    parent's; any other register (a dense gate pass's, one built by
-    _canonical) is read once here."""
+# The attribute that keeps a register's key support (see key_support).
+# Like the memos of qlam.syntax it is not a field, so equality, hashing and
+# repr never see it.
+_SUPPORT = "_key_support_memo"
+
+
+def key_support(q: QubitValue) -> tuple[int, ...] | None:
+    """The key support of q: the indices whose amplitude modulus (inf past
+    the float range) exceeds KEY_AMP_THRESHOLD, or None when one lies
+    within _KEY_BAND of it.  qlam.syntax.shape_key hashes terms by it.  It
+    is read from q.amps the first time it is asked for and kept on q."""
     support = getattr(q, _SUPPORT, _UNSET)
     if support is _UNSET:
-        support = _kept(q.amps)[1]
+        support = []
+        for u, a in q.amps:
+            try:
+                d = abs(a) - KEY_AMP_THRESHOLD
+            except OverflowError:
+                d = math.inf
+            if d > _KEY_BAND:
+                support.append(u)
+            elif not d < -_KEY_BAND:
+                support = None
+                break
+        else:
+            support = tuple(support)
         object.__setattr__(q, _SUPPORT, support)
     return support
 
@@ -679,11 +668,8 @@ def _split(q: QubitValue) -> tuple[QubitValue, QubitValue] | None:
         # indices are sorted: one row holds them all
         row = q.amps[0][0] >> right_width
         mask = (1 << right_width) - 1
-        support = getattr(q, _SUPPORT, _UNSET)
-        if support is not None and support is not _UNSET:
-            support = tuple(u & mask for u in support)  # q's amplitudes: q's support, masked
-        split = (_canonical(1, ((row, 1 + 0j),), (row,)),
-                 _canonical(right_width, tuple([(u & mask, a) for u, a in q.amps]), support))
+        split = (_canonical(1, ((row, 1 + 0j),)),
+                 _canonical(right_width, tuple([(u & mask, a) for u, a in q.amps])))
     elif q.amps and (parts := _rank1(q)) is not None:
         a_vec, b_cols, b_vec = parts
         first = np.flatnonzero(np.hypot(a_vec.real, a_vec.imag) > EPS_ZERO)[0]

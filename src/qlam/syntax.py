@@ -34,11 +34,11 @@ Alpha-equivalence reads a second memo kept the same way: a term's shape
 (nodes in preorder, bound variables as binder levels) and its registers,
 from one iterative walk.  ``alpha_eq`` compares shapes, then amplitudes
 within a tolerance.  ``shape_key``, the shape plus each register's key
-support (which qlam.quantum finds and keeps on the register), is a hash key
-that alpha-equivalent terms share, or None when an amplitude is too close
-to the support threshold to place (compare with every term).  The key is a
-third memo kept on the term, so a term is keyed once however often an
-ensemble scan asks for it.
+support (read by quantum.key_support and kept on the register), is a hash
+key that alpha-equivalent terms share, or None when an amplitude is too
+close to the support threshold to place (compare with every term).  The
+key is a third memo kept on the term, so a term is keyed once however often
+an ensemble scan asks for it.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from types import GeneratorType
 from typing import Any, Generator, Union
 
-from .quantum import AMP_TOL, GateExpr, QubitValue, _key_support, amps_close
+from .quantum import AMP_TOL, GateExpr, QubitValue, amps_close, key_support
 
 
 @dataclass(frozen=True)
@@ -531,16 +531,16 @@ def shape_key(t: Term) -> tuple | None:
     ``shape_key(a) == shape_key(b)``, or None.
 
     The key is the term's shape (see _shape) plus, for each register, its
-    key support (quantum._key_support): the indices whose amplitude modulus
-    exceeds quantum.KEY_AMP_THRESHOLD.  An amplitude within twice AMP_TOL of
-    the threshold could sit on either side of it in a tolerance-close
-    register, so the key is None then.  The key is kept on t, as the shape
-    is, so keying a term again builds nothing.
+    key support (quantum.key_support, kept on the register): the indices
+    whose amplitude modulus exceeds quantum.KEY_AMP_THRESHOLD.  An amplitude
+    within twice AMP_TOL of the threshold could sit on either side of it in
+    a tolerance-close register, so the key is None then.  The key is kept on
+    t, as the shape is, so keying a term again builds nothing.
     """
     key = getattr(t, _KEY, _UNKEYED)
     if key is _UNKEYED:
         shape, registers = _shape(t)
-        supports = tuple(map(_key_support, registers))
+        supports = tuple(map(key_support, registers))
         key = None if None in supports else (shape, supports)
         object.__setattr__(t, _KEY, key)
     return key

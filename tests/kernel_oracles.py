@@ -12,8 +12,9 @@ kernels.  They are kept only as test oracles.
 
 ``gate`` tensors builtin gates by name, ``uniform_state`` builds the
 equal superposition the tests measure and split, and
-``key_support_reference`` reads a register's key support with a modulus
-per amplitude, as before the kernels handed it over.
+``key_support_reference`` reads a register's key support with one
+comparison per amplitude against the band, the rule ``quantum.key_support``
+must match.
 """
 
 from __future__ import annotations

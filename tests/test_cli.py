@@ -226,6 +226,22 @@ def test_sample_without_seed_fails(monkeypatch, capsys):
     assert code == 2 and "seed" in err
 
 
+@pytest.mark.parametrize("strategy", ["leftmost", "rightmost"])
+def test_sample_rejects_a_named_chooser(capsys, strategy):
+    """Sampling follows the deterministic strategy, so another chooser is a
+    usage error rather than silently ignored; naming that strategy is not."""
+    path = str(PROGRAMS / "teleport.qlam")
+    code, out, err = run_cli(capsys, "run", path, "--sample", "--seed", "1",
+                             "--strategy", strategy)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"--strategy {strategy}" in err
+    code, out, _ = run_cli(capsys, "run", path, "--sample", "--seed", "1",
+                           "--strategy", "strategy")
+    assert code == 0
+    assert out == run_cli(capsys, "run", path, "--sample", "--seed", "1")[1]
+
+
 # ---------------------------------------------------------------------------
 # trace, fmt, strict mode, confluence
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from qlam import confluence, reduction
+from qlam import confluence
 from qlam.confluence import (
     BudgetExceededError,
     DiamondReport,
@@ -20,11 +20,9 @@ from qlam.confluence import (
 )
 from qlam.ensemble import TermEnsemble, equivalent, singleton
 from qlam.parser import parse_term
-from qlam.quantum import measure
 from qlam.reduction import RULESET_S, RULESET_T
 from qlam.syntax import (
     App,
-    Bang,
     BangLam,
     If,
     Lam,
@@ -39,6 +37,12 @@ from qlam.wellformed import check
 
 from confluence_oracles import find_join_reference
 from conftest import random_terms
+from mutants import (
+    MUTANTS,
+    bang_beta_on_a_value,
+    if_needs_a_base_qubit,
+    no_reduction_under_a_bang,
+)
 
 S2 = f"{1 / math.sqrt(2):.17g}"
 HALF = f"(({S2},0)!|0> + ({S2},0)!|1>)"
@@ -337,34 +341,13 @@ def test_plugging_preserves_equivalence(seed, context):
 
 
 # ---------------------------------------------------------------------------
-# mutation controls: a rule changed in head_rule alone fails a diamond
+# mutation controls: the mutants of tests/mutants.py fail diamonds
 
 
-def _nonvalue_bang_beta(head_rule):
-    """!beta2 also fires on an argument that is neither a bang nor a register
-    constant, breaking the nonlinear rules' value restriction."""
-    def mutant(t):
-        if type(t) is App and type(t.fun) is BangLam and type(t.arg) not in (Bang, QubitConst):
-            return reduction.RULE_BANG_BETA2
-        return head_rule(t)
-    return mutant
-
-
-def _likelier_arm(head_rule):
-    """A conditional over ``M{I} q`` takes the arm of the measurement's
-    likelier outcome (the first of equals) without measuring."""
-    def mutant(t):
-        match t:
-            case If(App(MeasConst(idx), QubitConst(q)), _, _) if max(idx) <= q.width:
-                likelier = max(measure(q, idx), key=lambda o: o.probability)
-                return reduction.RULE_IF1 if likelier.outcome & 1 else reduction.RULE_IF0
-        return head_rule(t)
-    return mutant
-
-
-@pytest.mark.parametrize("mutate, caught_by", [(_nonvalue_bang_beta, ("S", "T", 0)),
-                                              (_likelier_arm, ("T", "T", 4))])
-def test_a_rule_changed_in_head_rule_alone_fails_a_diamond(monkeypatch, mutate, caught_by):
+@pytest.mark.parametrize("mutant, caught_by", [
+    pytest.param(bang_beta_on_a_value, ("S", "T", 0), id=bang_beta_on_a_value.name),
+    pytest.param(if_needs_a_base_qubit, ("T", "T", 4), id=if_needs_a_base_qubit.name)])
+def test_a_rule_changed_in_head_rule_alone_fails_a_diamond(monkeypatch, mutant, caught_by):
     """Patched into head_rule and nowhere else, each mutant is a diamond
     failure on the regression shapes, not an exception: step_at contracts
     whatever head_rule matched.  Unmutated, every shape passes."""
@@ -375,40 +358,10 @@ def test_a_rule_changed_in_head_rule_alone_fails_a_diamond(monkeypatch, mutate, 
         return {i for i, t in enumerate(seeds) if not check_diamond(t, pairs[a], pairs[b]).ok}
 
     assert failing("T", "T") == failing("S", "T") == set()
-    monkeypatch.setattr(reduction, "head_rule", mutate(reduction.head_rule))
+    assert mutant.attr == "head_rule"
+    mutant.apply(monkeypatch)
     a, b, index = caught_by
     assert failing(a, b) == {index}
-
-
-def _redex_sites_under_bang(t):
-    """reduction._redex_sites, but also walking bang bodies, in both of its
-    phases: reduction under a bang, which the rules forbid (a bang is a
-    value, copied as a whole)."""
-    aside = []
-    stack = [((), t, False)]
-    while stack:
-        link, term, done = stack.pop()
-        cls = type(term)
-        if done:
-            yield link, term
-            if cls is not App:
-                aside += [((link, i), kid) for i, kid in enumerate(children(term)) if i]
-        elif cls is App:
-            stack += (link, term, True), ((link, 1), term.arg, False), ((link, 0), term.fun, False)
-        elif cls is If or cls is LetTensor:
-            stack += (link, term, True), ((link, 0), children(term)[0], False)
-        elif cls is Bang:  # mutated: the evaluation phase enters a bang
-            stack.append(((link, 0), term.body, False))
-        elif cls is Lam or cls is BangLam:
-            aside.append((link, term))
-    aside.reverse()
-    while aside:
-        link, term = aside.pop()
-        cls = type(term)
-        if cls is App or cls is If or cls is LetTensor:
-            yield link, term
-        # mutated: the second phase enters a bang too
-        aside += reversed([((link, i), kid) for i, kid in enumerate(children(term))])
 
 
 def test_reduction_under_a_bang_fails_a_diamond(monkeypatch):
@@ -426,10 +379,40 @@ def test_reduction_under_a_bang_fails_a_diamond(monkeypatch):
 
     seeds = regression_seeds()
     assert failing(seeds, "S", "T") == set()
-    monkeypatch.setattr(reduction, "_redex_sites", _redex_sites_under_bang)
+    no_reduction_under_a_bang.apply(monkeypatch)
     assert failing(seeds, "T", "T") == failing(seeds, "S", "S") == set()
     assert failing(seeds, "S", "T") == {1}
     assert failing(corpus, "S", "T") == {1, 441}
+
+
+# Per mutant and diamond pair, how many generated terms of the seed-0 corpus
+# fail a diamond, regression shapes not counted; pairs that catch none are
+# left out.
+_CAUGHT_ON_THE_SEED_0_CORPUS = {
+    "bang_beta_on_a_value": {"S:T": 3},
+    "if_needs_a_base_qubit": {"T:T": 34},
+    "no_reduction_under_a_bang": {"S:T": 1},
+}
+
+
+def test_every_mutant_is_caught(monkeypatch):
+    """Each mutant in tests/mutants.py fails a diamond on the seed-0 corpus,
+    and as many generated terms catch it as pinned above."""
+    corpus = generate(GenConfig(seed=0))
+    shapes = len(regression_seeds())
+    pairs = {"T": RULESET_T, "S": RULESET_S}
+    caught, counts = {}, {}
+    for mutant in MUTANTS:
+        with monkeypatch.context() as patch:
+            mutant.apply(patch)
+            failing = {f"{a}:{b}": [i for i, t in enumerate(corpus)
+                                    if not check_diamond(t, pairs[a], pairs[b]).ok]
+                       for a, b in (("T", "T"), ("S", "T"), ("S", "S"))}
+        caught[mutant.name] = any(failing.values())
+        counts[mutant.name] = {pair: n for pair, found in failing.items()
+                               if (n := sum(i >= shapes for i in found))}
+    assert caught == dict.fromkeys(caught, True)
+    assert counts == _CAUGHT_ON_THE_SEED_0_CORPUS
 
 
 @pytest.mark.parametrize("seed, counts", [

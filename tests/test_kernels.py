@@ -5,6 +5,7 @@ import dataclasses
 import math
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -373,7 +374,7 @@ def test_numpy_keep_rule_is_kept(values):
     values = values + _EDGE_VALUES
     for vec in [values] + [[z] for z in values]:
         got = quantum._kept_vector(np.array(vec, dtype=complex))
-        assert repr(got) == repr(quantum._kept(list(enumerate(vec)))[0])
+        assert repr(got) == repr(quantum._kept(list(enumerate(vec))))
 
 
 @given(st.one_of(st.complex_numbers(allow_nan=True, allow_infinity=True),
@@ -545,7 +546,7 @@ def test_factor_split_ignores_entries_below_tolerance():
 
 
 # ---------------------------------------------------------------------------
-# key supports handed over by the kernels
+# key supports, read when a shape key asks for them
 
 # Parts on, inside and outside the key band around KEY_AMP_THRESHOLD (2e-9
 # wide, 2e-3 relative), and parts past the float range.
@@ -554,25 +555,36 @@ _KEY_PARTS = st.one_of(st.floats(-1, 1), st.sampled_from(
     + [0.0, -0.0, 1e-13, 1e308]))
 
 
-def _handed_over(q: QubitValue) -> list[QubitValue]:
-    """q and what the kernels build from it, each with the key support they
-    gave it (a dense gate pass gives none)."""
-    out = [q, apply_gate(gate(*["H"] * q.width), q), apply_gate(gate("X", *["I"] * (q.width - 1)), q)]
+def _gate_passes(g: GateExpr, q: QubitValue) -> list[QubitValue]:
+    """apply_gate's registers with its scatter pass and, on a register that
+    stores an amplitude, its dense pass each forced."""
+    out = []
+    for dense in (False, True) if q.amps else (False,):
+        with mock.patch.object(quantum, "_use_dense", lambda *_: dense):
+            out.append(apply_gate(g, q))
+    return out
+
+
+def _built_from(q: QubitValue) -> list[QubitValue]:
+    """What the kernels build from q: both passes of two gates, the
+    post-states of its first and last wire, and its split."""
+    out = (_gate_passes(gate(*["H"] * q.width), q)
+           + _gate_passes(gate("X", *["I"] * (q.width - 1)), q))
     try:
         out += [o.post for o in measure(q, {1})] + [o.post for o in measure(q, {q.width})]
     except ZeroMassError:
         pass
     if q.width > 1:
         out += factor_split(q) or ()
-    return [r for r in out if quantum._SUPPORT in vars(r)]
+    return out
 
 
 @given(st.integers(1, 6), st.data())
 def test_kernels_hand_over_the_key_support_a_fresh_copy_reads(width, data):
-    """QubitValue, the scatter pass, measure and both kinds of split hand
-    their registers the support a fresh copy reads, and the one the
-    per-amplitude reference reads, None near the threshold included.  One
-    row of amplitudes makes the exact split hand over its parent's."""
+    """Every register QubitValue, both gate passes, measure and both kinds
+    of split build has the key support the per-amplitude reference reads,
+    None near the threshold included, and the one a fresh copy of it reads.
+    One row of amplitudes makes the split exact."""
     dim = 1 << width
     row = data.draw(st.integers(0, dim - 1)) & ~((1 << (width - 1)) - 1)
     indices = data.draw(st.one_of(
@@ -581,19 +593,34 @@ def test_kernels_hand_over_the_key_support_a_fresh_copy_reads(width, data):
     pairs = [(u, complex(data.draw(_KEY_PARTS), data.draw(_KEY_PARTS))) for u in sorted(indices)]
     q = QubitValue(width, pairs)
     with np.errstate(all="ignore"):  # the rank-1 test on amplitudes near the float limit
-        handed_over = _handed_over(q)
-    for got in handed_over:
-        fresh = quantum._key_support(quantum._canonical(got.width, got.amps))
-        assert vars(got)[quantum._SUPPORT] == fresh == key_support_reference(got)
+        built = [q] + _built_from(q)
+    for got in built:
+        want = key_support_reference(got)
+        assert quantum.key_support(got) == want
+        assert quantum.key_support(quantum._canonical(got.width, got.amps)) == want
 
 
 def test_exact_split_hands_over_none_near_the_threshold():
     q = QubitValue(3, {0b100: 0.5, 0b101: KEY_AMP_THRESHOLD, 0b111: 0.5})
-    assert vars(q)[quantum._SUPPORT] is None
+    assert quantum.key_support(q) is None
     left, right = factor_split(q)
-    assert vars(right)[quantum._SUPPORT] is None
+    assert quantum.key_support(left) == (0b1,)
+    assert quantum.key_support(right) is None
     q = QubitValue(3, {0b100: 0.6, 0b101: 1e-7, 0b111: 0.8})
-    assert vars(factor_split(q)[1])[quantum._SUPPORT] == (0b00, 0b11)
+    assert quantum.key_support(factor_split(q)[1]) == (0b00, 0b11)
+
+
+def test_no_register_holds_a_key_support_until_a_shape_key_reads_it():
+    """QubitValue, tensor, both gate passes, measure and both kinds of
+    split build registers with no support memo; shape_key reads the
+    support once and keeps it on the register."""
+    q = QubitValue(4, {0b0101: 0.6, 0b1101: 0.8j})  # both rows: the rank-1 split
+    exact = ket("1011")  # one row: the exact split
+    built = [q, exact, tensor(q, exact)] + _built_from(q) + _built_from(exact)
+    assert [quantum._SUPPORT in vars(r) for r in built] == [False] * len(built)
+    for r in built:
+        shape_key(QubitConst(r))
+        assert vars(r)[quantum._SUPPORT] == key_support_reference(r)
 
 
 # ---------------------------------------------------------------------------
