@@ -16,11 +16,12 @@ counted, never silently passed.
 
 A move is one ``det_step``: every entry fires one of its redexes or idles.
 One ``enumerate_redexes`` walk per (ensemble, rule set) serves both the
-budget check, made before any step is contracted, and the moves.  Each
-move's successors are built and canonicalized once, where they are built,
-and shared by every pair the move is in.  A start ensemble with no redex
-under either rule set has only the all-idle pair, which rejoins trivially:
-once the pair budget is checked, its check returns at once, with no move,
+budget check, made before any step is contracted, and the moves; a start
+ensemble is walked once under both rule sets of its check.  Each move's
+successors are built and canonicalized once, where they are built, and
+shared by every pair the move is in.  A start ensemble with no redex under
+either rule set has only the all-idle pair, which rejoins trivially: once
+the pair budget is checked, its check returns at once, with no move,
 successor list or canonical form built.  A move carries the redex each
 entry fired, (position, rule) or None for idling, and its label
 (``rule@position`` or ``idle`` per entry, joined by `` | ``) is formatted
@@ -345,11 +346,9 @@ Redex = tuple[Position, str]
 Redexes = list[list[Redex]]
 
 
-def _redexes(ens: TermEnsemble, rules: RuleSet) -> tuple[Redexes, int]:
-    """The redexes of every entry, and how many moves they give, idling
-    included."""
-    redexes = [enumerate_redexes(term, rules) for term, _ in ens.entries]
-    return redexes, math.prod(len(r) + 1 for r in redexes)
+def _count(redexes: Redexes) -> int:
+    """How many moves the entries' ``redexes`` give, idling included."""
+    return math.prod(len(r) + 1 for r in redexes)
 
 
 def _moves(ens: TermEnsemble,
@@ -384,8 +383,8 @@ def _label(fired: tuple[Redex | None, ...]) -> str:
 def _successors(ens: TermEnsemble, rules: RuleSet, join_cap: int) -> list[TermEnsemble]:
     """The canonical forms of the one-step successors of ens under rules,
     checked against the join budget before any step is contracted."""
-    redexes, count = _redexes(ens, rules)
-    if count > join_cap:
+    redexes = [enumerate_redexes(term, rules) for term, _ in ens.entries]
+    if _count(redexes) > join_cap:
         raise BudgetExceededError("one-step successor space exceeds the join budget")
     return [min_ensemble(succ) for _, succ in _moves(ens, redexes)]
 
@@ -399,11 +398,14 @@ def _find_join(omegas1: list[TermEnsemble], omegas2: list[TermEnsemble]) -> bool
 def check_diamond_ensemble(tau: TermEnsemble, rules_a: RuleSet, rules_b: RuleSet,
                            pair_cap: int = 10_000, join_cap: int = 4096) -> DiamondReport:
     """Exhaustive strong-diamond check from an arbitrary start ensemble.
-    When both sides use the same rule set, side B is side A: its redexes,
-    moves and successor lists are built once."""
+    When both sides use the same rule set, side B is side A: its moves and
+    successor lists are built once."""
     same = rules_a == rules_b
-    redexes_a, count_a = _redexes(tau, rules_a)
-    redexes_b, count_b = (redexes_a, count_a) if same else _redexes(tau, rules_b)
+    # one walk per entry, its redexes split by rule set in position order
+    walks = [enumerate_redexes(term, rules_a | rules_b) for term, _ in tau.entries]
+    redexes_a, redexes_b = ([[r for r in walk if r[1] in rules] for walk in walks]
+                            for rules in (rules_a, rules_b))
+    count_a, count_b = _count(redexes_a), _count(redexes_b)
     if count_a * count_b > pair_cap:
         raise BudgetExceededError("move-pair space exceeds the pair budget")
     if count_a == count_b == 1:  # no redex on either side: only the idle pair

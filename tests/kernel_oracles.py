@@ -8,7 +8,11 @@ kernels.  They are kept only as test oracles.
   buckets of the bits outside its wire block.
 - ``factor_split_dense`` reshapes the register's ``densesim`` vector into
   a dense 2**left_width x 2**right_width matrix, so it must only see narrow
-  registers.
+  registers.  ``rank1_residual`` is the largest residual its rank-1 test
+  compares with EPS_NORM.
+
+``unitary_reference`` is GateAtom's unitary test in numpy: np.allclose of
+U U^dagger with the identity, absolute tolerance UNITARY_TOL.
 
 ``gate`` tensors builtin gates by name, ``uniform_state`` builds the
 equal superposition the tests measure and split, and
@@ -33,6 +37,7 @@ from qlam.quantum import (
     GateExpr,
     IndexOutOfRangeError,
     KEY_AMP_THRESHOLD,
+    UNITARY_TOL,
     MeasurementOutcome,
     QubitValue,
 )
@@ -47,6 +52,15 @@ def uniform_state(width: int) -> QubitValue:
     """The equal superposition of all 2**width basis states."""
     a = complex(1.0 / math.sqrt(1 << width))
     return QubitValue(width, tuple((u, a) for u in range(1 << width)))
+
+
+def unitary_reference(matrix) -> bool:
+    """Whether every entry of U U^dagger lies within UNITARY_TOL of the
+    identity's (absolute), by np.allclose; a product past the float range
+    is not close."""
+    u = np.array(matrix, dtype=complex)
+    with np.errstate(all="ignore"):
+        return bool(np.allclose(u @ u.conj().T, np.eye(len(u)), atol=UNITARY_TOL, rtol=0))
 
 
 def key_support_reference(q: QubitValue) -> tuple[int, ...] | None:
@@ -152,8 +166,10 @@ def apply_gate_dense(g: GateExpr, q: QubitValue) -> QubitValue:
     return QubitValue(q.width, entries)
 
 
-def factor_split_dense(q: QubitValue, left_width: int) -> tuple[QubitValue, QubitValue] | None:
-    """factor_split on the dense 2**left_width x 2**right_width matrix."""
+def _rank1_dense(q: QubitValue, left_width: int):
+    """The dense 2**left_width x 2**right_width matrix's pivot column, its
+    pivot row divided by the pivot, and the largest residual of their outer
+    product; None for a zero pivot."""
     if not 0 < left_width < q.width:
         raise ValueError(f"split width {left_width} not inside (0, {q.width})")
     right_width = q.width - left_width
@@ -164,8 +180,23 @@ def factor_split_dense(q: QubitValue, left_width: int) -> tuple[QubitValue, Qubi
         return None
     a_vec = mat[:, j_star].copy()
     b_vec = mat[i_star, :] / pivot
-    if np.max(np.abs(np.outer(a_vec, b_vec) - mat)) > EPS_NORM:
+    return a_vec, b_vec, np.max(np.abs(np.outer(a_vec, b_vec) - mat))
+
+
+def rank1_residual(q: QubitValue, left_width: int) -> float:
+    """The largest residual of factor_split_dense's rank-1 test, inf for a
+    zero pivot."""
+    parts = _rank1_dense(q, left_width)
+    return math.inf if parts is None else float(parts[2])
+
+
+def factor_split_dense(q: QubitValue, left_width: int) -> tuple[QubitValue, QubitValue] | None:
+    """factor_split on the dense 2**left_width x 2**right_width matrix."""
+    parts = _rank1_dense(q, left_width)
+    if parts is None or parts[2] > EPS_NORM:
         return None
+    a_vec, b_vec, _ = parts
+    right_width = q.width - left_width
     na = np.linalg.norm(a_vec)
     a_vec /= na
     b_vec *= na

@@ -520,21 +520,59 @@ def test_run_400_let_chain(tmp_path, capsys):
 # python -m qlam
 
 
-def run_module(*argv, address_space=None):
-    """``python -m qlam argv`` in a child process, whose address space is
-    limited to ``address_space`` bytes if given."""
+def run_python(*args, address_space=None):
+    """``python args`` in a child process that imports qlam from src/,
+    whose address space is limited to ``address_space`` bytes if given."""
     path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
     limit = None if address_space is None else (
         lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space)))
-    return subprocess.run([sys.executable, "-m", "qlam", *argv], cwd=REPO,
+    return subprocess.run([sys.executable, *args], cwd=REPO,
                           env={**os.environ, "PYTHONPATH": path}, capture_output=True,
                           timeout=120, preexec_fn=limit)
+
+
+def run_module(*argv, address_space=None):
+    """``python -m qlam argv`` in a child process (see run_python)."""
+    return run_python("-m", "qlam", *argv, address_space=address_space)
 
 
 def test_python_m_qlam_runs_the_cli():
     proc = run_module("run", "programs/epr.qlam", "--ensemble", "--json")
     assert proc.returncode == 0
     assert proc.stdout == (GOLDEN / "epr.ensemble.json").read_bytes()
+
+
+# Calls cli.main on each argv of the JSON list in argv[1], with numpy made
+# unimportable before qlam is imported, and prints [exit code, stdout] of
+# each as JSON.
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # importing numpy now raises ImportError
+from qlam.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_a_run_needs_no_numpy():
+    """Only the dense gate pass imports numpy, and no bundled program takes
+    it: `import qlam.cli` loads no numpy, and with numpy unimportable, `run
+    --json` on each program with an ensemble golden and `check --json` on
+    cloning_rejected print their goldens."""
+    bare = run_python("-c", "import sys, qlam.cli; print('numpy' in sys.modules)")
+    assert bare.stdout == b"False\n"
+    goldens = sorted(GOLDEN.glob("*.ensemble.json"))
+    runs = [["run", "--json", f"programs/{g.name.split('.')[0]}.qlam"] for g in goldens]
+    runs.append(["check", "--json", "programs/cloning_rejected.qlam"])
+    proc = run_python("-c", _WITHOUT_NUMPY, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr.decode()
+    want = [[0, g.read_text()] for g in goldens]
+    want.append([1, (GOLDEN / "cloning_rejected.check.json").read_text()])
+    assert len(want) == 7 and json.loads(proc.stdout) == want
 
 
 def test_python_m_qlam_deep_nesting_prints_no_traceback(tmp_path):
