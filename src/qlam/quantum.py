@@ -144,8 +144,9 @@ class GateAtom:
     """A named primitive gate with an explicit unitary matrix.
 
     Each entry of U U^dagger must lie within UNITARY_TOL of the identity's,
-    checked at construction in time cubic in the matrix side: about 0.2 ms
-    at 3 wires, 20 ms at 6 and 1.1 s at 8 (Python 3.11, x86-64).
+    checked at construction on and above the diagonal (an entry below it is
+    the exact conjugate of one above) in time cubic in the matrix side:
+    about 0.07 ms at 3 wires, 9 ms at 6 and 0.5 s at 8 (Python 3.11, x86-64).
 
     What apply_gate reads of it is computed once and kept on it, in
     attributes that are not fields, so equality, hashing and repr never see
@@ -173,9 +174,9 @@ class GateAtom:
             raise GateError(f"gate {self.name}: matrix entry is not finite")
         object.__setattr__(self, "matrix", mat)
         conj = [[z.conjugate() for z in row] for row in mat]
-        try:  # entry (r, c) of U U^dagger against the identity's; NaN is not close
-            unitary = all(abs(sum(map(operator.mul, row, other)) - (r == c)) <= UNITARY_TOL
-                          for r, row in enumerate(mat) for c, other in enumerate(conj))
+        try:  # entry (r, c >= r) of U U^dagger against the identity's; NaN is not close
+            unitary = all(abs(sum(map(operator.mul, row, conj[c])) - (r == c)) <= UNITARY_TOL
+                          for r, row in enumerate(mat) for c in range(r, n))
         except OverflowError:  # nor is a product past the float range
             unitary = False
         if not unitary:

@@ -8,8 +8,7 @@ kernels.  They are kept only as test oracles.
   buckets of the bits outside its wire block.
 - ``factor_split_dense`` reshapes the register's ``densesim`` vector into
   a dense 2**left_width x 2**right_width matrix, so it must only see narrow
-  registers.  ``rank1_residual`` is the largest residual its rank-1 test
-  compares with EPS_NORM.
+  registers.
 
 ``unitary_reference`` is GateAtom's unitary test in numpy: np.allclose of
 U U^dagger with the identity, absolute tolerance UNITARY_TOL.
@@ -166,37 +165,27 @@ def apply_gate_dense(g: GateExpr, q: QubitValue) -> QubitValue:
     return QubitValue(q.width, entries)
 
 
-def _rank1_dense(q: QubitValue, left_width: int):
-    """The dense 2**left_width x 2**right_width matrix's pivot column, its
-    pivot row divided by the pivot, and the largest residual of their outer
-    product; None for a zero pivot."""
+def factor_split_dense(q: QubitValue, left_width: int) -> tuple[QubitValue, QubitValue] | None:
+    """factor_split on the dense 2**left_width x 2**right_width matrix.  Its
+    pivot and residuals are taken with Python's complex arithmetic and abs,
+    as the kernel takes them: numpy's complex product may fuse multiply-adds
+    and np.abs may differ in the last bit, and a residual of about EPS_NORM
+    rests its verdict on that bit."""
     if not 0 < left_width < q.width:
         raise ValueError(f"split width {left_width} not inside (0, {q.width})")
     right_width = q.width - left_width
     mat = from_amplitudes(q.width, q.amps).vector.reshape((1 << left_width, 1 << right_width))
-    i_star, j_star = np.unravel_index(np.argmax(np.abs(mat)), mat.shape)
-    pivot = mat[i_star, j_star]
+    rows = mat.tolist()
+    flat = [z for row in rows for z in row]
+    i_star, j_star = divmod(max(range(len(flat)), key=lambda k: abs(flat[k])), len(rows[0]))
+    pivot = rows[i_star][j_star]
     if abs(pivot) <= EPS_ZERO:
         return None
-    a_vec = mat[:, j_star].copy()
-    b_vec = mat[i_star, :] / pivot
-    return a_vec, b_vec, np.max(np.abs(np.outer(a_vec, b_vec) - mat))
-
-
-def rank1_residual(q: QubitValue, left_width: int) -> float:
-    """The largest residual of factor_split_dense's rank-1 test, inf for a
-    zero pivot."""
-    parts = _rank1_dense(q, left_width)
-    return math.inf if parts is None else float(parts[2])
-
-
-def factor_split_dense(q: QubitValue, left_width: int) -> tuple[QubitValue, QubitValue] | None:
-    """factor_split on the dense 2**left_width x 2**right_width matrix."""
-    parts = _rank1_dense(q, left_width)
-    if parts is None or parts[2] > EPS_NORM:
+    a_list = [row[j_star] for row in rows]
+    b_list = [z / pivot for z in rows[i_star]]
+    if max(abs(a * b - z) for a, row in zip(a_list, rows) for b, z in zip(b_list, row)) > EPS_NORM:
         return None
-    a_vec, b_vec, _ = parts
-    right_width = q.width - left_width
+    a_vec, b_vec = np.array(a_list), np.array(b_list)
     na = np.linalg.norm(a_vec)
     a_vec /= na
     b_vec *= na
