@@ -56,14 +56,15 @@ measured once it is built, and a deeper one is a ParseError at its name.
 Heights are kept on the nodes (``syntax.height``), so a definition used
 many times is measured once.
 
-The grammar is recursive descent written as walks (``syntax.descend``):
-each rule that would call a rule which may nest (``parse_term``,
-``_lambda``, ``_let``, ``_if``, ``_scalar`` and the bang and parenthesis
-cases of ``_prim``) yields that rule's walk instead, and ``_prim`` hands a
-name, ket or measurement back as a finished term.  So the parser takes no
-Python frame per level, and sets no interpreter-wide state.  What it may
-hold open is bounded separately, by the constructs open at a token, so
-that parentheses or prefixes without end are a ParseError too.
+The grammar is recursive descent written as walks (``descend``, the one
+trampoline in the package): each rule that would call a rule which may
+nest (``parse_term``, ``_lambda``, ``_let``, ``_if``, ``_scalar`` and the
+bang and parenthesis cases of ``_prim``) yields that rule's walk instead,
+and ``_prim`` hands a name, ket or measurement back as a finished term.
+So the parser takes no Python frame per level, and sets no
+interpreter-wide state.  What it may hold open is bounded separately, by
+the constructs open at a token, so that parentheses or prefixes without
+end are a ParseError too.
 
 The parser also collects *strict surface* notes: places where a register
 constant was written outside the normal form (unbanged kets, tensors over
@@ -79,7 +80,8 @@ import string
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Iterable
+from types import GeneratorType
+from typing import Any, Callable, Generator, Iterable
 
 from .quantum import (
     BUILTIN_GATES,
@@ -103,8 +105,6 @@ from .syntax import (
     QubitConst,
     Term,
     Var,
-    Walk,
-    descend,
     free_vars,
     fresh_name,
     height,
@@ -219,6 +219,43 @@ class Program:
     def defs(self) -> list[tuple[str, Term]]:
         """The definitions, in order."""
         return [(name, d) for name, d in self.declarations if type(d) is not GateAtom]
+
+
+Walk = Generator[Any, Any, Any]  # see descend
+
+
+def descend(walk: Walk | Any) -> Any:
+    """Run a recursive walk without Python recursion: the trampolined style
+    of Ganz, Friedman & Wand (ICFP 1999).
+
+    A walk is a generator.  Where it would recurse it yields a sub-walk (a
+    generator), and is sent that sub-walk's result; anything else it
+    yields is a finished value, which is sent straight back.  What the walk
+    returns is the result, so a result is never a generator.  Only one walk
+    frame runs at a time: the suspended ones wait on a list.  An exception
+    a walk raises ends the whole descent.  ``walk`` may itself be a
+    finished value, which is returned.
+    """
+    if type(walk) is not GeneratorType:
+        return walk
+    suspended = []  # the send methods of the walks waiting on a sub-walk
+    send = walk.send
+    value = None
+    while True:
+        try:
+            item = send(value)
+        except StopIteration as done:
+            if not suspended:
+                return done.value
+            send = suspended.pop()
+            value = done.value
+            continue
+        if type(item) is GeneratorType:
+            suspended.append(send)
+            send = item.send
+            value = None
+        else:
+            value = item
 
 
 class _Parser:

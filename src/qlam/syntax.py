@@ -9,18 +9,17 @@ builds a position (``_position``) only for the nodes it reports.
 
 No walker takes a Python frame per level of a term, so any depth costs
 heap, not interpreter stack, and nothing depends on Python's recursion
-limit.  ``height``, ``free_vars``, ``_shape``, ``substitute`` and ``pretty``
-keep their own explicit stacks.  ``descend`` serves only the walks that
-read best as recursion, the parser's grammar and ``wellformed.check``: they
-are generators, a walk yields a sub-walk where it would recurse, and only
-one walk frame runs at a time.  Only the generated dataclass ``==``,
-``hash`` and ``repr`` of terms still recurse, and nothing in the package
-calls them.
+limit.  ``_annotate`` (for ``free_vars`` and ``height``), ``_shape``,
+``substitute`` and ``pretty`` each run one loop over an explicit stack.
+Only the generated dataclass ``==``, ``hash`` and ``repr`` of terms still
+recurse, and nothing in the package calls them.
 
-``free_vars`` memoizes each node's free-variable set on the node itself, as
-an instance attribute that equality, hashing and repr do not look at.  The
-write is idempotent (every thread computes the same set), so terms stay safe
-to share.  ``substitute`` replaces several names at once and returns every
+``free_vars`` and ``height`` memoize each node's free-variable set and
+height on the node itself, as instance attributes that equality, hashing
+and repr do not look at.  One post-order walk sets both, so whichever is
+asked first pays for it and the other reads the memo.  The writes are
+idempotent (every thread computes the same values), so terms stay safe to
+share.  ``substitute`` replaces several names at once and returns every
 subterm in which none of them is free as the same object, so a step costs
 the paths down to the occurrences rather than the whole body: with the
 linear discipline, one path.
@@ -30,14 +29,14 @@ is no term-level tensor, which is what makes cloning of unknown quantum data
 unwritable.  The destructuring binder LetTensor is the one primitive that
 takes a register apart, and only product states split.
 
-Alpha-equivalence reads a second memo kept the same way: a term's shape
+Alpha-equivalence reads a third memo kept the same way: a term's shape
 (nodes in preorder, bound variables as binder levels) and its registers,
 from one iterative walk.  ``alpha_eq`` compares shapes, then amplitudes
 within a tolerance.  ``shape_key``, the shape plus each register's key
 support (read by quantum.key_support and kept on the register), is a hash
 key that alpha-equivalent terms share, or None when an amplitude is too
 close to the support threshold to place (compare with every term).  The
-key is a third memo kept on the term, so a term is keyed once however often
+key is a fourth memo kept on the term, so a term is keyed once however often
 an ensemble scan asks for it.
 """
 
@@ -45,8 +44,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from types import GeneratorType
-from typing import Any, Generator, Union
+from typing import Union
 
 from .quantum import AMP_TOL, GateExpr, QubitValue, amps_close, key_support
 
@@ -142,47 +140,9 @@ _LEAVES = _CLOSED_LEAVES | {Var}
 
 Position = tuple[int, ...]
 
-# A walk yields sub-walks or finished values and returns its result; see
-# descend.
-Walk = Generator[Any, Any, Any]
-
 
 # ---------------------------------------------------------------------------
 # Traversal
-
-
-def descend(walk: Walk | Any) -> Any:
-    """Run a recursive walk without Python recursion: the trampolined style
-    of Ganz, Friedman & Wand (ICFP 1999).
-
-    A walk is a generator.  Where it would recurse it yields a sub-walk (a
-    generator), and is sent that sub-walk's result; anything else it
-    yields is a finished value, which is sent straight back.  What the walk
-    returns is the result, so a result is never a generator.  Only one walk
-    frame runs at a time: the suspended ones wait on a list.  An exception
-    a walk raises ends the whole descent.  ``walk`` may itself be a
-    finished value, which is returned.
-    """
-    if type(walk) is not GeneratorType:
-        return walk
-    suspended = []  # the send methods of the walks waiting on a sub-walk
-    send = walk.send
-    value = None
-    while True:
-        try:
-            item = send(value)
-        except StopIteration as done:
-            if not suspended:
-                return done.value
-            send = suspended.pop()
-            value = done.value
-            continue
-        if type(item) is GeneratorType:
-            suspended.append(send)
-            send = item.send
-            value = None
-        else:
-            value = item
 
 
 def _position(link: tuple) -> Position:
@@ -253,38 +213,6 @@ def _rebuild(path: list[tuple[Term, int]], new: Term) -> Term:
     return new
 
 
-def height(t: Term) -> int:
-    """Nodes on the longest root-to-leaf path of t, computed once per node
-    and kept on it the way free_vars keeps its set, so a subterm shared by
-    many parents (an inlined definition) is walked once.  Iterative: a node
-    stays on the stack until each of its children has a height."""
-    if type(t) in _LEAVES:
-        return 1
-    out = getattr(t, _HEIGHT, None)
-    if out is not None:
-        return out
-    stack = [t]
-    while stack:
-        node = stack[-1]
-        best = 0
-        pending = False
-        for c in children(node):
-            if type(c) in _LEAVES:
-                h = 1
-            else:
-                h = getattr(c, _HEIGHT, None)
-                if h is None:
-                    stack.append(c)
-                    pending = True
-                    continue
-            if h > best:
-                best = h
-        if not pending:
-            stack.pop()
-            object.__setattr__(node, _HEIGHT, best + 1)
-    return getattr(t, _HEIGHT)
-
-
 # ---------------------------------------------------------------------------
 # Variables
 
@@ -325,39 +253,66 @@ def free_vars(t: Term) -> frozenset[str]:
     it.  Equal sets are shared rather than copied: a binder whose variable
     is not free returns its body's set, a union one side already holds is
     that side, variables of one name share one set, and every closed
-    subterm returns one empty frozenset.  Iterative, as height is: a node
-    stays on the stack until each of its children has a set.
+    subterm returns one empty frozenset.  The walk that finds it is
+    _annotate's, which also finds each node's height.
     """
     cls = type(t)
     if cls in _CLOSED_LEAVES:
         return _EMPTY
+    if cls is Var:
+        return _singleton(t.name)
     out = getattr(t, _FREE, None)
-    if out is not None:
-        return out
+    if out is None:
+        _annotate(t)
+        out = getattr(t, _FREE)
+    return out
+
+
+def height(t: Term) -> int:
+    """Nodes on the longest root-to-leaf path of t, computed once per node
+    and kept on it beside its free variables (see _annotate), so a subterm
+    shared by many parents (an inlined definition) is walked once."""
+    if type(t) in _LEAVES:
+        return 1
+    out = getattr(t, _HEIGHT, None)
+    if out is None:
+        _annotate(t)
+        out = getattr(t, _HEIGHT)
+    return out
+
+
+def _annotate(t: Term) -> None:
+    """Keep on t, and on each node below it that lacks them, its height and
+    its free variables: one post-order walk on an explicit stack, where a
+    node stays until each of its children has both.  A variable keeps its
+    set too, for its parent to read; a closed leaf keeps nothing."""
     stack = [t]
     while stack:
         node = stack[-1]
+        best = 1  # the greatest height of a child done, a leaf's to start
         pending = False
         for c in children(node):
-            if getattr(c, _FREE, None) is None:
-                cls = type(c)
-                if cls is Var:
+            cls = type(c)
+            if cls is Var:
+                if getattr(c, _FREE, None) is None:
                     object.__setattr__(c, _FREE, _singleton(c.name))
-                elif cls not in _CLOSED_LEAVES:
+            elif cls not in _CLOSED_LEAVES:
+                h = getattr(c, _HEIGHT, None)
+                if h is None:
                     stack.append(c)
                     pending = True
+                elif h > best:
+                    best = h
         if not pending:
             stack.pop()
+            object.__setattr__(node, _HEIGHT, best + 1)
             object.__setattr__(node, _FREE, _free_of(node))
-    return getattr(t, _FREE)
 
 
 def _free_of(t: Term) -> frozenset[str]:
-    """The free variables of t, from the sets kept on its children (a
-    closed leaf keeps none)."""
+    """The free variables of a node with children, from the sets kept on
+    them (a closed leaf keeps none)."""
     cls = type(t)
-    if cls is Var:
-        return _singleton(t.name)
     if cls is Lam or cls is BangLam:
         out = getattr(t.body, _FREE, _EMPTY)
         return out - {t.var} or _EMPTY if t.var in out else out
@@ -384,44 +339,43 @@ def substitute(body: Term, sigma: dict[str, Term]) -> Term:
     """Capture-avoiding simultaneous substitution: body with each free name
     of sigma replaced by sigma's term for it, all at once.  A subterm in
     which no name of sigma is free (is live) comes back as the same object.
-    One loop follows a node's one live child, keeping the path as _path_to
-    does and rebuilding it with _rebuild; a node with several live children
-    waits on a stack.  A binder drops the names it shadows from sigma.  One
-    free in a replacement live in its body is renamed apart by one more
-    entry of sigma (Stoughton, TCS 59, 1988), to a name free in none of
-    those replacements, nor in the body, and not the node's other binder."""
+
+    One post-order walk over the live nodes, on an explicit stack of
+    (term, sigma) pairs to visit and of one marker per live node: the node
+    and the index of its one live child, or the list of them if several.  A
+    variable's replacement goes on an output list, and a marker takes its
+    live children's results off it and rebuilds the node.  A binder drops
+    the names it shadows from sigma.  One free in a replacement live in its
+    body is renamed apart by one more entry of sigma (Stoughton, TCS 59,
+    1988), to a name free in none of those replacements, nor in the body,
+    and not the node's other binder."""
     if free_vars(body).isdisjoint(sigma):
         return body
     # free_vars(body) memoized every node below it but the closed leaves,
     # which are never live, so the walk reads the memo directly.
-    stack = done = None  # made at the first node live in several children
-    path: list = []  # (node, index of its one live child), root first
-    t = body
-    while True:
+    out: list[Term] = []
+    stack: list = [(body, sigma)]
+    while stack:
+        t, sigma = stack.pop()
+        if type(sigma) is not dict:  # a marker: t's live children are done
+            kids = list(children(t))
+            if type(sigma) is int:
+                kids[sigma] = out.pop()
+            else:
+                for i in reversed(sigma):
+                    kids[i] = out.pop()
+            out.append(with_children(t, tuple(kids)))
+            continue
         cls = type(t)
         if cls is Var:
-            new = _rebuild(path, sigma[t.name])
-            while stack and stack[-1][0] is None:  # a node's live children are done
-                _, path, t, hits = stack.pop()
-                kids = list(children(t))
-                kids[hits.pop()] = new
-                for i in reversed(hits):
-                    kids[i] = done.pop()
-                new = _rebuild(path, with_children(t, tuple(kids)))
-            if not stack:
-                return new
-            done.append(new)
-            t, sigma = stack.pop()
-            path = []
+            out.append(sigma[t.name])
             continue
         if cls is App:
             if getattr(t.fun, _FREE, _EMPTY).isdisjoint(sigma):
-                path.append((t, 1))
-                t = t.arg
+                stack += (t, 1), (t.arg, sigma)
                 continue
             if getattr(t.arg, _FREE, _EMPTY).isdisjoint(sigma):
-                path.append((t, 0))
-                t = t.fun
+                stack += (t, 0), (t.fun, sigma)
                 continue
         kids = children(t)
         subs = [sigma] * len(kids)
@@ -438,15 +392,9 @@ def substitute(body: Term, sigma: dict[str, Term]) -> Term:
                             inner[name] = Var(names[k])
                 t = cls(*names, *kids)
         hits = [i for i, c in enumerate(kids) if not getattr(c, _FREE, _EMPTY).isdisjoint(subs[i])]
-        if len(hits) > 1:
-            if stack is None:
-                stack, done = [], []
-            stack.append((None, path, t, hits))
-            stack += [(kids[i], subs[i]) for i in reversed(hits[1:])]
-            path = []
-        else:
-            path.append((t, hits[0]))
-        t, sigma = kids[hits[0]], subs[hits[0]]
+        stack.append((t, hits if len(hits) > 1 else hits[0]))
+        stack += [(kids[i], subs[i]) for i in reversed(hits)]
+    return out[0]
 
 
 # ---------------------------------------------------------------------------

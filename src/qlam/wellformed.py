@@ -22,16 +22,20 @@ A pre-term is well-formed when:
     the register representation, and gate constants are checked unitary at
     construction.)
 
-The check is one walk (run by syntax.descend, so any depth checks).  It
-returns, for each subterm, how often each variable name occurs free in it,
-as a plain dict that the node's parent adds into its own (``_add``); a
-binder pops its own name from its body's counts (a linear abstraction
+The check is one loop over an explicit stack, so any depth checks.  It
+counts how often each variable name occurs free in plain dicts, one for
+each part open around the node walked: the whole term, a binder's body, a
+bang body or a conditional arm.  A variable adds its use to the innermost
+part's counts, and leaving a part checks them and adds them into the
+enclosing part's; a binder first pops its own name (a linear abstraction
 requires exactly one use), so shadowing needs no bookkeeping beyond a scope
-mapping each bound name to its linearity, and the root's counts are the
-free-variable uses.  The scope is one dict that a binder updates on the way
-down and restores on the way up, and a node's position is carried as a link
-and built only for a violation there, so the walk is linear in depth.
-Violations are reported, never raised; check is total.
+mapping each bound name to its linearity, and the whole term's counts are
+the free-variable uses.  The scope is one dict, handled as
+``syntax._shape`` handles its binder levels: a binder binds on the way down
+and leaves a step on the stack that restores the outer binding on the way
+up.  A node's position is carried as a link and built only for a violation
+there, so the walk is linear in depth.  Violations are reported, never
+raised; check is total.
 """
 
 from __future__ import annotations
@@ -51,9 +55,7 @@ from .syntax import (
     QubitConst,
     Term,
     Var,
-    Walk,
     _position,
-    descend,
 )
 
 LINEAR = "linear"
@@ -74,115 +76,101 @@ class WfReport:
 
 # Argument shapes that may still reduce to a duplicable value.
 _REDUCIBLE_ARGS = (App, If, LetTensor)
-# The classes of the nodes with children.
-_INNER = frozenset((Lam, BangLam, App, Bang, If, LetTensor))
 
 
 def check(t: Term) -> WfReport:
-    """Decide well-formedness; the verdict is true iff no violations."""
+    """Decide well-formedness; the verdict is true iff no violations.
+
+    Each stack entry is (step, node, link).  Step None visits the node,
+    pushing its children under the steps that finish it.  "open" starts an
+    arm's counts once the part before the arm is done, "split" binds a
+    split's names between its value and its body, and "bound", "bang" and
+    "arm" leave a part.  So an arm is checked before the next is walked,
+    and violations come in the order of a recursive walk.
+    """
     violations: list[Violation] = []
+    env: dict[str, str | None] = {}  # each name to its linearity here (None: unbound)
+    outer: list[tuple[str, str | None]] = []  # each open binder's names, with their outer values
+    uses: list[dict[str, int]] = [{}]  # the counts of the open parts, innermost last
+    stack: list = [(None, t, ())]
+    while stack:
+        step, t, link = stack.pop()
+        cls = type(t)
+        if step is None:
+            if cls is Var:
+                counts = uses[-1]
+                counts[t.name] = counts.get(t.name, 0) + 1
+            elif cls is App:
+                if type(t.fun) is BangLam:
+                    _check_nonlinear_arg(t.arg, (link, 1), violations)
+                stack += (None, t.arg, (link, 1)), (None, t.fun, (link, 0))
+            elif cls is Lam or cls is BangLam:
+                outer.append((t.var, env.get(t.var)))
+                env[t.var] = LINEAR if cls is Lam else NONLINEAR
+                uses.append({})
+                stack += ("bound", t, link), (None, t.body, (link, 0))
+            elif cls is Bang:
+                uses.append({})
+                stack += ("bang", t, link), (None, t.body, (link, 0))
+            elif cls is If:
+                stack += (("arm", t, link), (None, t.orelse, (link, 2)), ("open", t, link),
+                          ("arm", t, link), (None, t.then, (link, 1)), ("open", t, link),
+                          (None, t.cond, (link, 0)))
+            elif cls is LetTensor:
+                stack += ("split", t, link), (None, t.value, (link, 0))
+            elif cls is QubitConst:
+                if not t.value.is_unit():
+                    violations.append((_position(link), "superposition",
+                                       f"register amplitudes have squared mass "
+                                       f"{t.value.norm_sq():.6g}, expected 1"))
+            elif cls is not GateConst and cls is not MeasConst:
+                raise TypeError(f"not a term: {t!r}")
+        elif step == "open":
+            uses.append({})
+        elif step == "split":
+            outer += (t.left, env.get(t.left)), (t.right, env.get(t.right))
+            env[t.left] = env[t.right] = NONLINEAR
+            uses.append({})
+            stack += ("bound", t, link), (None, t.body, (link, 1))
+        else:  # leaving a part
+            inner = uses.pop()
+            if step == "bang":
+                listed = _linear_names(inner, env)
+                if listed:
+                    violations.append((_position(link), "bang",
+                                       f"nonlinear term captures linear variable(s) {listed}"))
+            elif step == "arm":
+                listed = _linear_names(inner, env)
+                if listed:
+                    violations.append((_position(link), "linear",
+                                       f"conditional arm consumes linear variable(s) "
+                                       f"{listed}; the other arm would discard them"))
+            elif cls is LetTensor:
+                name, env[name] = outer.pop()
+                name, env[name] = outer.pop()
+                inner.pop(t.left, None)
+                inner.pop(t.right, None)
+            else:
+                x, env[x] = outer.pop()
+                n = inner.pop(x, 0)
+                if cls is Lam and n != 1:
+                    violations.append((_position(link), "linear",
+                                       f"linear variable {x!r} used {n} times "
+                                       "(expected exactly once)"))
+            counts = uses[-1]
+            for name, n in inner.items():
+                counts[name] = counts.get(name, 0) + n
     # Free variables are linear: more than one use anywhere is a violation.
-    for name, n in sorted(descend(_walk(t, {}, (), violations)).items()):
+    for name, n in sorted(uses[0].items()):
         if n > 1:
             violations.append(((), "linear",
                                f"free variable {name!r} used {n} times"))
     return WfReport(violations)
 
 
-def _add(uses: dict[str, int], more: dict[str, int]) -> None:
-    """Add the use counts ``more`` into ``uses``."""
-    for name, n in more.items():
-        uses[name] = uses.get(name, 0) + n
-
-
-def _linear_names(uses: dict[str, int], env: dict[str, str]) -> str:
+def _linear_names(uses: dict[str, int], env: dict[str, str | None]) -> str:
     """The used names bound linearly in env, quoted and sorted; '' if none."""
     return ", ".join(repr(x) for x in sorted(uses) if env.get(x) == LINEAR)
-
-
-def _bind(env: dict[str, str], name: str, linearity: str | None) -> str | None:
-    """Bind ``name`` in env to ``linearity`` (None unbinds it); the binding
-    it replaces."""
-    outer = env.get(name)
-    if linearity is None:
-        del env[name]
-    else:
-        env[name] = linearity
-    return outer
-
-
-def _walk(t: Term, env: dict[str, str], link: tuple,
-          violations: list[Violation]) -> Walk | dict[str, int]:
-    """How often each variable name occurs free in t: a dict for a leaf,
-    else a walk that returns one.  ``env`` maps every name bound around t
-    to its linearity; ``link`` stands for t's position."""
-    cls = type(t)
-    if cls is Var:
-        return {t.name: 1}
-    if cls is QubitConst:
-        q = t.value
-        if not q.is_unit():
-            violations.append((_position(link), "superposition",
-                               f"register amplitudes have squared mass {q.norm_sq():.6g}, "
-                               "expected 1"))
-        return {}
-    if cls is GateConst or cls is MeasConst:
-        return {}
-    if cls in _INNER:
-        return _walk_inner(t, env, link, violations)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _walk_inner(t: Term, env: dict[str, str], link: tuple,
-                violations: list[Violation]) -> Walk:
-    """_walk's walk, for a node with children."""
-    cls = type(t)
-    if cls is Lam or cls is BangLam:
-        x = t.var
-        outer = _bind(env, x, LINEAR if cls is Lam else NONLINEAR)
-        uses = yield _walk(t.body, env, (link, 0), violations)
-        _bind(env, x, outer)
-        n = uses.pop(x, 0)
-        if cls is Lam and n != 1:
-            violations.append((_position(link), "linear",
-                               f"linear variable {x!r} used {n} times (expected exactly once)"))
-        return uses
-    if cls is App:
-        if type(t.fun) is BangLam:
-            _check_nonlinear_arg(t.arg, (link, 1), violations)
-        uses = yield _walk(t.fun, env, (link, 0), violations)
-        _add(uses, (yield _walk(t.arg, env, (link, 1), violations)))
-        return uses
-    if cls is Bang:
-        uses = yield _walk(t.body, env, (link, 0), violations)
-        listed = _linear_names(uses, env)
-        if listed:
-            violations.append((_position(link), "bang",
-                               f"nonlinear term captures linear variable(s) {listed}"))
-        return uses
-    if cls is If:
-        uses = yield _walk(t.cond, env, (link, 0), violations)
-        for child_index, arm in ((1, t.then), (2, t.orelse)):
-            arm_uses = yield _walk(arm, env, (link, child_index), violations)
-            listed = _linear_names(arm_uses, env)
-            if listed:
-                violations.append((_position(link), "linear",
-                                   f"conditional arm consumes linear variable(s) "
-                                   f"{listed}; the other arm would discard them"))
-            _add(uses, arm_uses)
-        return uses
-    # a LetTensor
-    x, y = t.left, t.right
-    uses = yield _walk(t.value, env, (link, 0), violations)
-    outer_x = _bind(env, x, NONLINEAR)
-    outer_y = _bind(env, y, NONLINEAR)
-    inner = yield _walk(t.body, env, (link, 1), violations)
-    _bind(env, y, outer_y)
-    _bind(env, x, outer_x)
-    inner.pop(x, None)
-    inner.pop(y, None)
-    _add(uses, inner)
-    return uses
 
 
 def _check_nonlinear_arg(arg: Term, link: tuple, violations: list[Violation]) -> None:

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 import qlam.parser
+from qlam.confluence import regression_seeds
+from qlam.ensemble import evaluate
 from qlam.parser import (
     _MAX_OPEN,
     _SYMBOLS,
@@ -34,10 +36,14 @@ from qlam.syntax import (
     MeasConst,
     QubitConst,
     Var,
+    alpha_eq,
+    free_vars,
+    height,
     pretty,
 )
+from qlam.wellformed import check
 
-from conftest import NESTED, OPEN, PROGRAMS, let_chain, term_height
+from conftest import NESTED, OPEN, PROGRAMS, let_chain, random_terms, rename_binders, term_height
 from parser_oracles import tokenize_reference
 
 S2 = 1 / math.sqrt(2)
@@ -459,6 +465,36 @@ def test_teleport_template_parses():
 
     prog = parse_program(teleport_source(QubitValue(1, {0: 0.6, 1: 0.8})))
     assert prog.main is not None
+
+
+# ---------------------------------------------------------------------------
+# the trampoline
+
+
+def test_only_the_parser_runs_the_trampoline(monkeypatch):
+    """descend serves the grammar alone: with it made to raise, check,
+    free_vars, height, substitute and evaluate still run, on the regression
+    seeds and on generated terms, and on copies of them whose binders
+    substitute renamed (fresh nodes, so free_vars and height walk them)."""
+    import qlam.syntax
+    import qlam.wellformed
+
+    assert not hasattr(qlam.syntax, "descend") and not hasattr(qlam.wellformed, "descend")
+    terms = [*regression_seeds(), *random_terms(0, 20)]
+    expected = [(check(t).violations, evaluate(t).status) for t in terms]
+
+    def forbidden(walk):
+        raise AssertionError("a walk outside the grammar entered descend")
+
+    monkeypatch.setattr(qlam.parser, "descend", forbidden)
+    for t, (violations, status) in zip(terms, expected):
+        copy = rename_binders(t, "v")
+        assert height(copy) == height(t) == term_height(t)
+        assert free_vars(copy) == free_vars(t)
+        assert alpha_eq(copy, t)
+        assert check(t).violations == violations
+        assert check(copy).verdict == (not violations)
+        assert evaluate(copy).status == status
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,9 @@ print(json.dumps([runs, sys.getrecursionlimit()]))
 _CHAINS_AT_LOW_LIMIT = f"""
 import sys
 from qlam.ensemble import evaluate
-from qlam.quantum import BUILTIN_GATES, GateExpr
-from qlam.syntax import (App, Bang, BangLam, GateConst, Lam, MeasConst, Var, free_vars,
-                         height, pretty, substitute)
+from qlam.quantum import BUILTIN_GATES, GateExpr, ket
+from qlam.syntax import (App, Bang, BangLam, GateConst, If, Lam, LetTensor, MeasConst,
+                         QubitConst, Var, free_vars, height, pretty, substitute)
 from qlam.wellformed import check
 
 N = 20_000
@@ -66,6 +66,14 @@ hadamard = GateConst(GateExpr((BUILTIN_GATES["H"],)))
 for _ in range(N):
     gates = App(hadamard, gates)
 measure = MeasConst(frozenset({{1}}))
+# y in a split's value and body, and a in both arms of a conditional, at
+# every level: substitute finds two live children at each.
+splits = Var("y")
+for _ in range(N):
+    splits = LetTensor("a", "b", Var("y"), splits)
+ifs = Var("a")
+for _ in range(N):
+    ifs = If(QubitConst(ket("0")), ifs, Var("a"))
 
 sys.setrecursionlimit({LOW_LIMIT})
 for name, chain in (("lambdas", lambdas), ("bangs", bangs), ("gates", gates)):
@@ -80,6 +88,15 @@ for name, chain in (("lambdas", lambdas), ("bangs", bangs), ("gates", gates)):
         closed = result.ensemble.entries[0][0]
     assert pretty(closed).count("M{{1}}") == 1, name
 assert pretty(bangs) == "!" * N + "y"
+for name, chain, free in (("splits", splits, "y"), ("ifs", ifs, "a")):
+    assert free_vars(chain) == {{free}}, name
+    closed = substitute(chain, {{free: measure}})
+    assert free_vars(closed) == frozenset(), name
+    assert height(chain) == height(closed) == N + 1, name
+    assert check(chain).violations == [
+        ((), "linear", f"free variable {{free!r}} used {{N + 1}} times")], name
+    assert check(closed).verdict, name
+    assert pretty(closed).count("M{{1}}") == N + 1, name
 print(sys.getrecursionlimit())
 """
 

@@ -22,15 +22,19 @@ from qlam.syntax import (
     QubitConst,
     Var,
     alpha_eq,
+    children,
     format_amplitude,
     format_qubit,
     free_vars,
+    height,
     pretty,
     shape_key,
     substitute,
+    with_children,
 )
 
 from conftest import (
+    PROGRAMS,
     generated_term,
     let_chain,
     near_threshold_register,
@@ -38,6 +42,7 @@ from conftest import (
     random_register,
     random_terms,
     rename_binders,
+    term_height,
 )
 from kernel_oracles import gate
 from syntax_oracles import (
@@ -501,7 +506,30 @@ def test_free_vars_memo_matches_reference(case):
         for pos in positions(t):
             sub = subterm_at(t, pos)
             assert free_vars(sub) == free_vars_reference(sub)
+            assert height(sub) == term_height(sub)
         assert free_vars(t) == free_vars_reference(t)  # read back from the memo
+
+
+def test_one_walk_keeps_free_variables_and_height(monkeypatch):
+    """height walks a term once, and that walk leaves free_vars no node to
+    walk: on a parsed program, whose parse measured its height, and on a
+    copy of it built from fresh nodes."""
+    main = parse_program((PROGRAMS / "teleport.qlam").read_text()).main
+
+    def rebuild(t):
+        return with_children(t, tuple(map(rebuild, children(t))))
+
+    walks = []
+    annotate = syntax._annotate
+    monkeypatch.setattr(syntax, "_annotate", lambda t: walks.append(t) or annotate(t))
+    copy = rebuild(main)
+    assert height(main) == height(copy) == term_height(main)
+    assert len(walks) == 1 and walks[0] is copy
+    for t in (main, copy):
+        for pos in positions(t):
+            sub = subterm_at(t, pos)
+            assert free_vars(sub) == free_vars_reference(sub)
+    assert len(walks) == 1
 
 
 def test_substitute_renames_each_binder_kind_as_reference():
