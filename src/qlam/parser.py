@@ -56,12 +56,11 @@ measured once it is built, and a deeper one is a ParseError at its name.
 Heights are kept on the nodes (``syntax.height``), so a definition used
 many times is measured once.
 
-The grammar is recursive descent written as walks (``descend``, the one
-trampoline in the package): each rule that would call a rule which may
-nest (``parse_term``, ``_lambda``, ``_let``, ``_if``, ``_scalar`` and the
-bang and parenthesis cases of ``_prim``) yields that rule's walk instead,
-and ``_prim`` hands a name, ket or measurement back as a finished term.
-So the parser takes no Python frame per level, and sets no
+The term grammar is one loop over an explicit stack (``parse_term``).
+Its frames, one per open construct and per sum being read, are the
+continuations recursive descent would leave on the Python stack, made
+into plain data (Danvy & Nielsen, "Defunctionalization at Work", PPDP
+2001).  So the parser takes no Python frame per level, and sets no
 interpreter-wide state.  What it may hold open is bounded separately, by
 the constructs open at a token, so that parentheses or prefixes without
 end are a ParseError too.
@@ -80,8 +79,7 @@ import string
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
-from types import GeneratorType
-from typing import Any, Callable, Generator, Iterable
+from typing import Callable, Iterable
 
 from .quantum import (
     BUILTIN_GATES,
@@ -117,11 +115,11 @@ _SYMBOLS = frozenset("\\.!(){}[],;=*+")
 # A chain of 300 lets nests 602 levels, one of 400 lets 802.
 MAX_NESTING = 900
 # Constructs (lambdas, lets, conditionals, parentheses, bangs and scalar
-# prefixes) the parser may have open at one token.  Each open construct holds
-# a suspended walk on the heap, so this bounds the parser's memory on a
-# source that opens without end.  ``pretty`` opens at most two per level of
-# the term it prints, so the printed form of every term the parser accepts
-# parses again.
+# prefixes) the parser may have open at one token.  parse_term's stack holds
+# a frame for each, and a sum frame for at most each and the whole term, so
+# this bounds the parser's memory on a source that opens without end.
+# ``pretty`` opens at most two per level of the term it prints, so the
+# printed form of every term the parser accepts parses again.
 _MAX_OPEN = 2 * MAX_NESTING
 
 # One match per token: the whitespace and comments before it, then the
@@ -154,6 +152,9 @@ _FIRST_TAGS = {**dict.fromkeys(string.digits + "-", "number"), "|": "ket",
                **dict.fromkeys(string.ascii_letters + "_", "name")}
 # Tags that start a prim, and so continue an application.
 _PRIM_START = frozenset(("name", "ket", "!", "("))
+# The kinds of parse_term's frames that wait for a term; the others (sum,
+# bang and scalar) wait for a prim.
+_TERM_FRAMES = frozenset(("lambda", "let", "if", "group"))
 
 
 class ParseError(Exception):
@@ -219,43 +220,6 @@ class Program:
     def defs(self) -> list[tuple[str, Term]]:
         """The definitions, in order."""
         return [(name, d) for name, d in self.declarations if type(d) is not GateAtom]
-
-
-Walk = Generator[Any, Any, Any]  # see descend
-
-
-def descend(walk: Walk | Any) -> Any:
-    """Run a recursive walk without Python recursion: the trampolined style
-    of Ganz, Friedman & Wand (ICFP 1999).
-
-    A walk is a generator.  Where it would recurse it yields a sub-walk (a
-    generator), and is sent that sub-walk's result; anything else it
-    yields is a finished value, which is sent straight back.  What the walk
-    returns is the result, so a result is never a generator.  Only one walk
-    frame runs at a time: the suspended ones wait on a list.  An exception
-    a walk raises ends the whole descent.  ``walk`` may itself be a
-    finished value, which is returned.
-    """
-    if type(walk) is not GeneratorType:
-        return walk
-    suspended = []  # the send methods of the walks waiting on a sub-walk
-    send = walk.send
-    value = None
-    while True:
-        try:
-            item = send(value)
-        except StopIteration as done:
-            if not suspended:
-                return done.value
-            send = suspended.pop()
-            value = done.value
-            continue
-        if type(item) is GeneratorType:
-            suspended.append(send)
-            send = item.send
-            value = None
-        else:
-            value = item
 
 
 class _Parser:
@@ -331,44 +295,133 @@ class _Parser:
 
     # -- term grammar
 
-    def parse_term(self) -> Walk:
-        """term, as a walk."""
-        tag = self.tags[self.i]
-        if tag == "\\":
-            return self._lambda()
-        if tag == "let":
-            return self._let()
-        if tag == "if":
-            return self._if()
-        return self._sum()
-
-    def _sum(self) -> Walk:
-        """sum, with the tensor and application loops run in this one walk."""
+    def parse_term(self) -> Term:
+        """term, in one loop over a stack of frames: one per construct open
+        at the current token, and one per sum being read.  A lambda, let,
+        if or group frame waits for a term, and a sum, bang or scalar frame
+        for a prim.  The loop reads forward to a leaf, pushing a frame for
+        each construct it opens, then hands the leaf down the stack: a
+        frame that it completes is popped and its node handed on, and the
+        first that waits for more parts sends the loop forward again."""
         tags = self.tags
-        summands: list[Term] = []
-        summand_at: list[int] = []
-        factors: list[Term] = []
-        factor_at: list[int] = []
+        stack: list[list] = []
         while True:
-            factor_at.append(self.i)
-            term = yield self._prim()
-            while tags[self.i] in _PRIM_START:
-                term = App(term, (yield self._prim()))
-            factors.append(term)
-            tag = tags[self.i]
-            if tag == "*":
-                self.i += 1
+            i = self.i
+            tag = tags[i]
+            if not stack or stack[-1][0] in _TERM_FRAMES:
+                if tag == "\\" or tag == "let":
+                    self.open_level(i)
+                    self.i = i + 1
+                    nonlinear = self.accept("!")
+                    names = [self._binder_name()]
+                    if tag == "\\":
+                        self.expect(".")
+                        stack.append(["lambda", nonlinear, names[0]])
+                        continue
+                    while not nonlinear and self.accept("*"):
+                        name_at = self.i
+                        name = self._binder_name()
+                        if name in names:
+                            raise self.error("duplicate names in destructuring pattern", name_at)
+                        names.append(name)
+                    self.expect("=")
+                    stack.append(["let", i, nonlinear, names, None])
+                elif tag == "if":
+                    self.open_level(i)
+                    self.i = i + 1
+                    stack.append(["if", []])
+                else:
+                    # summands and their positions, the factors of the
+                    # summand being read and theirs, the application being read
+                    stack.append(["sum", [], [], [], [i], None])
                 continue
-            summand_at.append(factor_at[0])
-            summands.append(factors[0] if len(factors) == 1
-                            else self._fold_tensor(factors, factor_at))
-            if tag != "+":
-                break
-            self.i += 1
-            factors, factor_at = [], []
-        if len(summands) == 1:
-            return summands[0]
-        return self._fold_sum(summands, summand_at)
+            if tag == "!" and tags[i + 1] != "ket":
+                self.open_level(i)
+                self.i = i + 1
+                stack.append(["bang", i])
+                continue
+            if tag == "(":
+                if tags[i + 1] == "number":
+                    self.i = i + 2
+                    self.expect(",")
+                    im_at = self.expect("number")
+                    self.expect(")")
+                    self.open_level(i)
+                    z = complex(float(self.texts[i + 1]), float(self.texts[im_at]))
+                    stack.append(["scalar", i, z])
+                else:
+                    self.open_level(i)
+                    self.i = i + 1
+                    stack.append(["group"])
+                continue
+            value = self._leaf()
+            while stack:
+                frame = stack[-1]
+                kind = frame[0]
+                if kind == "sum":
+                    _, summands, summand_at, factors, factor_at, app = frame
+                    app = value if app is None else App(app, value)
+                    tag = tags[self.i]
+                    if tag in _PRIM_START:
+                        frame[5] = app
+                        break
+                    factors.append(app)
+                    frame[5] = None
+                    if tag == "*":
+                        self.i += 1
+                        factor_at.append(self.i)
+                        break
+                    summand_at.append(factor_at[0])
+                    summands.append(app if len(factors) == 1
+                                    else self._fold_tensor(factors, factor_at))
+                    if tag == "+":
+                        self.i += 1
+                        frame[3], frame[4] = [], [self.i]
+                        break
+                    stack.pop()
+                    value = summands[0] if len(summands) == 1 else self._fold_sum(summands, summand_at)
+                    continue
+                if kind == "let" and frame[4] is None:
+                    frame[4] = value
+                    self.expect("in")
+                    break
+                if kind == "if" and len(frame[1]) < 2:
+                    frame[1].append(value)
+                    self.expect("then" if len(frame[1]) == 1 else "else")
+                    break
+                # the construct is complete
+                stack.pop()
+                self.depth -= 1
+                if kind == "lambda":
+                    value = (BangLam if frame[1] else Lam)(frame[2], value)
+                elif kind == "let":
+                    _, let_at, nonlinear, names, bound = frame
+                    if len(names) == 1:
+                        value = App((BangLam if nonlinear else Lam)(names[0], value), bound)
+                    else:
+                        # the body sits under a split for each name but the last
+                        self.check_height(value, let_at, len(names) - 1)
+                        value = self._nest_splits(names, bound, value)
+                elif kind == "if":
+                    value = If(*frame[1], value)
+                elif kind == "group":
+                    self.expect(")")
+                elif kind == "bang":
+                    if isinstance(value, QubitConst):
+                        self.note(frame[1], "bang on a non-base register expression")
+                    else:
+                        value = Bang(value)
+                else:  # a scalar prefix
+                    _, open_at, z = frame
+                    if not isinstance(value, QubitConst):
+                        raise self.error("scalar product applies to qubit constants only", open_at)
+                    if len(value.value.amps) != 1:
+                        self.note(open_at, "scalar over a non-base register expression")
+                    scaled = {u: z * a for u, a in value.value.amps}
+                    self.check_finite(scaled.values(), open_at)
+                    value = QubitConst(QubitValue(value.value.width, scaled))
+            else:
+                return value
 
     def _binder_name(self) -> str:
         i = self.expect("name")
@@ -378,39 +431,6 @@ class _Parser:
         if text in self.defs:
             raise self.error(f"{text!r} names a definition and cannot be bound", i)
         return text
-
-    def _lambda(self) -> Walk:
-        self.open_level(self.i)
-        self.i += 1
-        nonlinear = self.accept("!")
-        name = self._binder_name()
-        self.expect(".")
-        body = yield self.parse_term()
-        self.depth -= 1
-        return BangLam(name, body) if nonlinear else Lam(name, body)
-
-    def _let(self) -> Walk:
-        let_at = self.i
-        self.open_level(let_at)
-        self.i += 1
-        nonlinear = self.accept("!")
-        names = [self._binder_name()]
-        while not nonlinear and self.accept("*"):
-            name_at = self.i
-            name = self._binder_name()
-            if name in names:
-                raise self.error("duplicate names in destructuring pattern", name_at)
-            names.append(name)
-        self.expect("=")
-        value = yield self.parse_term()
-        self.expect("in")
-        body = yield self.parse_term()
-        self.depth -= 1
-        if len(names) == 1:
-            return App((BangLam if nonlinear else Lam)(names[0], body), value)
-        # the body sits under a split for each name but the last
-        self.check_height(body, let_at, len(names) - 1)
-        return self._nest_splits(names, value, body)
 
     def _nest_splits(self, names: list[str], value: Term, body: Term) -> Term:
         """let x1*...*xk desugars to nested binary splits, one wire per name
@@ -427,17 +447,6 @@ class _Parser:
             term = LetTensor(names[k], right, Var(rest), term)
             right = rest
         return LetTensor(names[0], right, value, term)
-
-    def _if(self) -> Walk:
-        self.open_level(self.i)
-        self.i += 1
-        cond = yield self.parse_term()
-        self.expect("then")
-        then = yield self.parse_term()
-        self.expect("else")
-        orelse = yield self.parse_term()
-        self.depth -= 1
-        return If(cond, then, orelse)
 
     def _fold_tensor(self, items: list[Term], at: list[int]) -> Term:
         if all(isinstance(it, GateConst) for it in items):
@@ -495,8 +504,8 @@ class _Parser:
             self.check_finite((total[u] for u, _ in item.value.amps), i)
         return QubitConst(QubitValue(width, total))
 
-    def _prim(self) -> Term | Walk:
-        """prim: a name, ket or measurement as a term, else a walk."""
+    def _leaf(self) -> Term:
+        """A prim that opens no construct: a name, a ket or a measurement."""
         i = self.i
         tags = self.tags
         tag = tags[i]
@@ -514,58 +523,14 @@ class _Parser:
                 return const
             definition = self.defs.get(text)
             return Var(text) if definition is None else definition
-        if tag == "!":
-            if tags[i + 1] == "ket":
-                self.i = i + 2
-                return QubitConst(ket(self.texts[i + 1][1:-1]))
-            return self._bang()
-        if tag == "(":
-            return self._scalar() if tags[i + 1] == "number" else self._group()
+        if tag == "!":  # and a ket: the loop opens a bang on anything else
+            self.i = i + 2
+            return QubitConst(ket(self.texts[i + 1][1:-1]))
         if tag == "ket":
             self.i = i + 1
             self.note(i, "base qubit written without '!'")
             return QubitConst(ket(self.texts[i][1:-1]))
         raise self.error("expected a term", i, frozenset(("term",)))
-
-    def _bang(self) -> Walk:
-        """'!' prim; the current token is the '!'."""
-        i = self.i
-        self.open_level(i)
-        self.i = i + 1
-        inner = yield self._prim()
-        self.depth -= 1
-        if isinstance(inner, QubitConst):
-            self.note(i, "bang on a non-base register expression")
-            return inner
-        return Bang(inner)
-
-    def _group(self) -> Walk:
-        """'(' term ')'; the current token is the '('."""
-        self.open_level(self.i)
-        self.i += 1
-        inner = yield self.parse_term()
-        self.expect(")")
-        self.depth -= 1
-        return inner
-
-    def _scalar(self) -> Walk:
-        """A scalar prefix; the current tokens are '(' and a number."""
-        open_at = self.i
-        self.i += 2
-        self.expect(",")
-        im_at = self.expect("number")
-        self.expect(")")
-        self.open_level(open_at)
-        operand = yield self._prim()
-        self.depth -= 1
-        if not isinstance(operand, QubitConst):
-            raise self.error("scalar product applies to qubit constants only", open_at)
-        if len(operand.value.amps) != 1:
-            self.note(open_at, "scalar over a non-base register expression")
-        z = complex(float(self.texts[open_at + 1]), float(self.texts[im_at]))
-        scaled = {u: z * a for u, a in operand.value.amps}
-        self.check_finite(scaled.values(), open_at)
-        return QubitConst(QubitValue(operand.value.width, scaled))
 
     def _measurement(self) -> Term:
         """A measurement; the current tokens are 'M' and '{'."""
@@ -624,7 +589,7 @@ def parse_term_with_notes(source: str,
                           gates: dict[str, GateAtom] | None = None
                           ) -> tuple[Term, list[tuple[int, int, str]]]:
     parser = _Parser(source, gates or {}, {})
-    term = descend(parser.parse_term())
+    term = parser.parse_term()
     parser.expect("eof")
     parser.check_height(term, 0)
     return term, parser.strict_notes
@@ -642,7 +607,7 @@ def parse_program(source: str) -> Program:
         if parser.accept("gate"):
             name_at = parser.expect("name")
             name = texts[name_at]
-            if name in BUILTIN_GATES or name in gates:
+            if name in BUILTIN_GATES or name in gates or name in defs:
                 raise parser.error(f"gate {name!r} is already defined", name_at)
             parser.expect("=")
             matrix = parser._matrix()
@@ -661,7 +626,7 @@ def parse_program(source: str) -> Program:
         while tags[parser.i] in ("name", "!"):
             params.append((parser.accept("!"), parser._binder_name()))
         parser.expect("=")
-        body = descend(parser.parse_term())
+        body = parser.parse_term()
         parser.expect(";")
         for nonlinear, p in reversed(params):
             body = BangLam(p, body) if nonlinear else Lam(p, body)

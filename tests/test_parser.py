@@ -1,12 +1,16 @@
+import inspect
 import math
+import pkgutil
 import re
 import sys
+from importlib import import_module
 from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import qlam
 import qlam.parser
 from qlam.confluence import regression_seeds
 from qlam.ensemble import evaluate
@@ -16,15 +20,17 @@ from qlam.parser import (
     KEYWORDS,
     MAX_NESTING,
     ParseError,
+    Program,
     _line_col,
     _newlines,
     _offsets,
+    _Parser,
     _tokenize,
     parse_program,
     parse_term,
     parse_term_with_notes,
 )
-from qlam.quantum import QubitValue
+from qlam.quantum import GateAtom, QubitValue, RegisterSizeError, RegisterWidthError
 from qlam.syntax import (
     App,
     Bang,
@@ -44,7 +50,8 @@ from qlam.syntax import (
 from qlam.wellformed import check
 
 from conftest import NESTED, OPEN, PROGRAMS, let_chain, random_terms, rename_binders, term_height
-from parser_oracles import tokenize_reference
+from parser_oracles import parse_with_walks, tokenize_reference
+from test_cli_fuzz import FUZZ, mutated_program, token_stream
 
 S2 = 1 / math.sqrt(2)
 
@@ -302,6 +309,9 @@ PARSE_ERRORS = [
     ("program", "f = \\x. x;\r\n\r\nmain = (cnot !|0>) * !|1>;",
      "3:8: gate of arity 2 applied to 1 wire(s) inside a tensor"),
     ("program", "main = !|0>;\r\n  # note\r\n  @", "3:3: unexpected character '@'"),
+    # a gate named after an earlier definition
+    ("program", "f = \\x. x;\ngate f = [[0, 1], [1, 0]];\nmain = f !|0>;",
+     "2:6: gate 'f' is already defined"),
 ]
 
 
@@ -468,33 +478,26 @@ def test_teleport_template_parses():
 
 
 # ---------------------------------------------------------------------------
-# the trampoline
+# no trampoline
 
 
-def test_only_the_parser_runs_the_trampoline(monkeypatch):
-    """descend serves the grammar alone: with it made to raise, check,
-    free_vars, height, substitute and evaluate still run, on the regression
-    seeds and on generated terms, and on copies of them whose binders
-    substitute renamed (fresh nodes, so free_vars and height walk them)."""
-    import qlam.syntax
-    import qlam.wellformed
-
-    assert not hasattr(qlam.syntax, "descend") and not hasattr(qlam.wellformed, "descend")
-    terms = [*regression_seeds(), *random_terms(0, 20)]
-    expected = [(check(t).violations, evaluate(t).status) for t in terms]
-
-    def forbidden(walk):
-        raise AssertionError("a walk outside the grammar entered descend")
-
-    monkeypatch.setattr(qlam.parser, "descend", forbidden)
-    for t, (violations, status) in zip(terms, expected):
+def test_no_walk_runs_on_a_trampoline():
+    """No module of qlam defines descend and no parser method is a
+    generator; check, free_vars, height, substitute and evaluate run on the
+    regression seeds and on generated terms, and on copies of them whose
+    binders substitute renamed (fresh nodes, so free_vars and height walk
+    them)."""
+    modules = [import_module(f"qlam.{m.name}") for m in pkgutil.iter_modules(qlam.__path__)]
+    assert qlam.parser in modules
+    assert not [m.__name__ for m in modules if hasattr(m, "descend")]
+    assert not inspect.getmembers(_Parser, inspect.isgeneratorfunction)
+    for t in [*regression_seeds(), *random_terms(0, 20)]:
         copy = rename_binders(t, "v")
         assert height(copy) == height(t) == term_height(t)
         assert free_vars(copy) == free_vars(t)
         assert alpha_eq(copy, t)
-        assert check(t).violations == violations
-        assert check(copy).verdict == (not violations)
-        assert evaluate(copy).status == status
+        assert check(copy).verdict == (not check(t).violations)
+        assert evaluate(copy).status == evaluate(t).status
 
 
 # ---------------------------------------------------------------------------
@@ -710,3 +713,37 @@ def test_clean_parse_works_out_no_offsets():
     source = (PROGRAMS / "teleport.qlam").read_text(encoding="utf-8")
     with mock.patch.object(qlam.parser, "_offsets", side_effect=AssertionError("offsets")):
         assert parse_program(source).strict_notes == []
+
+
+# ---------------------------------------------------------------------------
+# the grammar against its walk oracle
+
+# Programs at each nesting and open-construct limit, and one past it.
+_LIMITS = tuple(shapes[name](limit + past)
+                for shapes, limit in ((NESTED, MAX_NESTING), (OPEN, _MAX_OPEN))
+                for name in sorted(shapes) for past in (0, 1))
+
+
+def _parsed(parse, source):
+    """A parse's declarations (names, and pretty texts of terms) and
+    strict notes, or for parse_term_with_notes its term's pretty text and
+    notes; or the error it raised, with its text and expected set."""
+    try:
+        result = parse(source)
+    except (ParseError, RegisterSizeError, RegisterWidthError) as exc:
+        return type(exc), str(exc), getattr(exc, "expected", None)
+    if isinstance(result, Program):
+        return ([(name, d if type(d) is GateAtom else pretty(d)) for name, d in result.declarations],
+                result.strict_notes)
+    return pretty(result[0]), result[1]
+
+
+@settings(FUZZ, max_examples=300)
+@given(source=st.one_of(token_stream, token_stream.map(lambda s: f"main = {s};"),
+                        mutated_program(), respaced_source(), st.sampled_from(_LIMITS)))
+def test_grammar_matches_walk_oracle(source):
+    """parse_program and parse_term_with_notes read every source as the
+    walk grammar does: the same declarations, terms and strict notes, or
+    the same error."""
+    for parse in (parse_program, parse_term_with_notes):
+        assert _parsed(parse, source) == _parsed(lambda s: parse_with_walks(parse, s), source)
